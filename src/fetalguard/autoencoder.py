@@ -12,13 +12,14 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, ShapeError, TrainingDataError, TrainingError
-from .ingest import ClassLabel
+from .errors import ConfigError, ShapeError, TrainingError
 from .nn import AdamState, DenseNetwork, adam_step, backward, forward, init_network
+from .preprocess import as_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +45,10 @@ class AeConfig:
 
 @dataclass
 class AeModel:
+    """A trained autoencoder; scores, calibrate and to_dict form the shared detector interface."""
+
+    model_type: ClassVar[str] = "ae"
+
     encoder: DenseNetwork
     decoder: DenseNetwork
     feature_dim: int
@@ -53,8 +58,15 @@ class AeModel:
     optimizer: dict | None = None  # hyperparameters the model was trained with
     preprocess: dict | None = None
 
-    def score(self, x) -> float:
-        return ae_score(self, x)
+    def scores(self, samples) -> np.ndarray:
+        return ae_scores(self, samples)
+
+    def calibrate(self, train_scores) -> float:
+        self.tau = calibrate_threshold(train_scores, self.k_sigma)
+        return self.tau
+
+    def to_dict(self) -> dict:
+        return model_to_dict(self)
 
 
 @dataclass
@@ -98,19 +110,6 @@ def build_ae_networks(feature_dim: int, config: AeConfig, seed) -> tuple[DenseNe
     return encoder, decoder
 
 
-def _stack(samples) -> np.ndarray:
-    rows = [fv.x if hasattr(fv, "x") else np.asarray(fv, dtype=float) for fv in samples]
-    if not rows:
-        raise TrainingDataError("no samples to train on")
-    try:
-        x = np.asarray(rows, dtype=float)
-    except ValueError as exc:
-        raise ShapeError(f"samples must share one feature dimension: {exc}") from None
-    if x.ndim != 2:
-        raise ShapeError("samples must share one feature dimension")
-    return x
-
-
 def _mean_l1(encoder: DenseNetwork, decoder: DenseNetwork, x: np.ndarray) -> float:
     z, _ = forward(encoder, x)
     xhat, _ = forward(decoder, z)
@@ -130,8 +129,8 @@ def train_ae(
     on a non-finite loss.
     """
     config = config or AeConfig()
-    x = _stack(normals)
-    x_val = _stack(validation) if validation else x
+    x = as_matrix(normals)
+    x_val = as_matrix(validation) if validation else x
     n, d = x.shape
     if x_val.shape[1] != d:
         raise ShapeError("validation dimension differs from training dimension")
@@ -208,37 +207,30 @@ def reconstruct(model: AeModel, x: np.ndarray) -> np.ndarray:
     return xhat
 
 
-def ae_score(model: AeModel, x) -> float:
-    """Anomaly score: L1 distance between x and its reconstruction."""
-    vec = np.asarray(x.x if hasattr(x, "x") else x, dtype=float)
-    if vec.shape != (model.feature_dim,):
-        raise ShapeError(f"expected vector of dim {model.feature_dim}, got shape {vec.shape}")
-    return float(np.abs(vec - reconstruct(model, vec)).sum())
-
-
 def ae_scores(model: AeModel, samples) -> np.ndarray:
-    x = _stack(samples)
+    """Anomaly scores: L1 distance between each sample and its reconstruction."""
+    x = as_matrix(samples)
     if x.shape[1] != model.feature_dim:
         raise ShapeError(f"expected dim {model.feature_dim}, got {x.shape[1]}")
     return np.abs(x - reconstruct(model, x)).sum(axis=1)
 
 
 def calibrate_threshold(training_scores, k: float) -> float:
-    """tau = mean + k * population standard deviation of the training scores."""
+    """tau = mean + k * population standard deviation of the training scores.
+
+    Raises TrainingError on a non-finite training score.
+    """
     scores = np.asarray(training_scores, dtype=float)
     if scores.size < 2:
         raise ConfigError(f"need at least 2 scores to calibrate, got {scores.size}")
+    if not np.isfinite(scores).all():
+        raise TrainingError("cannot calibrate on a non-finite training score")
     return float(scores.mean() + k * scores.std())
-
-
-def classify(score: float, tau: float) -> ClassLabel:
-    """Abnormal iff score exceeds tau strictly."""
-    return ClassLabel.ABNORMAL if score > tau else ClassLabel.NORMAL
 
 
 def model_to_dict(model: AeModel) -> dict:
     return {
-        "model_type": "ae",
+        "model_type": model.model_type,
         "format_version": 1,
         "feature_dim": model.feature_dim,
         "latent_dim": model.latent_dim,
@@ -252,8 +244,13 @@ def model_to_dict(model: AeModel) -> dict:
 
 
 def model_from_dict(data: dict) -> AeModel:
+    if data["format_version"] != 1:
+        raise ConfigError(f"unsupported ae format version {data['format_version']!r}")
+    encoder = nn.network_from_dict(data["encoder"])
+    if encoder.in_dim != data["feature_dim"]:
+        raise ConfigError(f"feature_dim {data['feature_dim']} != encoder input dim {encoder.in_dim}")
     return AeModel(
-        encoder=nn.network_from_dict(data["encoder"]),
+        encoder=encoder,
         decoder=nn.network_from_dict(data["decoder"]),
         feature_dim=data["feature_dim"],
         latent_dim=data["latent_dim"],

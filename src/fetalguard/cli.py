@@ -16,11 +16,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import autoencoder, iforest, metrics, persistence
+from . import metrics, persistence
 from .config import MODEL_CONFIG_TYPES, load_config
 from .datasets import SplitConfig, class_counts, train_test_split, validation_split
-from .errors import ConfigError, FetalGuardError
-from .experiment import fit_detector, run_experiment, _scores_for
+from .errors import ConfigError, FetalGuardError, ParseError
+from .experiment import fit_detector, run_experiment
 from .ingest import ClassLabel, load_collection, parse_record_csv
 from .preprocess import (
     PreprocessConfig,
@@ -139,41 +139,41 @@ def cmd_train(args) -> int:
     return 0
 
 
+# calibrate flag -> the model field it overrides
+CALIBRATION_OVERRIDES = {"k": "k_sigma", "contamination": "contamination"}
+
+
 def cmd_calibrate(args) -> int:
     model = persistence.load_model(args.model_file)
+    for flag, field in CALIBRATION_OVERRIDES.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if not hasattr(model, field):
+            raise ConfigError(f"--{flag} does not apply to a {model.model_type} model")
+        setattr(model, field, value)
     features = read_features_csv(args.features)
-    scores = _scores_for(model, features)
-    if isinstance(model, iforest.IsolationForestModel):
-        contamination = args.contamination if args.contamination is not None else model.contamination
-        new_tau = iforest.if_threshold(scores, contamination)
-        model.contamination = contamination
-        old_tau = model.threshold
-        model.threshold = new_tau
-    else:
-        k = args.k if args.k is not None else model.k_sigma
-        new_tau = autoencoder.calibrate_threshold(scores, k)
-        model.k_sigma = k
-        old_tau = model.tau
-        model.tau = new_tau
+    old_tau = model.tau
+    new_tau = model.calibrate(model.scores(features))
     persistence.save_model(model, args.model_file)
     print(f"tau: {old_tau!r} -> {new_tau!r} ({len(features)} calibration scores)")
     return 0
 
 
-def _decision_threshold(model) -> float:
-    tau = model.threshold if isinstance(model, iforest.IsolationForestModel) else model.tau
-    if tau is None:
+def _load_calibrated(path):
+    model = persistence.load_model(path)
+    if model.tau is None:
         raise ConfigError("model is not calibrated; run `calibrate` first")
-    return tau
+    return model
 
 
 def cmd_evaluate(args) -> int:
-    model = persistence.load_model(args.model_file)
+    model = _load_calibrated(args.model_file)
+    tau = model.tau
     features = read_features_csv(args.features)
     if any(fv.label is None for fv in features):
         raise ConfigError("evaluation needs labeled features")
-    tau = _decision_threshold(model)
-    scores = _scores_for(model, features)
+    scores = model.scores(features)
     labels = [fv.label for fv in features]
     report = metrics.evaluate_scores(scores, labels, tau)
     out = Path(args.out)
@@ -197,8 +197,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model = persistence.load_model(args.model_file)
-    tau = _decision_threshold(model)
+    model = _load_calibrated(args.model_file)
+    tau = model.tau
     signal_path = Path(args.signal)
     record = parse_record_csv(signal_path.read_text(encoding="utf-8"), signal_path.stem)
     pre = model.preprocess
@@ -210,8 +210,8 @@ def cmd_score(args) -> int:
             f"model expects dim {model.feature_dim} but preprocessing yields {config.feature_dim}"
         )
     fv = preprocess_pipeline(record, config)
-    score = model.score(fv)
-    verdict = autoencoder.classify(score, tau).name.lower()
+    score = float(model.scores([fv])[0])
+    verdict = metrics.classify(score, tau).name.lower()
     print(f"{record.record_id},{score!r},{tau!r},{verdict}")
     return 0
 
@@ -223,12 +223,19 @@ def cmd_curves(args) -> int:
         header = fh.readline().strip().split(",")
         if header != ["record_id", "label", "score"]:
             raise ConfigError(f"{args.scores}: expected header record_id,label,score")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            _, label, score = line.rstrip("\n").split(",")
-            labels.append(int(label))
-            scores.append(float(score))
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != 3:
+                raise ParseError(f"{args.scores}: expected 3 columns, got {len(cells)}", line=line_no)
+            if cells[1] not in ("0", "1"):
+                raise ParseError(f"{args.scores}: label must be 0 or 1, got {cells[1]!r}", line=line_no)
+            try:
+                scores.append(float(cells[2]))
+            except ValueError:
+                raise ParseError(f"{args.scores}: non-numeric score", line=line_no) from None
+            labels.append(int(cells[1]))
     pr_points = metrics.pr_curve(scores, labels)
     roc_points, auc = metrics.roc_curve_and_auc(scores, labels)
     out = Path(args.out)
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one detector on a training features file")
-    p.add_argument("--model", required=True, choices=["iforest", "ae", "ganomaly"])
+    p.add_argument("--model", required=True, choices=list(MODEL_CONFIG_TYPES))
     p.add_argument("--features", required=True, help="training features CSV")
     p.add_argument("--config", help="experiment config supplying model/split sections")
     p.add_argument("--seed", type=int, default=0)
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="recompute a model's threshold from features")
     p.add_argument("--model-file", required=True)
     p.add_argument("--features", required=True, help="calibration (training) features CSV")
-    p.add_argument("--k", type=float, help="override k in tau = mean + k*std")
+    p.add_argument("--k", type=float, help="override k in tau = mean + k*std (ae, ganomaly)")
     p.add_argument("--contamination", type=float, help="override contamination (iforest)")
     p.set_defaults(func=cmd_calibrate)
 
@@ -326,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--model", choices=["iforest", "ae", "ganomaly"], help="restrict to one model")
+    p.add_argument("--model", choices=list(MODEL_CONFIG_TYPES), help="restrict to one model")
     p.add_argument("--seed", type=int, help="override the base seed")
     p.add_argument("--seeds", type=int, help="number of repeated runs")
     p.add_argument("--out", help="override the output directory")

@@ -34,24 +34,6 @@ class SplitConfig:
         }
 
 
-@dataclass
-class DatasetSplit:
-    """Disjoint train / validation / test partitions of feature vectors."""
-
-    train: list[FeatureVector]
-    validation: list[FeatureVector]
-    test: list[FeatureVector]
-    seed: int = 0
-
-    def __post_init__(self):
-        ids: set[str] = set()
-        for part in (self.train, self.validation, self.test):
-            for fv in part:
-                if fv.record_id in ids:
-                    raise SplitError(f"record {fv.record_id} appears in more than one partition")
-                ids.add(fv.record_id)
-
-
 def _held_out_count(class_size: int, fraction: float) -> int:
     # ceil with a tolerance so that exact products (e.g. 370 * 0.1) do not
     # round up through floating-point noise

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autoencoder, ganomaly, iforest, metrics, persistence
-from .config import ExperimentConfig, config_to_dict
+from .config import MODEL_CONFIG_TYPES, ExperimentConfig, config_to_dict
 from .datasets import bootstrap_resample, normals_only, train_test_split, validation_split
 from .errors import ConfigError, TestIsolationError
 from .ingest import ClassLabel, load_collection
@@ -28,8 +28,6 @@ from .preprocess import preprocess_collection
 from .synth import generate_dataset
 
 logger = logging.getLogger(__name__)
-
-MODEL_NAMES = ("iforest", "ae", "ganomaly")
 
 AGGREGATE_METRICS = (
     "f1",
@@ -89,14 +87,6 @@ def load_labeled_records(config: ExperimentConfig):
     return load_collection(data.signals_dir, data.metadata_file).records
 
 
-def _scores_for(model, samples) -> np.ndarray:
-    if isinstance(model, autoencoder.AeModel):
-        return autoencoder.ae_scores(model, samples)
-    if isinstance(model, ganomaly.GanomalyModel):
-        return ganomaly.gan_scores(model, samples)
-    return iforest.if_scores(model, samples)
-
-
 def _validation_normals(validation):
     normals = [fv for fv in validation if fv.label is ClassLabel.NORMAL]
     return normals or None
@@ -104,39 +94,34 @@ def _validation_normals(validation):
 
 def fit_detector(name, model_config, train_core, validation, pre_validation_size, seed):
     """Train one detector on the training core and calibrate its threshold."""
+    trace = None
     if name == "iforest":
-        fit_data = train_core if model_config.train_on == "all" else normals_only(train_core)
+        fit_items = train_core if model_config.train_on == "all" else normals_only(train_core)
         model = iforest.build_forest(
-            fit_data,
+            fit_items,
             n_trees=model_config.n_trees,
             subsample_size=model_config.subsample_size,
             seed=seed,
             contamination=model_config.contamination,
         )
-        train_scores = iforest.if_scores(model, fit_data)
-        tau = iforest.if_threshold(train_scores, model_config.contamination)
-        model.threshold = tau
-        extras = {"contamination": model_config.contamination, "n_fit": len(fit_data)}
-        return FittedDetector(model, tau, train_scores, None, extras, fit_data)
-
-    normals = normals_only(train_core)
-    val_normals = _validation_normals(validation)
-    if name == "ae":
-        fit_items = normals
-        model, trace = autoencoder.train_ae(normals, model_config, seed, validation=val_normals)
-        train_scores = autoencoder.ae_scores(model, fit_items)
-        extras = {"k_sigma": model_config.k_sigma, "n_fit": len(fit_items)}
-    elif name == "ganomaly":
-        fit_items = bootstrap_resample(normals, pre_validation_size, seed)
-        model, trace = ganomaly.train_ganomaly(
-            fit_items, model_config, seed, validation=val_normals
+        extras = {"contamination": model_config.contamination}
+    elif name == "ae":
+        fit_items = normals_only(train_core)
+        model, trace = autoencoder.train_ae(
+            fit_items, model_config, seed, validation=_validation_normals(validation)
         )
-        train_scores = ganomaly.gan_scores(model, fit_items)
-        extras = {"k_sigma": model_config.k_sigma, "n_fit": len(fit_items)}
+        extras = {"k_sigma": model_config.k_sigma}
+    elif name == "ganomaly":
+        fit_items = bootstrap_resample(normals_only(train_core), pre_validation_size, seed)
+        model, trace = ganomaly.train_ganomaly(
+            fit_items, model_config, seed, validation=_validation_normals(validation)
+        )
+        extras = {"k_sigma": model_config.k_sigma}
     else:
-        raise ConfigError(f"unknown model {name!r}; valid options: {', '.join(MODEL_NAMES)}")
-    tau = autoencoder.calibrate_threshold(train_scores, model_config.k_sigma)
-    model.tau = tau
+        raise ConfigError(f"unknown model {name!r}; valid options: {', '.join(MODEL_CONFIG_TYPES)}")
+    train_scores = model.scores(fit_items)
+    tau = model.calibrate(train_scores)
+    extras["n_fit"] = len(fit_items)
     return FittedDetector(model, tau, train_scores, trace, extras, fit_items)
 
 
@@ -147,9 +132,8 @@ def _grid_combinations(grid: dict) -> list[dict]:
     return [dict(zip(names, combo)) for combo in itertools.product(*(grid[n] for n in names))]
 
 
-def _validation_f1(model, tau, validation) -> dict:
-    scores = _scores_for(model, validation)
-    decisions = [ClassLabel.ABNORMAL if s > tau else ClassLabel.NORMAL for s in scores]
+def _validation_f1(model, validation) -> dict:
+    decisions = [metrics.classify(s, model.tau) for s in model.scores(validation)]
     labels = [fv.label for fv in validation]
     counts = metrics.confusion(labels, decisions)
     scalars = metrics.scalar_metrics(counts)
@@ -172,7 +156,7 @@ def run_single(name, model_config, grid, features, split_config, preprocess_dict
     for combo in _grid_combinations(grid):
         candidate_config = dataclasses.replace(model_config, **combo) if combo else model_config
         fitted = fit_detector(name, candidate_config, train_core, validation, len(train), seed)
-        val_metrics = _validation_f1(fitted.model, fitted.tau, validation)
+        val_metrics = _validation_f1(fitted.model, validation)
         if best is None or val_metrics["f1"] > best["validation"]["f1"]:
             best = {
                 "fitted": fitted,
@@ -185,11 +169,11 @@ def run_single(name, model_config, grid, features, split_config, preprocess_dict
 
     guard.unlock()
     test_items = guard.take()
-    test_scores = _scores_for(fitted.model, test_items)
+    test_scores = fitted.model.scores(test_items)
     test_labels = [fv.label for fv in test_items]
     report = metrics.evaluate_scores(test_scores, test_labels, fitted.tau)
 
-    distribution = ganomaly.score_distribution_report(fitted.model, fitted.fit_items, test_items)
+    distribution = score_distribution_report(fitted, test_items, test_scores)
     return {
         "model_name": name,
         "seed": seed,
@@ -208,6 +192,44 @@ def run_single(name, model_config, grid, features, split_config, preprocess_dict
         },
         "guard_reads": guard.reads,
     }
+
+
+def score_distribution_report(fitted: FittedDetector, test_items, test_scores) -> dict:
+    """Per-class score summaries of the fit set and the test set, with the tau line.
+
+    Uses the scores the leg already computed. Partitions with an absent class
+    are omitted with a notice.
+    """
+    report: dict = {
+        "tau": fitted.tau,
+        "k_sigma": fitted.extras.get("k_sigma"),
+        "partitions": {},
+        "notices": [],
+    }
+    partitions = (
+        ("train", fitted.fit_items, fitted.train_scores),
+        ("test", test_items, test_scores),
+    )
+    for name, items, scores in partitions:
+        by_class: dict[str, list[float]] = {}
+        for fv, score in zip(items, scores):
+            label = "unlabeled" if fv.label is None else ClassLabel(fv.label).name.lower()
+            by_class.setdefault(label, []).append(float(score))
+        summary = {}
+        for cls in ("normal", "abnormal"):
+            values = by_class.get(cls)
+            if not values:
+                report["notices"].append(f"no {cls} samples in {name}")
+                continue
+            arr = np.asarray(values)
+            summary[cls] = {
+                "count": int(arr.size),
+                "mean": float(arr.mean()),
+                "std": float(arr.std()),
+                "scores": values,
+            }
+        report["partitions"][name] = summary
+    return report
 
 
 def _write_json(data, path: Path) -> None:

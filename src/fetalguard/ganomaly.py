@@ -13,12 +13,12 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from . import nn
+from . import autoencoder, nn
 from .errors import ConfigError, ShapeError, TrainingDataError, TrainingError
-from .ingest import ClassLabel
 from .nn import (
     AdamState,
     DenseNetwork,
@@ -29,6 +29,7 @@ from .nn import (
     forward,
     init_network,
 )
+from .preprocess import as_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +70,10 @@ class GanomalyConfig:
 
 @dataclass
 class GanomalyModel:
+    """Trained GANomaly networks; scores, calibrate and to_dict form the shared detector interface."""
+
+    model_type: ClassVar[str] = "ganomaly"
+
     encoder1: DenseNetwork
     decoder: DenseNetwork
     encoder2: DenseNetwork
@@ -84,8 +89,15 @@ class GanomalyModel:
     optimizer: dict | None = None  # hyperparameters the model was trained with
     preprocess: dict | None = None
 
-    def score(self, x) -> float:
-        return gan_score(self, x)
+    def scores(self, samples) -> np.ndarray:
+        return gan_scores(self, samples)
+
+    def calibrate(self, train_scores) -> float:
+        self.tau = autoencoder.calibrate_threshold(train_scores, self.k_sigma)
+        return self.tau
+
+    def to_dict(self) -> dict:
+        return model_to_dict(self)
 
 
 @dataclass
@@ -145,12 +157,6 @@ def build_ganomaly_networks(
         init_network(enc_spec, seeds[2]),
         init_network(dis_spec, seeds[3]),
     )
-
-
-def find_latents(encoder1: DenseNetwork, batch: np.ndarray) -> np.ndarray:
-    """Map a minibatch to its latents; the result is used as a fixed decoder input."""
-    z, _ = forward(encoder1, np.atleast_2d(np.asarray(batch, dtype=float)))
-    return z
 
 
 def generator_loss(
@@ -224,19 +230,6 @@ def discriminator_loss(
     return loss, [a + b for a, b in zip(grads_real, grads_fake)]
 
 
-def _stack(samples) -> np.ndarray:
-    rows = [fv.x if hasattr(fv, "x") else np.asarray(fv, dtype=float) for fv in samples]
-    if not rows:
-        raise TrainingDataError("no samples to train on")
-    try:
-        x = np.asarray(rows, dtype=float)
-    except ValueError as exc:
-        raise ShapeError(f"samples must share one feature dimension: {exc}") from None
-    if x.ndim != 2:
-        raise ShapeError("samples must share one feature dimension")
-    return x
-
-
 def _generator_objective(x, nets, config) -> float:
     e1, dec, e2, dis = nets
     z1, _ = forward(e1, x)
@@ -266,8 +259,8 @@ def train_ganomaly(
     has not improved for ``patience`` epochs; restores the best snapshot.
     """
     config = config or GanomalyConfig()
-    x = _stack(normals)
-    x_val = _stack(validation) if validation else x
+    x = as_matrix(normals)
+    x_val = as_matrix(validation) if validation else x
     n, d = x.shape
     if x_val.shape[1] != d:
         raise ShapeError("validation dimension differs from training dimension")
@@ -297,7 +290,7 @@ def train_ganomaly(
         for _ in range(config.iterations_per_epoch):
             d_losses = []
             for _ in range(config.k_d):
-                latents = find_latents(e1, draw())
+                latents = forward(e1, draw())[0]
                 real = draw()
                 generated, _ = forward(dec, latents)
                 loss_d, grads_dis = discriminator_loss(real, generated, dis)
@@ -307,7 +300,7 @@ def train_ganomaly(
 
             g_losses = []
             for _ in range(config.k_g):
-                latents = find_latents(e1, draw())
+                latents = forward(e1, draw())[0]
                 batch = draw()
                 loss_g, ge1, gdec, ge2 = generator_loss(
                     batch, e1, dec, e2, dis,
@@ -368,16 +361,9 @@ def train_ganomaly(
     return model, trace
 
 
-def gan_score(model: GanomalyModel, x) -> float:
-    """Anomaly score: reconstruction L1 in data space, or latent L1 in "latent" mode."""
-    vec = np.asarray(x.x if hasattr(x, "x") else x, dtype=float)
-    if vec.shape != (model.feature_dim,):
-        raise ShapeError(f"expected vector of dim {model.feature_dim}, got shape {vec.shape}")
-    return float(gan_scores(model, vec[None, :])[0])
-
-
 def gan_scores(model: GanomalyModel, samples) -> np.ndarray:
-    x = samples if isinstance(samples, np.ndarray) and samples.ndim == 2 else _stack(samples)
+    """Anomaly scores: reconstruction L1 in data space, or latent L1 in "latent" mode."""
+    x = as_matrix(samples)
     if x.shape[1] != model.feature_dim:
         raise ShapeError(f"expected dim {model.feature_dim}, got {x.shape[1]}")
     z1, _ = forward(model.encoder1, x)
@@ -388,46 +374,9 @@ def gan_scores(model: GanomalyModel, samples) -> np.ndarray:
     return np.abs(x - xhat).sum(axis=1)
 
 
-def score_distribution_report(model, train, test) -> dict:
-    """Per-class score summaries with fitted Gaussian parameters and the tau line.
-
-    Works with any model exposing ``score``; partitions with an absent class are
-    omitted with a notice.
-    """
-    tau = getattr(model, "tau", None)
-    if tau is None:
-        tau = getattr(model, "threshold", None)
-    report: dict = {
-        "tau": tau,
-        "k_sigma": getattr(model, "k_sigma", None),
-        "partitions": {},
-        "notices": [],
-    }
-    for name, part in (("train", train), ("test", test)):
-        by_class: dict[str, list[float]] = {}
-        for fv in part:
-            label = "unlabeled" if fv.label is None else ClassLabel(fv.label).name.lower()
-            by_class.setdefault(label, []).append(model.score(fv))
-        summary = {}
-        for cls in ("normal", "abnormal"):
-            scores = by_class.get(cls)
-            if not scores:
-                report["notices"].append(f"no {cls} samples in {name}")
-                continue
-            arr = np.asarray(scores)
-            summary[cls] = {
-                "count": int(arr.size),
-                "mean": float(arr.mean()),
-                "std": float(arr.std()),
-                "scores": [float(v) for v in arr],
-            }
-        report["partitions"][name] = summary
-    return report
-
-
 def model_to_dict(model: GanomalyModel) -> dict:
     return {
-        "model_type": "ganomaly",
+        "model_type": model.model_type,
         "format_version": 1,
         "feature_dim": model.feature_dim,
         "latent_dim": model.latent_dim,
@@ -447,8 +396,13 @@ def model_to_dict(model: GanomalyModel) -> dict:
 
 
 def model_from_dict(data: dict) -> GanomalyModel:
+    if data["format_version"] != 1:
+        raise ConfigError(f"unsupported ganomaly format version {data['format_version']!r}")
+    encoder1 = nn.network_from_dict(data["encoder1"])
+    if encoder1.in_dim != data["feature_dim"]:
+        raise ConfigError(f"feature_dim {data['feature_dim']} != encoder1 input dim {encoder1.in_dim}")
     return GanomalyModel(
-        encoder1=nn.network_from_dict(data["encoder1"]),
+        encoder1=encoder1,
         decoder=nn.network_from_dict(data["decoder"]),
         encoder2=nn.network_from_dict(data["encoder2"]),
         discriminator=nn.network_from_dict(data["discriminator"]),

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, TrainingError
+from .preprocess import as_matrix
 
 DEFAULT_SUBSAMPLE = 256
+FORMAT_VERSION = 2  # version 1 stored the threshold under "threshold"
 
 
 @dataclass
@@ -51,16 +54,27 @@ class IsolationTree:
 
 @dataclass
 class IsolationForestModel:
+    """A fitted forest; scores, calibrate and to_dict form the shared detector interface."""
+
+    model_type: ClassVar[str] = "iforest"
+
     trees: list[IsolationTree]
     subsample_size: int
     contamination: float
     feature_dim: int
     seed: int
-    threshold: float | None = None
+    tau: float | None = None
     preprocess: dict | None = None
 
-    def score(self, x) -> float:
-        return if_score(self, x)
+    def scores(self, samples) -> np.ndarray:
+        return if_scores(self, samples)
+
+    def calibrate(self, train_scores) -> float:
+        self.tau = if_threshold(train_scores, self.contamination)
+        return self.tau
+
+    def to_dict(self) -> dict:
+        return model_to_dict(self)
 
 
 def harmonic_number(k: int) -> float:
@@ -116,7 +130,7 @@ def build_forest(
         raise ConfigError(f"n_trees must be positive, got {n_trees}")
     if not 0.0 < contamination <= 0.5:
         raise ConfigError(f"contamination must be in (0, 0.5], got {contamination}")
-    x = _as_matrix(data)
+    x = as_matrix(data)
     n = x.shape[0]
     psi = min(subsample_size, n)
     limit = max(1, math.ceil(math.log2(psi))) if psi > 1 else 1
@@ -158,35 +172,23 @@ def if_score(model: IsolationForestModel, x) -> float:
 
 
 def if_scores(model: IsolationForestModel, data) -> np.ndarray:
-    return np.array([if_score(model, x) for x in _iter_vectors(data)])
+    return np.array([if_score(model, x) for x in as_matrix(data)])
 
 
 def if_threshold(training_scores, contamination: float) -> float:
     """(1 - contamination)-quantile of the training scores (linear interpolation).
 
-    Samples scoring strictly above the threshold are flagged abnormal.
+    Samples scoring strictly above the threshold are flagged abnormal. Raises
+    TrainingError on a non-finite training score.
     """
     if not 0.0 < contamination <= 0.5:
         raise ConfigError(f"contamination must be in (0, 0.5], got {contamination}")
     scores = np.asarray(training_scores, dtype=float)
     if scores.size == 0:
         raise ConfigError("need at least one training score")
+    if not np.isfinite(scores).all():
+        raise TrainingError("cannot calibrate on a non-finite training score")
     return float(np.quantile(scores, 1.0 - contamination))
-
-
-def _iter_vectors(data):
-    for item in data:
-        yield item.x if hasattr(item, "x") else np.asarray(item, dtype=float)
-
-
-def _as_matrix(data) -> np.ndarray:
-    rows = list(_iter_vectors(data))
-    if not rows:
-        raise ConfigError("cannot build a forest from no data")
-    x = np.asarray(rows, dtype=float)
-    if x.ndim != 2:
-        raise ShapeError("training data must be a collection of equal-length vectors")
-    return x
 
 
 def tree_to_dict(node) -> dict:
@@ -214,13 +216,13 @@ def tree_from_dict(data: dict):
 
 def model_to_dict(model: IsolationForestModel) -> dict:
     return {
-        "model_type": "iforest",
-        "format_version": 1,
+        "model_type": model.model_type,
+        "format_version": FORMAT_VERSION,
         "subsample_size": model.subsample_size,
         "contamination": model.contamination,
         "feature_dim": model.feature_dim,
         "seed": model.seed,
-        "threshold": model.threshold,
+        "tau": model.tau,
         "preprocess": model.preprocess,
         "trees": [
             {"max_depth": t.max_depth, "root": tree_to_dict(t.root)} for t in model.trees
@@ -229,6 +231,9 @@ def model_to_dict(model: IsolationForestModel) -> dict:
 
 
 def model_from_dict(data: dict) -> IsolationForestModel:
+    version = data["format_version"]
+    if version not in (1, FORMAT_VERSION):
+        raise ConfigError(f"unsupported iforest format version {version!r}")
     return IsolationForestModel(
         trees=[
             IsolationTree(root=tree_from_dict(t["root"]), max_depth=t["max_depth"])
@@ -238,6 +243,6 @@ def model_from_dict(data: dict) -> IsolationForestModel:
         contamination=data["contamination"],
         feature_dim=data["feature_dim"],
         seed=data["seed"],
-        threshold=data["threshold"],
+        tau=data["tau" if version == FORMAT_VERSION else "threshold"],
         preprocess=data.get("preprocess"),
     )

@@ -8,7 +8,7 @@ so ties share a single point and the curves are exact at this data scale.
 from __future__ import annotations
 
 import csv
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,6 +99,16 @@ class EvalReport:
 
 def _as_binary(labels) -> np.ndarray:
     return np.array([int(v) for v in labels], dtype=int)
+
+
+def classify(score: float, tau: float) -> ClassLabel:
+    """Abnormal iff score exceeds tau strictly.
+
+    Fails closed: a non-finite score, or a NaN tau, is abnormal.
+    """
+    if math.isfinite(score) and score <= tau:
+        return ClassLabel.NORMAL
+    return ClassLabel.ABNORMAL
 
 
 def confusion(labels, decisions) -> ConfusionCounts:
@@ -193,7 +203,7 @@ def pr_auc(points: list[PrPoint]) -> float:
 def evaluate_scores(scores, labels, threshold: float) -> EvalReport:
     """Full report for one partition: decisions at score > threshold plus curves."""
     s = np.asarray(scores, dtype=float)
-    decisions = [ClassLabel.ABNORMAL if v > threshold else ClassLabel.NORMAL for v in s]
+    decisions = [classify(v, threshold) for v in s]
     counts = confusion(labels, decisions)
     scalars = scalar_metrics(counts)
     pr_points = pr_curve(s, labels)
@@ -210,12 +220,6 @@ def evaluate_scores(scores, labels, threshold: float) -> EvalReport:
         auc_roc=auc_roc,
         auc_pr=pr_auc(pr_points),
     )
-
-
-def write_report_json(report: EvalReport, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report.scalars(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_pr_csv(points: list[PrPoint], path: str | Path) -> None:

@@ -78,11 +78,6 @@ class DenseNetwork:
             out.append(layer.biases)
         return out
 
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork(
-            [Layer(l.weights.copy(), l.biases.copy(), l.activation, l.alpha) for l in self.layers]
-        )
-
 
 def _activate(name: str, alpha: float, z: np.ndarray) -> np.ndarray:
     if name == "relu":

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from . import autoencoder, ganomaly, iforest
-from .errors import ConfigError
+from .errors import ConfigError, FetalGuardError
 
 _DECODERS = {
     "ae": autoencoder.model_from_dict,
@@ -15,25 +15,16 @@ _DECODERS = {
 }
 
 
-def model_to_dict(model) -> dict:
-    if isinstance(model, autoencoder.AeModel):
-        return autoencoder.model_to_dict(model)
-    if isinstance(model, ganomaly.GanomalyModel):
-        return ganomaly.model_to_dict(model)
-    if isinstance(model, iforest.IsolationForestModel):
-        return iforest.model_to_dict(model)
-    raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
-
-
 def save_model(model, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
-        json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
 def load_model(path: str | Path):
+    """Read a model artifact; a malformed or truncated one is a one-line ConfigError."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -41,10 +32,15 @@ def load_model(path: str | Path):
         raise ConfigError(f"cannot read model {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    model_type = data.get("model_type")
+    model_type = data.get("model_type") if isinstance(data, dict) else None
     decoder = _DECODERS.get(model_type)
     if decoder is None:
         raise ConfigError(
             f"{path}: unknown model_type {model_type!r}; expected one of {sorted(_DECODERS)}"
         )
-    return decoder(data)
+    try:
+        return decoder(data)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: {model_type} model lacks key {exc.args[0]!r}") from None
+    except (FetalGuardError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None

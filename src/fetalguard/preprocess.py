@@ -14,7 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, FetalGuardError, PreprocessError
+from .errors import (
+    ConfigError,
+    EmptyInputError,
+    FetalGuardError,
+    ParseError,
+    PreprocessError,
+    ShapeError,
+    TrainingDataError,
+)
 from .ingest import ClassLabel, SignalRecord
 
 BPM_MIN = 50.0
@@ -68,6 +76,24 @@ class FeatureVector:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
+
+
+def as_matrix(samples) -> np.ndarray:
+    """Stack FeatureVectors or plain vectors into an (n, d) float matrix.
+
+    A 2-D array is taken row by row. Raises TrainingDataError on no samples and
+    ShapeError when the rows differ in length.
+    """
+    rows = [s.x if isinstance(s, FeatureVector) else np.asarray(s, dtype=float) for s in samples]
+    if not rows:
+        raise TrainingDataError("no samples")
+    try:
+        x = np.asarray(rows, dtype=float)
+    except ValueError as exc:
+        raise ShapeError(f"samples must share one feature dimension: {exc}") from None
+    if x.ndim != 2:
+        raise ShapeError("samples must share one feature dimension")
+    return x
 
 
 def clip_physiological(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +259,17 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
         for row in reader:
             if not row:
                 continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ParseError(f"{path}: expected {len(header)} columns, got {len(row)}", line=line)
+            if row[1] not in ("", "0", "1"):
+                raise ParseError(f"{path}: label must be 0, 1 or empty, got {row[1]!r}", line=line)
+            try:
+                x = np.array(row[2:], dtype=float)
+            except ValueError:
+                raise ParseError(f"{path}: non-numeric feature cell", line=line) from None
             label = None if row[1] == "" else ClassLabel(int(row[1]))
-            out.append(FeatureVector(x=np.array(row[2:], dtype=float), record_id=row[0], label=label))
+            out.append(FeatureVector(x=x, record_id=row[0], label=label))
     if not out:
         raise EmptyInputError(f"{path}: no feature rows")
     return out

@@ -7,17 +7,16 @@ import pytest
 
 from fetalguard.autoencoder import (
     AeConfig,
-    ae_score,
     ae_scores,
     build_ae_networks,
     calibrate_threshold,
-    classify,
     model_from_dict,
     model_to_dict,
     train_ae,
 )
-from fetalguard.errors import ConfigError, ShapeError, TrainingDataError
+from fetalguard.errors import ConfigError, ShapeError, TrainingDataError, TrainingError
 from fetalguard.ingest import ClassLabel
+from fetalguard.metrics import classify
 from fetalguard.preprocess import FeatureVector
 
 
@@ -119,7 +118,7 @@ class TestScoring:
 
         # score of the model's own fixed point: feed the reconstruction's reconstruction error bound
         xhat = reconstruct(model, x)
-        score = ae_score(model, x)
+        score = ae_scores(model, [x])[0]
         assert score == pytest.approx(np.abs(x - xhat).sum())
 
     def test_uniform_componentwise_error_sums(self):
@@ -132,21 +131,21 @@ class TestScoring:
         xhat = reconstruct(model, x)
         shifted = xhat + 0.1
         assert np.abs(shifted - xhat).sum() == pytest.approx(0.1 * d)
-        assert ae_score(model, shifted) == pytest.approx(np.abs(shifted - reconstruct(model, shifted)).sum())
+        assert ae_scores(model, [shifted])[0] == pytest.approx(np.abs(shifted - reconstruct(model, shifted)).sum())
 
     def test_scoring_is_order_independent(self):
         model = self._trained()
         rng = np.random.default_rng(11)
         batch = 0.6 + 0.1 * rng.normal(size=(10, model.feature_dim))
-        forward_order = [ae_score(model, x) for x in batch]
-        reverse_order = [ae_score(model, x) for x in batch[::-1]][::-1]
+        forward_order = [ae_scores(model, [x])[0] for x in batch]
+        reverse_order = [ae_scores(model, [x])[0] for x in batch[::-1]][::-1]
         assert forward_order == pytest.approx(reverse_order)
         assert ae_scores(model, _vectors(batch)).tolist() == pytest.approx(forward_order)
 
     def test_dimension_mismatch_rejected(self):
         model = self._trained()
         with pytest.raises(ShapeError):
-            ae_score(model, np.zeros(model.feature_dim + 1))
+            model.scores([np.zeros(model.feature_dim + 1)])
 
 
 class TestCalibration:
@@ -164,6 +163,11 @@ class TestCalibration:
         with pytest.raises(ConfigError):
             calibrate_threshold([0.5], k=1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_training_score_is_refused(self, bad):
+        with pytest.raises(TrainingError):
+            calibrate_threshold([1.0, bad, 2.0], k=1.0)
+
     def test_classify_is_strict(self):
         assert classify(1.0, tau=1.0) is ClassLabel.NORMAL
         assert classify(1.0 + 1e-12, tau=1.0) is ClassLabel.ABNORMAL
@@ -176,4 +180,4 @@ def test_model_roundtrip_preserves_scores():
     restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     x = np.full(model.feature_dim, 0.7)
     assert restored.tau == 0.123
-    assert ae_score(restored, x) == ae_score(model, x)
+    assert restored.scores([x]).tolist() == model.scores([x]).tolist()

@@ -1,10 +1,29 @@
 from __future__ import annotations
 
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from fetalguard.cli import main
+from fetalguard.config import MODEL_CONFIG_TYPES
+from fetalguard.experiment import fit_detector
+from fetalguard.ingest import ClassLabel
+from fetalguard.persistence import save_model
+from fetalguard.preprocess import FeatureVector, read_features_csv, write_features_csv
+
+TINY_MODELS = {
+    "iforest": {"n_trees": 5},
+    "ae": {"encoder_units": (8, 4), "decoder_units": (4, 8), "epochs": 2, "patience": 2},
+    "ganomaly": {
+        "encoder_units": (8, 4),
+        "decoder_units": (4, 8),
+        "discriminator_units": (8, 1),
+        "iterations_per_epoch": 5,
+        "epochs": 1,
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +101,7 @@ def test_pipeline_subcommands_chain(dataset, config_file, tmp_path, capsys):
     ) == 0
     model_data = json.loads((trained / "model.json").read_text())
     assert model_data["model_type"] == "iforest"
-    assert model_data["threshold"] is not None
+    assert model_data["tau"] is not None
 
     assert main(
         [
@@ -193,3 +212,145 @@ def test_dimension_mismatch_between_model_and_preprocess(dataset, config_file, t
     signal = dataset / "signals" / "syn0000.csv"
     assert main(["score", "--model-file", str(model_file), "--signal", str(signal)]) == 2
     assert "999" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def features_file(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    features = [
+        FeatureVector(
+            x=0.5 + 0.05 * rng.normal(size=16),
+            record_id=f"f{i:03d}",
+            label=ClassLabel.ABNORMAL if i >= 30 else ClassLabel.NORMAL,
+        )
+        for i in range(45)
+    ]
+    path = tmp_path_factory.mktemp("features") / "features.csv"
+    write_features_csv(features, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def model_files(features_file, tmp_path_factory):
+    features = read_features_csv(features_file)
+    out = tmp_path_factory.mktemp("models")
+    files = {}
+    for name, config_type in MODEL_CONFIG_TYPES.items():
+        config = config_type(**TINY_MODELS[name])
+        fitted = fit_detector(name, config, features, features[:10], len(features), 0)
+        files[name] = out / f"{name}.json"
+        save_model(fitted.model, files[name])
+    return files
+
+
+def _edited_copy(path, tmp_path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    out = tmp_path / path.name
+    out.write_text(json.dumps(data), encoding="utf-8")
+    return out
+
+
+def _edited_csv(path, tmp_path, line, column, value):
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells)
+    out = tmp_path / path.name
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+MISSING_KEY = {"iforest": "subsample_size", "ae": "decoder", "ganomaly": "encoder2"}
+ARTIFACT_DEFECTS = {
+    "missing key": lambda name, data: data.pop(MISSING_KEY[name]),
+    "unknown format_version": lambda name, data: data.update(format_version=99),
+    "feature_dim off the first layer": lambda name, data: data.update(feature_dim=17),
+}
+
+
+@pytest.mark.parametrize(
+    "name, defect",
+    [
+        (name, defect)
+        for name in MODEL_CONFIG_TYPES
+        for defect in ARTIFACT_DEFECTS
+        # an isolation forest has no layer to check feature_dim against
+        if not (name == "iforest" and defect.startswith("feature_dim"))
+    ],
+)
+def test_bad_model_artifact_is_a_one_line_config_error(
+    name, defect, model_files, features_file, tmp_path, capsys
+):
+    bad = _edited_copy(model_files[name], tmp_path, lambda data: ARTIFACT_DEFECTS[defect](name, data))
+    assert main(["calibrate", "--model-file", str(bad), "--features", str(features_file)]) == 2
+    assert str(bad) in _one_line_error(capsys)
+
+
+def test_version_1_iforest_artifact_still_loads(model_files, features_file, tmp_path, capsys):
+    def as_version_1(data):
+        data["format_version"] = 1
+        data["threshold"] = data.pop("tau")
+
+    old = _edited_copy(model_files["iforest"], tmp_path, as_version_1)
+    tau = json.loads(old.read_text())["threshold"]
+    assert main(["calibrate", "--model-file", str(old), "--features", str(features_file)]) == 0
+    assert capsys.readouterr().out.startswith(f"tau: {tau!r} -> ")
+    rewritten = json.loads(old.read_text())
+    assert rewritten["format_version"] == 2 and "threshold" not in rewritten
+
+
+@pytest.mark.parametrize("name", ["ae", "ganomaly"])
+def test_calibrate_refuses_a_non_finite_score(name, model_files, features_file, tmp_path, capsys):
+    bad_features = _edited_csv(features_file, tmp_path, line=2, column=5, value="nan")
+    model_file = tmp_path / "model.json"
+    shutil.copy(model_files[name], model_file)
+    before = model_file.read_bytes()
+    assert main(["calibrate", "--model-file", str(model_file), "--features", str(bad_features)]) == 1
+    assert "non-finite" in _one_line_error(capsys)
+    assert model_file.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "name, flag", [("iforest", "--k"), ("ae", "--contamination"), ("ganomaly", "--contamination")]
+)
+def test_calibrate_rejects_an_override_that_does_not_apply(
+    name, flag, model_files, features_file, tmp_path, capsys
+):
+    model_file = tmp_path / "model.json"
+    shutil.copy(model_files[name], model_file)
+    argv = ["calibrate", "--model-file", str(model_file), "--features", str(features_file)]
+    assert main(argv + [flag, "0.2"]) == 2
+    assert f"{flag} does not apply to a {name} model" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "name, flag, field", [("iforest", "--contamination", "contamination"), ("ae", "--k", "k_sigma")]
+)
+def test_calibrate_applies_an_override(name, flag, field, model_files, features_file, tmp_path):
+    model_file = tmp_path / "model.json"
+    shutil.copy(model_files[name], model_file)
+    argv = ["calibrate", "--model-file", str(model_file), "--features", str(features_file)]
+    assert main(argv + [flag, "0.2"]) == 0
+    assert json.loads(model_file.read_text())[field] == 0.2
+
+
+def test_split_rejects_a_bad_label_with_its_line(features_file, tmp_path, capsys):
+    bad = _edited_csv(features_file, tmp_path, line=4, column=1, value="2")
+    assert main(["split", "--features", str(bad), "--out", str(tmp_path / "split")]) == 1
+    err = _one_line_error(capsys)
+    assert "line 4" in err and "'2'" in err
+
+
+def test_curves_rejects_an_empty_label_with_its_line(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("record_id,label,score\na,1,0.9\nb,,0.2\nc,0,0.1\n", encoding="utf-8")
+    assert main(["curves", "--scores", str(scores), "--out", str(tmp_path / "curves")]) == 1
+    err = _one_line_error(capsys)
+    assert "line 3" in err and "label" in err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fetalguard.datasets import (
-    DatasetSplit,
     bootstrap_resample,
     normals_only,
     train_test_split,
@@ -106,12 +105,6 @@ def test_validation_split_error_when_class_empties():
     data = _make_dataset(5, 5)
     with pytest.raises(SplitError):
         validation_split(data, 0.999, seed=0)
-
-
-def test_dataset_split_type_rejects_overlap():
-    data = _make_dataset(4, 4)
-    with pytest.raises(SplitError):
-        DatasetSplit(train=data[:4], validation=data[3:6], test=data[6:], seed=0)
 
 
 def test_bootstrap_resample_members_come_from_source():

@@ -222,6 +222,24 @@ class TestRunExperiment:
         assert aggregate["iforest"]["runs"] == 2
         assert aggregate["iforest"]["seeds"] == [0, 1]
 
+    def test_score_artifacts_agree(self, tmp_path):
+        # score_distribution.json, scores_test.csv and report.json of one leg
+        # come from the same scores and the same tau, bit for bit
+        run_experiment(_tiny_experiment_config(tmp_path / "out"))
+        for model in ("iforest", "ae", "ganomaly"):
+            run_dir = tmp_path / "out" / "seed_000" / model
+            distribution = json.loads((run_dir / "score_distribution.json").read_text())
+            report = json.loads((run_dir / "report.json").read_text())
+            assert distribution["tau"] == report["tau"]
+            rows = (run_dir / "scores_test.csv").read_text().splitlines()[1:]
+            by_class = {"normal": [], "abnormal": []}
+            for row in rows:
+                _, label, score = row.split(",")
+                by_class[ClassLabel(int(label)).name.lower()].append(float(score))
+            test = distribution["partitions"]["test"]
+            for cls, scores in by_class.items():
+                assert test[cls]["scores"] == scores, f"{model} {cls}"
+
     def test_unconfigured_model_request_fails(self, tmp_path):
         config = _tiny_experiment_config(tmp_path / "out", models=["iforest"])
         with pytest.raises(ConfigError):

@@ -13,14 +13,13 @@ from fetalguard.ganomaly import (
     GanomalyModel,
     build_ganomaly_networks,
     discriminator_loss,
-    gan_score,
     gan_scores,
     generator_loss,
     model_from_dict,
     model_to_dict,
-    score_distribution_report,
     train_ganomaly,
 )
+from fetalguard.experiment import FittedDetector, score_distribution_report
 from fetalguard.ingest import ClassLabel
 from fetalguard.nn import DenseNetwork, Layer, adam_step, AdamState, forward
 from fetalguard.preprocess import FeatureVector
@@ -160,9 +159,7 @@ class TestGeneratorLoss:
         e1, dec, e2, dis = build_ganomaly_networks(6, cfg, seed=11)
         batch = rng.uniform(0.2, 0.8, size=(3, 6))
         lam = (2.0, 0.7, 1.3)
-        from fetalguard.ganomaly import find_latents
-
-        fixed_latents = find_latents(e1, rng.uniform(0.2, 0.8, size=(3, 6)))
+        fixed_latents, _ = forward(e1, rng.uniform(0.2, 0.8, size=(3, 6)))
 
         def total_loss():
             loss, *_ = generator_loss(
@@ -315,7 +312,7 @@ class TestScoring:
             latent_dim=dim,
             k_sigma=5.0,
         )
-        assert gan_score(model, np.array([0.1, 0.2, 0.3, 0.4])) == 0.0
+        assert model.scores([np.array([0.1, 0.2, 0.3, 0.4])]).tolist() == [0.0]
 
     def test_abnormal_scores_exceed_normal_scores(self, trained):
         model, normals = trained
@@ -333,8 +330,7 @@ class TestScoring:
     def test_identical_parameters_give_identical_scores(self, trained):
         model, normals = trained
         clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
-        x = normals[0].x
-        assert gan_score(clone, x) == gan_score(model, x)
+        assert clone.scores(normals).tolist() == model.scores(normals).tolist()
 
     def test_latent_mode_uses_encoder_distance(self, trained):
         model, normals = trained
@@ -352,29 +348,36 @@ class TestScoring:
     def test_dimension_mismatch_rejected(self, trained):
         model, _ = trained
         with pytest.raises(ShapeError):
-            gan_score(model, np.zeros(model.feature_dim + 3))
+            model.scores([np.zeros(model.feature_dim + 3)])
+
+
+def _distribution(model, train, test) -> dict:
+    """score_distribution_report of a model calibrated on ``train``."""
+    train_scores = model.scores(train)
+    model.calibrate(train_scores)
+    fitted = FittedDetector(model, model.tau, train_scores, None, {"k_sigma": model.k_sigma}, train)
+    return score_distribution_report(fitted, test, model.scores(test))
 
 
 class TestScoreDistributionReport:
     def _model(self):
         normals = _structured_set(60, seed=23)
         model, _ = train_ganomaly(normals, TINY, seed=24)
-        scores = gan_scores(model, normals)
-        model.tau = float(scores.mean() + model.k_sigma * scores.std())
         return model, normals
 
     def test_report_counts_match_inputs(self):
         model, normals = self._model()
         test = _structured_set(10, seed=25) + _structured_set(8, abnormal=True, seed=26)
-        report = score_distribution_report(model, normals, test)
+        report = _distribution(model, normals, test)
         assert report["partitions"]["train"]["normal"]["count"] == 60
         assert len(report["partitions"]["train"]["normal"]["scores"]) == 60
         assert report["partitions"]["test"]["abnormal"]["count"] == 8
         assert report["tau"] == model.tau
+        assert report["k_sigma"] == model.k_sigma
 
     def test_absent_class_is_omitted_with_notice(self):
         model, normals = self._model()
-        report = score_distribution_report(model, normals, normals[:5])
+        report = _distribution(model, normals, normals[:5])
         assert "abnormal" not in report["partitions"]["train"]
         assert any("abnormal" in n and "train" in n for n in report["notices"])
 
@@ -396,13 +399,13 @@ class TestScoreDistributionReport:
             FeatureVector(x=np.zeros(dim), record_id=f"r{i}", label=ClassLabel.NORMAL)
             for i in range(4)
         ]
-        report = score_distribution_report(model, data, data)
+        report = _distribution(model, data, data)
         assert report["partitions"]["train"]["normal"]["std"] == 0.0
 
     def test_separable_synthetic_classes_order_their_means(self):
         model, normals = self._model()
         test = _structured_set(12, seed=27) + _structured_set(12, abnormal=True, seed=28)
-        report = score_distribution_report(model, normals, test)
+        report = _distribution(model, normals, test)
         test_part = report["partitions"]["test"]
         assert test_part["normal"]["mean"] < test_part["abnormal"]["mean"]
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fetalguard.errors import ConfigError
+from fetalguard.errors import ConfigError, TrainingError
 from fetalguard.iforest import (
     InternalNode,
     IsolationTree,
@@ -173,6 +173,11 @@ class TestThreshold:
             with pytest.raises(ConfigError):
                 if_threshold([0.5, 0.6], contamination=c)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_training_score_is_refused(self, bad):
+        with pytest.raises(TrainingError):
+            if_threshold([0.5, bad, 0.6], contamination=0.33)
+
 
 class TestOutlierToy:
     def test_far_point_gets_top_score_in_most_runs(self):
@@ -199,9 +204,10 @@ class TestOutlierToy:
 def test_model_roundtrip_preserves_scores(tmp_path):
     data = _toy_cloud(3)
     model = build_forest(data, n_trees=10, seed=3)
-    model.threshold = 0.61
+    model.tau = 0.61
     encoded = json.dumps(model_to_dict(model))
     restored = model_from_dict(json.loads(encoded))
     x = np.array([0.3, 0.3])
-    assert restored.threshold == 0.61
+    assert restored.tau == 0.61
     assert if_score(restored, x) == if_score(model, x)
+

@@ -5,8 +5,10 @@ import pytest
 from oracles import brute_force_scalars, rank_statistic_auc
 
 from fetalguard.errors import ShapeError, SplitError
+from fetalguard.ingest import ClassLabel
 from fetalguard.metrics import (
     ConfusionCounts,
+    classify,
     confusion,
     evaluate_scores,
     pr_auc,
@@ -17,6 +19,19 @@ from fetalguard.metrics import (
     write_pr_csv,
     write_roc_csv,
 )
+
+
+class TestDecisionRule:
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_is_abnormal(self, score):
+        assert classify(score, tau=1.0) is ClassLabel.ABNORMAL
+
+    def test_nan_tau_flags_everything(self):
+        assert classify(0.0, tau=float("nan")) is ClassLabel.ABNORMAL
+
+    def test_evaluate_scores_flags_a_nan_score(self):
+        report = evaluate_scores([0.1, float("nan"), 0.9, 0.2], [0, 1, 1, 0], threshold=0.5)
+        assert (report.counts.tp, report.counts.fn) == (2, 0)
 
 
 class TestConfusion:
