@@ -17,6 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import nn
+from .datasets import normals_only, validation_normals
 from .errors import ConfigError, ShapeError, TrainingError
 from .nn import AdamState, DenseNetwork, adam_step, backward, forward, init_network
 from .preprocess import as_matrix
@@ -48,6 +49,8 @@ class AeModel:
     """A trained autoencoder; scores, calibrate and to_dict form the shared detector interface."""
 
     model_type: ClassVar[str] = "ae"
+    config_type: ClassVar[type] = AeConfig
+    calibration_param: ClassVar[str] = "k_sigma"
 
     encoder: DenseNetwork
     decoder: DenseNetwork
@@ -57,6 +60,17 @@ class AeModel:
     tau: float | None = None
     optimizer: dict | None = None  # hyperparameters the model was trained with
     preprocess: dict | None = None
+
+    @classmethod
+    def fit(cls, config: AeConfig, train_core, validation, pre_validation_size: int, seed: int):
+        """Train on the normals of the training core -> (model, trace, fit items)."""
+        fit_items = normals_only(train_core)
+        model, trace = train_ae(fit_items, config, seed, validation=validation_normals(validation))
+        return model, trace, fit_items
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AeModel":
+        return model_from_dict(data)
 
     def scores(self, samples) -> np.ndarray:
         return ae_scores(self, samples)
@@ -88,26 +102,9 @@ class AeTrainingTrace:
 
 def build_ae_networks(feature_dim: int, config: AeConfig, seed) -> tuple[DenseNetwork, DenseNetwork]:
     """Encoder/decoder stacks per config; relu throughout, identity output projection."""
-    enc_spec = []
-    prev = feature_dim
-    for units in config.encoder_units:
-        enc_spec.append((prev, units, "relu"))
-        prev = units
-    dec_spec = []
-    for units in config.decoder_units:
-        dec_spec.append((prev, units, "relu"))
-        prev = units
-    if config.project_to_input:
-        dec_spec.append((prev, feature_dim, "identity"))
-    elif prev != feature_dim:
-        raise ConfigError(
-            f"decoder ends at {prev} units but inputs have dim {feature_dim}; "
-            "enable project_to_input or set feature_dim to match"
-        )
+    enc_spec, dec_spec = nn.encoder_decoder_specs(feature_dim, config, "relu")
     enc_seed, dec_seed = nn.as_seed_sequence(seed).spawn(2)
-    encoder = init_network(enc_spec, enc_seed)
-    decoder = init_network(dec_spec, dec_seed)
-    return encoder, decoder
+    return init_network(enc_spec, enc_seed), init_network(dec_spec, dec_seed)
 
 
 def _mean_l1(encoder: DenseNetwork, decoder: DenseNetwork, x: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import metrics, persistence
-from .config import MODEL_CONFIG_TYPES, load_config
+from .config import DETECTORS, load_config
 from .datasets import SplitConfig, class_counts, train_test_split, validation_split
 from .errors import ConfigError, FetalGuardError, ParseError
 from .experiment import fit_detector, run_experiment
@@ -113,18 +113,17 @@ def cmd_split(args) -> int:
 def _model_config_from(args, name):
     if args.config:
         config = load_config(args.config, required=())
-        model_config = config.models.get(name, MODEL_CONFIG_TYPES[name]())
+        model_config = config.models.get(name, DETECTORS[name].config_type())
         return model_config, config.grids.get(name, {}), config.split
-    return MODEL_CONFIG_TYPES[name](), {}, SplitConfig()
+    return DETECTORS[name].config_type(), {}, SplitConfig()
 
 
 def cmd_train(args) -> int:
     features = read_features_csv(args.features)
     model_config, grid, split_config = _model_config_from(args, args.model)
-    val_fraction = (
-        split_config.val_fraction_ganomaly if args.model == "ganomaly" else split_config.val_fraction
+    train_core, validation = validation_split(
+        features, split_config.val_fraction_for(args.model), args.seed
     )
-    train_core, validation = validation_split(features, val_fraction, args.seed)
     if grid:
         logger.info("grid block present; `train` uses base parameters, `run` searches grids")
     fitted = fit_detector(args.model, model_config, train_core, validation, len(features), args.seed)
@@ -149,7 +148,7 @@ def cmd_calibrate(args) -> int:
         value = getattr(args, flag)
         if value is None:
             continue
-        if not hasattr(model, field):
+        if field != model.calibration_param:
             raise ConfigError(f"--{flag} does not apply to a {model.model_type} model")
         setattr(model, field, value)
     features = read_features_csv(args.features)
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one detector on a training features file")
-    p.add_argument("--model", required=True, choices=list(MODEL_CONFIG_TYPES))
+    p.add_argument("--model", required=True, choices=list(DETECTORS))
     p.add_argument("--features", required=True, help="training features CSV")
     p.add_argument("--config", help="experiment config supplying model/split sections")
     p.add_argument("--seed", type=int, default=0)
@@ -333,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--model", choices=list(MODEL_CONFIG_TYPES), help="restrict to one model")
+    p.add_argument("--model", choices=list(DETECTORS), help="restrict to one model")
     p.add_argument("--seed", type=int, help="override the base seed")
     p.add_argument("--seeds", type=int, help="number of repeated runs")
     p.add_argument("--out", help="override the output directory")

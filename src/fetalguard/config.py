@@ -12,18 +12,23 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .autoencoder import AeConfig
+from .autoencoder import AeModel
 from .datasets import SplitConfig
 from .errors import ConfigError
-from .ganomaly import GanomalyConfig
-from .iforest import IforestConfig
+from .ganomaly import GanomalyModel
+from .iforest import IsolationForestModel
 from .preprocess import PreprocessConfig
 
-MODEL_CONFIG_TYPES = {
-    "iforest": IforestConfig,
-    "ae": AeConfig,
-    "ganomaly": GanomalyConfig,
-}
+# model name -> model class; the class holds the detector's config type, fit
+# recipe, calibration parameter and artifact loader
+DETECTORS = {cls.model_type: cls for cls in (IsolationForestModel, AeModel, GanomalyModel)}
+
+
+def detector(name):
+    """The model class registered under name; any other name is a ConfigError."""
+    if isinstance(name, str) and name in DETECTORS:
+        return DETECTORS[name]
+    raise ConfigError(f"unknown model {name!r}; valid options: {', '.join(sorted(DETECTORS))}")
 
 
 @dataclass
@@ -133,15 +138,11 @@ def _build_models(section: dict, raw_text: str | None) -> tuple[dict, dict]:
     models: dict = {}
     grids: dict = {}
     for name, body in section.items():
-        if name not in MODEL_CONFIG_TYPES:
-            raise ConfigError(
-                f"unknown model {name!r}; valid options: {', '.join(sorted(MODEL_CONFIG_TYPES))}"
-            )
+        cls = detector(name).config_type
         if not isinstance(body, dict):
             raise ConfigError(f"model.{name}: expected an object")
         body = dict(body)
         grid = body.pop("grid", None)
-        cls = MODEL_CONFIG_TYPES[name]
         models[name] = _build_dataclass(cls, body, f"model.{name}", raw_text)
         if grid is not None:
             if not isinstance(grid, dict):

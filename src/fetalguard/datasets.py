@@ -25,13 +25,9 @@ class SplitConfig:
     val_fraction_ganomaly: float = 0.40
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "test_fraction": self.test_fraction,
-            "val_fraction": self.val_fraction,
-            "val_fraction_ganomaly": self.val_fraction_ganomaly,
-            "seed": self.seed,
-        }
+    def val_fraction_for(self, name: str) -> float:
+        """A detector's own ``val_fraction_<name>`` field if there is one, else ``val_fraction``."""
+        return getattr(self, f"val_fraction_{name}", self.val_fraction)
 
 
 def _held_out_count(class_size: int, fraction: float) -> int:
@@ -101,6 +97,12 @@ def normals_only(collection: list[FeatureVector]) -> list[FeatureVector]:
     if not normals:
         raise TrainingDataError("no normal samples available for semi-supervised training")
     return normals
+
+
+def validation_normals(validation: list[FeatureVector]) -> list[FeatureVector] | None:
+    """NORMAL samples of a validation set, or None when it holds none."""
+    normals = [fv for fv in validation if fv.label is ClassLabel.NORMAL]
+    return normals or None
 
 
 def class_counts(collection) -> dict[str, int]:

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autoencoder, ganomaly, iforest, metrics, persistence
-from .config import MODEL_CONFIG_TYPES, ExperimentConfig, config_to_dict
-from .datasets import bootstrap_resample, normals_only, train_test_split, validation_split
+from . import metrics, persistence
+from .config import ExperimentConfig, config_to_dict, detector
+from .datasets import train_test_split, validation_split
 from .errors import ConfigError, TestIsolationError
 from .ingest import ClassLabel, load_collection
 from .preprocess import preprocess_collection
@@ -87,40 +87,13 @@ def load_labeled_records(config: ExperimentConfig):
     return load_collection(data.signals_dir, data.metadata_file).records
 
 
-def _validation_normals(validation):
-    normals = [fv for fv in validation if fv.label is ClassLabel.NORMAL]
-    return normals or None
-
-
 def fit_detector(name, model_config, train_core, validation, pre_validation_size, seed):
     """Train one detector on the training core and calibrate its threshold."""
-    trace = None
-    if name == "iforest":
-        fit_items = train_core if model_config.train_on == "all" else normals_only(train_core)
-        model = iforest.build_forest(
-            fit_items,
-            n_trees=model_config.n_trees,
-            subsample_size=model_config.subsample_size,
-            seed=seed,
-            contamination=model_config.contamination,
-        )
-        extras = {"contamination": model_config.contamination}
-    elif name == "ae":
-        fit_items = normals_only(train_core)
-        model, trace = autoencoder.train_ae(
-            fit_items, model_config, seed, validation=_validation_normals(validation)
-        )
-        extras = {"k_sigma": model_config.k_sigma}
-    elif name == "ganomaly":
-        fit_items = bootstrap_resample(normals_only(train_core), pre_validation_size, seed)
-        model, trace = ganomaly.train_ganomaly(
-            fit_items, model_config, seed, validation=_validation_normals(validation)
-        )
-        extras = {"k_sigma": model_config.k_sigma}
-    else:
-        raise ConfigError(f"unknown model {name!r}; valid options: {', '.join(MODEL_CONFIG_TYPES)}")
+    cls = detector(name)
+    model, trace, fit_items = cls.fit(model_config, train_core, validation, pre_validation_size, seed)
     train_scores = model.scores(fit_items)
     tau = model.calibrate(train_scores)
+    extras = {cls.calibration_param: getattr(model_config, cls.calibration_param)}
     extras["n_fit"] = len(fit_items)
     return FittedDetector(model, tau, train_scores, trace, extras, fit_items)
 
@@ -147,10 +120,7 @@ def run_single(name, model_config, grid, features, split_config, preprocess_dict
     """
     train, test = train_test_split(features, split_config.test_fraction, seed)
     guard = TestSetGuard(test)
-    val_fraction = (
-        split_config.val_fraction_ganomaly if name == "ganomaly" else split_config.val_fraction
-    )
-    train_core, validation = validation_split(train, val_fraction, seed)
+    train_core, validation = validation_split(train, split_config.val_fraction_for(name), seed)
 
     best = None
     for combo in _grid_combinations(grid):

@@ -18,6 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import autoencoder, nn
+from .datasets import bootstrap_resample, normals_only, validation_normals
 from .errors import ConfigError, ShapeError, TrainingDataError, TrainingError
 from .nn import (
     AdamState,
@@ -73,6 +74,8 @@ class GanomalyModel:
     """Trained GANomaly networks; scores, calibrate and to_dict form the shared detector interface."""
 
     model_type: ClassVar[str] = "ganomaly"
+    config_type: ClassVar[type] = GanomalyConfig
+    calibration_param: ClassVar[str] = "k_sigma"
 
     encoder1: DenseNetwork
     decoder: DenseNetwork
@@ -88,6 +91,17 @@ class GanomalyModel:
     tau: float | None = None
     optimizer: dict | None = None  # hyperparameters the model was trained with
     preprocess: dict | None = None
+
+    @classmethod
+    def fit(cls, config: GanomalyConfig, train_core, validation, pre_validation_size: int, seed: int):
+        """Train on the training-core normals bootstrapped to the pre-validation size."""
+        fit_items = bootstrap_resample(normals_only(train_core), pre_validation_size, seed)
+        model, trace = train_ganomaly(fit_items, config, seed, validation=validation_normals(validation))
+        return model, trace, fit_items
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "GanomalyModel":
+        return model_from_dict(data)
 
     def scores(self, samples) -> np.ndarray:
         return gan_scores(self, samples)
@@ -130,24 +144,8 @@ def build_ganomaly_networks(
     projection back to the input dimension; the discriminator ends in a sigmoid.
     """
     a = config.leaky_alpha
-
-    def chain(start, units, activation):
-        spec, prev = [], start
-        for u in units:
-            spec.append((prev, u, activation, a))
-            prev = u
-        return spec, prev
-
-    enc_spec, latent = chain(feature_dim, config.encoder_units, "leaky_relu")
-    dec_spec, dec_out = chain(latent, config.decoder_units, "leaky_relu")
-    if config.project_to_input:
-        dec_spec.append((dec_out, feature_dim, "identity", 0.0))
-    elif dec_out != feature_dim:
-        raise ConfigError(
-            f"decoder ends at {dec_out} units but inputs have dim {feature_dim}; "
-            "enable project_to_input or set feature_dim to match"
-        )
-    dis_spec, dis_prev = chain(feature_dim, config.discriminator_units[:-1], "leaky_relu")
+    enc_spec, dec_spec = nn.encoder_decoder_specs(feature_dim, config, "leaky_relu", a)
+    dis_spec, dis_prev = nn.chain_spec(feature_dim, config.discriminator_units[:-1], "leaky_relu", a)
     dis_spec.append((dis_prev, config.discriminator_units[-1], "sigmoid", 0.0))
 
     seeds = nn.as_seed_sequence(seed).spawn(4)
@@ -228,20 +226,6 @@ def discriminator_loss(
     grads_real, _ = backward(discriminator, cache_real, g_real)
     grads_fake, _ = backward(discriminator, cache_fake, g_fake)
     return loss, [a + b for a, b in zip(grads_real, grads_fake)]
-
-
-def _generator_objective(x, nets, config) -> float:
-    e1, dec, e2, dis = nets
-    z1, _ = forward(e1, x)
-    xhat, _ = forward(dec, z1)
-    z2, _ = forward(e2, xhat)
-    p, _ = forward(dis, xhat)
-    adv, _ = adversarial_term(p)
-    return float(
-        config.lambda_c * np.abs(x - xhat).sum(axis=1).mean()
-        + config.lambda_e * np.abs(z1 - z2).sum(axis=1).mean()
-        + config.lambda_a * adv
-    )
 
 
 def train_ganomaly(
@@ -328,7 +312,9 @@ def train_ganomaly(
                 )
         trace.epoch_boundaries.append(len(trace.l_d))
 
-        val = _generator_objective(x_val, (e1, dec, e2, dis), config)
+        val = generator_loss(
+            x_val, e1, dec, e2, dis, config.lambda_c, config.lambda_e, config.lambda_a
+        )[0]
         trace.val_loss.append(val)
         if val < best_val:
             best_val = val

@@ -13,6 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .datasets import normals_only
 from .errors import ConfigError, ShapeError, TrainingError
 from .preprocess import as_matrix
 
@@ -57,6 +58,8 @@ class IsolationForestModel:
     """A fitted forest; scores, calibrate and to_dict form the shared detector interface."""
 
     model_type: ClassVar[str] = "iforest"
+    config_type: ClassVar[type] = IforestConfig
+    calibration_param: ClassVar[str] = "contamination"
 
     trees: list[IsolationTree]
     subsample_size: int
@@ -65,6 +68,19 @@ class IsolationForestModel:
     seed: int
     tau: float | None = None
     preprocess: dict | None = None
+
+    @classmethod
+    def fit(cls, config: IforestConfig, train_core, validation, pre_validation_size: int, seed: int):
+        """Grow the forest on the training core, or its normals -> (model, no trace, fit items)."""
+        fit_items = train_core if config.train_on == "all" else normals_only(train_core)
+        model = build_forest(
+            fit_items, config.n_trees, config.subsample_size, seed, config.contamination
+        )
+        return model, None, fit_items
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "IsolationForestModel":
+        return model_from_dict(data)
 
     def scores(self, samples) -> np.ndarray:
         return if_scores(self, samples)
@@ -158,12 +174,17 @@ def path_length(tree: IsolationTree, x: np.ndarray) -> float:
 
 
 def if_score(model: IsolationForestModel, x) -> float:
-    """Anomaly score 2^(-mean path length / c(psi)) in (0, 1); higher = more anomalous."""
+    """Anomaly score 2^(-mean path length / c(psi)) in (0, 1); higher = more anomalous.
+
+    A vector with a non-finite feature scores NaN, which ``classify`` judges abnormal.
+    """
     x = np.asarray(x.x if hasattr(x, "x") else x, dtype=float)
     if x.ndim != 1 or x.size != model.feature_dim:
         raise ShapeError(f"expected vector of dim {model.feature_dim}, got shape {x.shape}")
     if not model.trees:
         raise ConfigError("model has no trees")
+    if not np.isfinite(x).all():  # a NaN fails every split test and would walk right
+        return float("nan")
     mean_path = sum(path_length(t, x) for t in model.trees) / len(model.trees)
     denom = average_path_correction(model.subsample_size)
     if denom == 0.0:  # single-sample forest carries no isolating information

@@ -178,7 +178,9 @@ def _parse_optional_float(cell: str, name: str, line: int) -> float | None:
 def read_metadata_csv(path: str | Path) -> dict[str, ClinicalMetadata]:
     """Read the metadata table into a mapping record_id -> ClinicalMetadata.
 
-    Accepts the minimal 3-column layout or the full 6-column one.
+    Accepts the minimal 3-column layout or the full 6-column one. A non-numeric
+    cell, a non-integer Apgar, or a pH or Apgar out of range is a ParseError
+    naming the line.
     """
     path = Path(path)
     out: dict[str, ClinicalMetadata] = {}
@@ -204,6 +206,8 @@ def read_metadata_csv(path: str | Path) -> dict[str, ClinicalMetadata]:
                 raise StructureError(f"{path}: duplicate record_id {record_id!r} at line {line_no}")
             ph = _parse_optional_float(row[1], "ph", line_no)
             apgar_raw = _parse_optional_float(row[2], "apgar1", line_no)
+            if apgar_raw is not None and not apgar_raw.is_integer():
+                raise ParseError(f"{path}: apgar1 must be an integer, got {row[2].strip()!r}", line=line_no)
             apgar1 = None if apgar_raw is None else int(apgar_raw)
             extras = {}
             if len(header) == 6:
@@ -211,7 +215,10 @@ def read_metadata_csv(path: str | Path) -> dict[str, ClinicalMetadata]:
                     name: _parse_optional_float(row[i], name, line_no)
                     for i, name in ((3, "pco2"), (4, "po2"), (5, "bdecf"))
                 }
-            out[record_id] = ClinicalMetadata(ph=ph, apgar1=apgar1, **extras)
+            try:
+                out[record_id] = ClinicalMetadata(ph=ph, apgar1=apgar1, **extras)
+            except ValueError as exc:  # pH or Apgar outside its range
+                raise ParseError(f"{path}: {exc}", line=line_no) from None
     return out
 
 

@@ -156,6 +156,8 @@ def _curve_inputs(scores, labels):
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise SplitError("curves need at least one positive and one negative sample")
+    # a non-finite score ranks as the most anomalous, as ``classify`` judges it
+    s = np.where(np.isfinite(s), s, np.inf)
     order = np.argsort(-s, kind="stable")
     s = s[order]
     y = y[order]
@@ -163,7 +165,7 @@ def _curve_inputs(scores, labels):
     tp_cum = np.cumsum(y == 1)
     fp_cum = np.cumsum(y == 0)
     # last index of each run of tied scores
-    boundary = np.nonzero(np.diff(s))[0]
+    boundary = np.nonzero(s[1:] != s[:-1])[0]
     idx = np.concatenate([boundary, [s.size - 1]])
     return s[idx], tp_cum[idx], fp_cum[idx], n_pos, n_neg
 

@@ -160,16 +160,6 @@ def backward(
     return grads, input_grad
 
 
-def l1_loss(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum of absolute differences and its subgradient w.r.t. a (sign(0) := 0)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeError(f"l1_loss shapes differ: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.abs(diff).sum()), np.sign(diff)
-
-
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(p, dtype=float), PROB_EPS, 1.0 - PROB_EPS)
 
@@ -274,6 +264,33 @@ def init_network(layer_spec, seed) -> DenseNetwork:
         weights = rng.uniform(-bound, bound, size=(in_dim, out_dim))
         layers.append(Layer(weights=weights, biases=np.zeros(out_dim), activation=activation, alpha=alpha))
     return DenseNetwork(layers)
+
+
+def chain_spec(in_dim: int, units, activation: str, alpha: float = 0.0):
+    """Specs of dense layers of the given widths fed from in_dim, and the last width."""
+    spec = []
+    for out_dim in units:
+        spec.append((in_dim, out_dim, activation, alpha))
+        in_dim = out_dim
+    return spec, in_dim
+
+
+def encoder_decoder_specs(feature_dim: int, config, activation: str, alpha: float = 0.0):
+    """Encoder and decoder specs from config.encoder_units and config.decoder_units.
+
+    The decoder maps back to feature_dim: through an appended identity layer
+    when config.project_to_input is set, otherwise its last width must match.
+    """
+    enc_spec, latent = chain_spec(feature_dim, config.encoder_units, activation, alpha)
+    dec_spec, dec_out = chain_spec(latent, config.decoder_units, activation, alpha)
+    if config.project_to_input:
+        dec_spec.append((dec_out, feature_dim, "identity", 0.0))
+    elif dec_out != feature_dim:
+        raise ConfigError(
+            f"decoder ends at {dec_out} units but inputs have dim {feature_dim}; "
+            "enable project_to_input or set feature_dim to match"
+        )
+    return enc_spec, dec_spec
 
 
 def network_to_dict(net: DenseNetwork) -> dict:

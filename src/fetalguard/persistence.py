@@ -5,14 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from . import autoencoder, ganomaly, iforest
+from .config import detector
 from .errors import ConfigError, FetalGuardError
-
-_DECODERS = {
-    "ae": autoencoder.model_from_dict,
-    "ganomaly": ganomaly.model_from_dict,
-    "iforest": iforest.model_from_dict,
-}
 
 
 def save_model(model, path: str | Path) -> None:
@@ -33,13 +27,8 @@ def load_model(path: str | Path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     model_type = data.get("model_type") if isinstance(data, dict) else None
-    decoder = _DECODERS.get(model_type)
-    if decoder is None:
-        raise ConfigError(
-            f"{path}: unknown model_type {model_type!r}; expected one of {sorted(_DECODERS)}"
-        )
     try:
-        return decoder(data)
+        return detector(model_type).from_dict(data)
     except KeyError as exc:
         raise ConfigError(f"{path}: {model_type} model lacks key {exc.args[0]!r}") from None
     except (FetalGuardError, TypeError, ValueError) as exc:

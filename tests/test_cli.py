@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fetalguard.cli import main
-from fetalguard.config import MODEL_CONFIG_TYPES
+from fetalguard.config import DETECTORS
 from fetalguard.experiment import fit_detector
 from fetalguard.ingest import ClassLabel
 from fetalguard.persistence import save_model
@@ -235,8 +235,8 @@ def model_files(features_file, tmp_path_factory):
     features = read_features_csv(features_file)
     out = tmp_path_factory.mktemp("models")
     files = {}
-    for name, config_type in MODEL_CONFIG_TYPES.items():
-        config = config_type(**TINY_MODELS[name])
+    for name, detector in DETECTORS.items():
+        config = detector.config_type(**TINY_MODELS[name])
         fitted = fit_detector(name, config, features, features[:10], len(features), 0)
         files[name] = out / f"{name}.json"
         save_model(fitted.model, files[name])
@@ -271,6 +271,7 @@ MISSING_KEY = {"iforest": "subsample_size", "ae": "decoder", "ganomaly": "encode
 ARTIFACT_DEFECTS = {
     "missing key": lambda name, data: data.pop(MISSING_KEY[name]),
     "unknown format_version": lambda name, data: data.update(format_version=99),
+    "unknown model_type": lambda name, data: data.update(model_type="svm"),
     "feature_dim off the first layer": lambda name, data: data.update(feature_dim=17),
 }
 
@@ -279,7 +280,7 @@ ARTIFACT_DEFECTS = {
     "name, defect",
     [
         (name, defect)
-        for name in MODEL_CONFIG_TYPES
+        for name in DETECTORS
         for defect in ARTIFACT_DEFECTS
         # an isolation forest has no layer to check feature_dim against
         if not (name == "iforest" and defect.startswith("feature_dim"))
@@ -306,7 +307,7 @@ def test_version_1_iforest_artifact_still_loads(model_files, features_file, tmp_
     assert rewritten["format_version"] == 2 and "threshold" not in rewritten
 
 
-@pytest.mark.parametrize("name", ["ae", "ganomaly"])
+@pytest.mark.parametrize("name", ["ae", "ganomaly", "iforest"])
 def test_calibrate_refuses_a_non_finite_score(name, model_files, features_file, tmp_path, capsys):
     bad_features = _edited_csv(features_file, tmp_path, line=2, column=5, value="nan")
     model_file = tmp_path / "model.json"
@@ -339,6 +340,19 @@ def test_calibrate_applies_an_override(name, flag, field, model_files, features_
     argv = ["calibrate", "--model-file", str(model_file), "--features", str(features_file)]
     assert main(argv + [flag, "0.2"]) == 0
     assert json.loads(model_file.read_text())[field] == 0.2
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [(1, "9.9", "ph 9.9 outside"), (2, "6.5", "apgar1 must be an integer"), (2, "11", "apgar1 11 outside")],
+)
+def test_ingest_rejects_a_bad_metadata_value_with_its_line(
+    column, value, message, dataset, tmp_path, capsys
+):
+    bad = _edited_csv(dataset / "metadata.csv", tmp_path, line=3, column=column, value=value)
+    assert main(["ingest", "--signals", str(dataset / "signals"), "--metadata", str(bad)]) == 1
+    err = _one_line_error(capsys)
+    assert "line 3" in err and message in err
 
 
 def test_split_rejects_a_bad_label_with_its_line(features_file, tmp_path, capsys):

@@ -122,7 +122,7 @@ class TestFitDetector:
         assert all(fv.record_id in source_ids for fv in fitted.fit_items)
 
     def test_unknown_model_name(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="valid options: ae, ganomaly, iforest"):
             fit_detector("svm", IforestConfig(), _features(10, 5), [], 15, 0)
 
     def test_tau_is_recomputable_from_train_scores(self):

@@ -107,6 +107,15 @@ class TestScore:
         assert ((scores > 0.0) & (scores < 1.0)).all()
 
 
+    @pytest.mark.parametrize(
+        "row", [[np.nan] * 4, [np.nan, 0.5, 0.5, 0.5], [np.inf, 0.5, 0.5, 0.5]]
+    )
+    def test_non_finite_feature_scores_nan(self, row):
+        data = np.random.default_rng(0).uniform(size=(50, 4))
+        model = build_forest(data, n_trees=25, seed=0)
+        assert np.isnan(if_scores(model, np.array([row]))[0])
+
+
 class TestBuildForest:
     def test_tree_count_matches_request(self):
         model = build_forest(_toy_cloud(1), n_trees=100, seed=1)

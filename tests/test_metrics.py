@@ -34,6 +34,13 @@ class TestDecisionRule:
         assert (report.counts.tp, report.counts.fn) == (2, 0)
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_curves_rank_a_non_finite_score_most_anomalous(self, bad):
+        report = evaluate_scores([0.1, bad, 0.9, 0.2], [0, 1, 1, 0], threshold=0.5)
+        assert report.auc_roc == 1.0 and report.auc_pr == 1.0
+        assert not any(np.isnan(p.threshold) for p in report.roc_points + report.pr_points)
+
+
 class TestConfusion:
     def test_direct_count(self):
         labels = [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]

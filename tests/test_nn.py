@@ -19,7 +19,6 @@ from fetalguard.nn import (
     bce_terms,
     forward,
     init_network,
-    l1_loss,
     network_from_dict,
     network_to_dict,
 )
@@ -127,22 +126,6 @@ def test_input_gradient_matches_finite_differences():
         numeric[i] = ((forward(net, up)[0] * v).sum() - (forward(net, down)[0] * v).sum()) / (2 * h)
     denom = max(np.abs(input_grad).max(), np.abs(numeric).max(), 1e-8)
     assert np.abs(input_grad - numeric).max() / denom < 1e-4
-
-
-class TestL1Loss:
-    def test_zero_when_equal(self):
-        loss, grad = l1_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        assert loss == 0.0
-        assert grad.tolist() == [0.0, 0.0]
-
-    def test_sum_of_absolute_differences(self):
-        loss, grad = l1_loss(np.array([1.0, 2.0]), np.array([0.0, 4.0]))
-        assert loss == 3.0
-        assert grad.tolist() == [1.0, -1.0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            l1_loss(np.zeros(2), np.zeros(3))
 
 
 class TestBceTerms:
