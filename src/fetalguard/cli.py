@@ -111,24 +111,25 @@ def cmd_split(args) -> int:
 
 
 def _model_config_from(args, name):
+    """(model config, grid, split config, parsed --config or None) for `train`."""
     if args.config:
         config = load_config(args.config, required=())
         model_config = config.models.get(name, DETECTORS[name].config_type())
-        return model_config, config.grids.get(name, {}), config.split
-    return DETECTORS[name].config_type(), {}, SplitConfig()
+        return model_config, config.grids.get(name, {}), config.split, config
+    return DETECTORS[name].config_type(), {}, SplitConfig(), None
 
 
 def cmd_train(args) -> int:
     features = read_features_csv(args.features)
-    model_config, grid, split_config = _model_config_from(args, args.model)
+    model_config, grid, split_config, config = _model_config_from(args, args.model)
     train_core, validation = validation_split(
         features, split_config.val_fraction_for(args.model), args.seed
     )
     if grid:
         logger.info("grid block present; `train` uses base parameters, `run` searches grids")
     fitted = fit_detector(args.model, model_config, train_core, validation, len(features), args.seed)
-    if args.config:
-        fitted.model.preprocess = load_config(args.config, required=()).preprocess.to_dict()
+    if config is not None:
+        fitted.model.preprocess = config.preprocess.to_dict()
     out = Path(args.out)
     persistence.save_model(fitted.model, out / "model.json")
     if fitted.trace is not None:

@@ -13,7 +13,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -167,14 +167,16 @@ def generator_loss(
     lambda_e: float,
     lambda_a: float,
     adversarial_latents: np.ndarray | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Generator objective on one minibatch, with gradients for the three generator nets.
+) -> tuple[float, Callable[[], tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]]]:
+    """Generator objective on one minibatch -> (loss, gradients).
 
     The contextual and latent terms are computed on ``batch``; the adversarial
     term -lambda_a * mean log D(g(z)) consumes ``adversarial_latents`` (default:
     this batch's own latents) as fixed decoder inputs, so it trains the decoder
-    but not encoder1. The discriminator is frozen: gradients flow through it but
-    are discarded.
+    but not encoder1. Only forward passes run here; calling ``gradients()``
+    runs the backward passes and returns the gradients of encoder1, decoder and
+    encoder2. The discriminator is frozen: gradients flow through it but are
+    discarded.
     """
     x = np.atleast_2d(np.asarray(batch, dtype=float))
     if x.shape[0] == 0:
@@ -190,24 +192,27 @@ def generator_loss(
     contextual = float(np.abs(x - xhat).sum(axis=1).mean())
     latent = float(np.abs(z1 - z2).sum(axis=1).mean())
 
-    d_z2 = lambda_e * np.sign(z2 - z1) / b
-    e2_grads, d_xhat_latent = backward(encoder2, e2_cache, d_z2)
-    d_xhat = lambda_c * np.sign(xhat - x) / b + d_xhat_latent
-    dec_grads, d_z1 = backward(decoder, dec_cache, d_xhat)
-    d_z1 = d_z1 + lambda_e * np.sign(z1 - z2) / b
-    e1_grads, _ = backward(encoder1, e1_cache, d_z1)
-
     z_adv = z1 if adversarial_latents is None else np.atleast_2d(np.asarray(adversarial_latents, dtype=float))
     x_gen, dec_adv_cache = forward(decoder, z_adv)
     p_fake, dis_cache = forward(discriminator, x_gen)
     adv_loss, d_p = adversarial_term(p_fake)
-    _, d_x_gen = backward(discriminator, dis_cache, lambda_a * d_p)
-    dec_adv_grads, _ = backward(decoder, dec_adv_cache, d_x_gen)
-    for main, extra in zip(dec_grads, dec_adv_grads):
-        main += extra
-
     loss = lambda_c * contextual + lambda_e * latent + lambda_a * adv_loss
-    return loss, e1_grads, dec_grads, e2_grads
+
+    def gradients():
+        d_z2 = lambda_e * np.sign(z2 - z1) / b
+        e2_grads, d_xhat_latent = backward(encoder2, e2_cache, d_z2)
+        d_xhat = lambda_c * np.sign(xhat - x) / b + d_xhat_latent
+        dec_grads, d_z1 = backward(decoder, dec_cache, d_xhat)
+        d_z1 = d_z1 + lambda_e * np.sign(z1 - z2) / b
+        e1_grads, _ = backward(encoder1, e1_cache, d_z1)
+
+        _, d_x_gen = backward(discriminator, dis_cache, lambda_a * d_p)
+        dec_adv_grads, _ = backward(decoder, dec_adv_cache, d_x_gen)
+        for main, extra in zip(dec_grads, dec_adv_grads):
+            main += extra
+        return e1_grads, dec_grads, e2_grads
+
+    return loss, gradients
 
 
 def discriminator_loss(
@@ -286,11 +291,12 @@ def train_ganomaly(
             for _ in range(config.k_g):
                 latents = forward(e1, draw())[0]
                 batch = draw()
-                loss_g, ge1, gdec, ge2 = generator_loss(
+                loss_g, gradients = generator_loss(
                     batch, e1, dec, e2, dis,
                     config.lambda_c, config.lambda_e, config.lambda_a,
                     adversarial_latents=latents,
                 )
+                ge1, gdec, ge2 = gradients()
                 adam_step(gen_params, ge1 + gdec + ge2, opt_g)
                 trace.generator_updates += 1
                 g_losses.append(loss_g)
@@ -312,7 +318,7 @@ def train_ganomaly(
                 )
         trace.epoch_boundaries.append(len(trace.l_d))
 
-        val = generator_loss(
+        val = generator_loss(  # forward terms only: the gradients are never asked for
             x_val, e1, dec, e2, dis, config.lambda_c, config.lambda_e, config.lambda_a
         )[0]
         trace.val_loss.append(val)

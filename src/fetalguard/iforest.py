@@ -7,6 +7,7 @@ within the node. Samples that isolate on short paths score as anomalies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -93,11 +94,13 @@ class IsolationForestModel:
         return model_to_dict(self)
 
 
+@functools.cache
 def harmonic_number(k: int) -> float:
     """Exact H(k) = sum_{i=1..k} 1/i; subsamples are small enough for direct summation."""
     return float(sum(1.0 / i for i in range(1, k + 1)))
 
 
+@functools.cache  # scoring asks for it at every leaf reached; m is at most the subsample size
 def average_path_correction(m: int) -> float:
     """Expected extra path length c(m) for an unresolved leaf holding m samples."""
     if m <= 1:

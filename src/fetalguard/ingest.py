@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -33,6 +34,8 @@ PH_ABNORMAL_BELOW = 7.20
 APGAR1_ABNORMAL_BELOW = 7
 
 _SIGNAL_HEADER = ("time_s", "fhr_bpm")
+# numpy's number reader strips these separators as whitespace; float() refuses them
+_NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 _METADATA_COLUMNS = ("record_id", "ph", "apgar1", "pco2", "po2", "bdecf")
 
 
@@ -103,52 +106,101 @@ class LoadResult:
 def parse_record_csv(text: str | io.TextIOBase, record_id: str) -> SignalRecord:
     """Parse one signal CSV into a SignalRecord.
 
+    The data rows are read by one call to numpy's C reader; only input it
+    refuses goes through the row-by-row reader, which names the first bad line.
     The sample rate is inferred from the median time delta between consecutive
-    rows. Raises ParseError (with line number) on malformed cells, StructureError
-    on non-increasing time, EmptyInputError on a header-only file.
+    rows. Raises ParseError (with line number) on malformed cells or rows,
+    StructureError on non-increasing time or a sample rate that is not finite
+    and positive, EmptyInputError on a header-only file.
     """
-    if isinstance(text, str):
-        text = io.StringIO(text)
-    reader = csv.reader(text)
+    if not isinstance(text, str):
+        text = text.read()
+    reader = csv.reader(io.StringIO(text))
 
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyInputError(f"record {record_id}: file is empty") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
     if [c.strip().lower() for c in header] != list(_SIGNAL_HEADER):
         raise ParseError(
             f"expected header '{','.join(_SIGNAL_HEADER)}', got '{','.join(header)}'", line=1
         )
 
-    times: list[float] = []
-    values: list[float] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected 2 columns, got {len(row)}", line=line_no)
-        try:
-            t = float(row[0])
-            v = float(row[1])
-        except ValueError:
-            raise ParseError(f"non-numeric cell in row {row!r}", line=line_no) from None
-        if times and t <= times[-1]:
-            raise StructureError(
-                f"record {record_id}: time not strictly increasing at line {line_no} "
-                f"({times[-1]} -> {t})"
-            )
-        times.append(t)
-        values.append(v)
+    columns = _read_columns(text, reader.line_num)
+    times, values = columns if columns is not None else _read_rows(reader, record_id)
 
-    if not values:
+    if not values.size:
         raise EmptyInputError(f"record {record_id}: no data rows")
-    if len(values) < 2:
+    if values.size < 2:
         raise StructureError(
             f"record {record_id}: need at least two samples to infer the sample rate"
         )
 
-    median_delta = float(np.median(np.diff(times)))
-    return SignalRecord(record_id=record_id, fhr=np.array(values), sample_rate_hz=1.0 / median_delta)
+    sample_rate_hz = 1.0 / float(np.median(np.diff(times)))
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise StructureError(
+            f"record {record_id}: time column gives sample rate {sample_rate_hz}, "
+            "not a finite positive number"
+        )
+    return SignalRecord(record_id=record_id, fhr=values, sample_rate_hz=sample_rate_hz)
+
+
+def _read_columns(text: str, header_lines: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(times, fhr) of the data rows in one numpy call, or None to leave them to _read_rows.
+
+    Accepted only where the result is the row loop's: no separator that numpy
+    takes for a space, at least two rows of two numbers, and strictly
+    increasing time. numpy refuses a quote, so quoted cells, which csv lets
+    span lines, take the row loop. Lines split on "\\n" alone, as csv's do;
+    ``splitlines`` would also split on "\\x0c" and the like.
+    """
+    if any(c in text for c in _NUMPY_ONLY_SPACES):
+        return None
+    lines = text.split("\n")
+    if not any(line.strip() for line in lines[header_lines:]):
+        return None  # no data rows: numpy would warn, the row loop raises
+    try:
+        table = np.loadtxt(lines, skiprows=header_lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[0] < 2 or table.shape[1] != 2:
+        return None
+    # one contiguous copy first: copying the column straight out of the loaded
+    # rows raised the peak RSS of loading 552 files from 52 to 92 MB
+    table = np.asfortranarray(table)
+    times = table[:, 0]
+    if not (np.diff(times) > 0).all():  # also false on NaN, which the row loop lets through
+        return None
+    return times, table[:, 1].copy()
+
+
+def _read_rows(reader, record_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row reader of the data rows: the reference semantics, and the error locator."""
+    times: list[float] = []
+    values: list[float] = []
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise ParseError(f"expected 2 columns, got {len(row)}", line=line_no)
+            try:
+                t = float(row[0])
+                v = float(row[1])
+            except ValueError:
+                raise ParseError(f"non-numeric cell in row {row!r}", line=line_no) from None
+            if times and t <= times[-1]:
+                raise StructureError(
+                    f"record {record_id}: time not strictly increasing at line {line_no} "
+                    f"({times[-1]} -> {t})"
+                )
+            times.append(t)
+            values.append(v)
+    except csv.Error as exc:  # e.g. a bare carriage return inside a row
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    return np.array(times), np.array(values)
 
 
 def assign_label(meta: ClinicalMetadata) -> ClassLabel:

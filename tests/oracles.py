@@ -2,13 +2,19 @@
 
 These deliberately avoid the library's own code paths: medians via per-window
 sorting, AUC via the rank statistic, metrics via direct formula transcription,
-gradients via central finite differences.
+gradients via central finite differences, signal CSVs via a csv row loop,
+isolation-forest scores via one tree walk per sample and tree.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
+from fetalguard.errors import EmptyInputError, ParseError, StructureError
+from fetalguard.ingest import SignalRecord
 from fetalguard.nn import forward, init_network
 
 
@@ -102,3 +108,74 @@ def random_safe_network(rng, kink_margin=1e-6):
         if safe:
             return net, x
     raise AssertionError("could not build a kink-free network")
+
+
+def reference_parse_record_csv(text: str, record_id: str) -> SignalRecord:
+    """Signal CSV parser as one csv row loop with one float() per cell.
+
+    Beyond the errors it shares with ``parse_record_csv``, it lets a csv.Error
+    escape (a bare carriage return inside a row), and SignalRecord raises a bare
+    ValueError when the inferred sample rate is 0 or NaN.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError(f"record {record_id}: file is empty") from None
+    if [c.strip().lower() for c in header] != ["time_s", "fhr_bpm"]:
+        raise ParseError(f"expected header 'time_s,fhr_bpm', got '{','.join(header)}'", line=1)
+
+    times: list[float] = []
+    values: list[float] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise ParseError(f"expected 2 columns, got {len(row)}", line=line_no)
+        try:
+            t = float(row[0])
+            v = float(row[1])
+        except ValueError:
+            raise ParseError(f"non-numeric cell in row {row!r}", line=line_no) from None
+        if times and t <= times[-1]:
+            raise StructureError(
+                f"record {record_id}: time not strictly increasing at line {line_no} "
+                f"({times[-1]} -> {t})"
+            )
+        times.append(t)
+        values.append(v)
+
+    if not values:
+        raise EmptyInputError(f"record {record_id}: no data rows")
+    if len(values) < 2:
+        raise StructureError(f"record {record_id}: need at least two samples to infer the sample rate")
+    median_delta = float(np.median(np.diff(times)))
+    return SignalRecord(record_id=record_id, fhr=np.array(values), sample_rate_hz=1.0 / median_delta)
+
+
+def _path_correction(m: int) -> float:
+    if m <= 1:
+        return 0.0
+    return 2.0 * float(sum(1.0 / i for i in range(1, m))) - 2.0 * (m - 1) / m
+
+
+def reference_if_scores(model, x) -> np.ndarray:
+    """Isolation-forest scores: per sample, a sum of path lengths over a walk of each tree.
+
+    The harmonic sum behind each leaf's correction is recomputed at every leaf.
+    """
+    denom = _path_correction(model.subsample_size)
+    out = []
+    for row in np.atleast_2d(np.asarray(x, dtype=float)):
+        if not np.isfinite(row).all():
+            out.append(float("nan"))
+            continue
+        lengths = []
+        for tree in model.trees:
+            node = tree.root
+            while hasattr(node, "left"):
+                node = node.left if row[node.feature] < node.threshold else node.right
+            lengths.append(node.depth + _path_correction(node.size))
+        mean_path = sum(lengths) / len(model.trees)
+        out.append(0.5 if denom == 0.0 else float(2.0 ** (-mean_path / denom)))
+    return np.array(out)

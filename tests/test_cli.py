@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fetalguard.cli import main
-from fetalguard.config import DETECTORS
+from fetalguard.config import DETECTORS, load_config
 from fetalguard.experiment import fit_detector
 from fetalguard.ingest import ClassLabel
 from fetalguard.persistence import save_model
@@ -292,6 +292,27 @@ def test_bad_model_artifact_is_a_one_line_config_error(
     bad = _edited_copy(model_files[name], tmp_path, lambda data: ARTIFACT_DEFECTS[defect](name, data))
     assert main(["calibrate", "--model-file", str(bad), "--features", str(features_file)]) == 2
     assert str(bad) in _one_line_error(capsys)
+
+
+def test_train_reads_its_config_once(features_file, config_file, tmp_path, monkeypatch):
+    from fetalguard import cli
+
+    reads = []
+
+    def counting_load_config(*args, **kwargs):
+        reads.append(args)
+        return load_config(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_config", counting_load_config)
+    out = tmp_path / "trained"
+    assert main(
+        ["train", "--model", "iforest", "--features", str(features_file),
+         "--config", str(config_file), "--out", str(out)]
+    ) == 0
+    assert len(reads) == 1
+    model_data = json.loads((out / "model.json").read_text())
+    assert model_data["preprocess"] == load_config(config_file, required=()).preprocess.to_dict()
+    assert len(model_data["trees"]) == 25  # the model section of the same file
 
 
 def test_version_1_iforest_artifact_still_loads(model_files, features_file, tmp_path, capsys):

@@ -168,9 +168,10 @@ class TestGeneratorLoss:
             return loss
 
         base = total_loss()
-        _, ge1, gdec, ge2 = generator_loss(
+        _, gradients = generator_loss(
             batch, e1, dec, e2, dis, *lam, adversarial_latents=fixed_latents
         )
+        ge1, gdec, ge2 = gradients()
         h = 1e-6
         checked = 0
         for net, analytic in ((e1, ge1), (dec, gdec), (e2, ge2)):
@@ -192,6 +193,40 @@ class TestGeneratorLoss:
                     assert numeric == pytest.approx(g[idx], rel=1e-3, abs=1e-6)
                     checked += 1
         assert checked > 50  # the skip rule must not hollow out the check
+
+    def test_the_loss_alone_runs_no_backward_pass(self, monkeypatch):
+        cfg = GanomalyConfig(encoder_units=(5, 3), decoder_units=(3, 5), discriminator_units=(4, 1))
+        e1, dec, e2, dis = build_ganomaly_networks(6, cfg, seed=5)
+        batch = np.random.default_rng(5).uniform(0.2, 0.8, size=(7, 6))
+        loss, gradients = generator_loss(batch, e1, dec, e2, dis, 50.0, 1.0, 1.0)
+        gradients()
+
+        def no_backward(*args, **kwargs):
+            raise AssertionError("the loss ran a backward pass")
+
+        monkeypatch.setattr("fetalguard.ganomaly.backward", no_backward)
+        assert generator_loss(batch, e1, dec, e2, dis, 50.0, 1.0, 1.0)[0] == loss
+
+    def test_validation_runs_no_backward_pass(self, monkeypatch):
+        import fetalguard.ganomaly as ganomaly
+
+        calls = []
+        original = ganomaly.backward
+
+        def counting_backward(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ganomaly, "backward", counting_backward)
+        cfg = GanomalyConfig(
+            encoder_units=(8, 4), decoder_units=(4, 8), discriminator_units=(8, 1),
+            epochs=3, iterations_per_epoch=2, patience=5, batch_size=4,
+        )
+        normals = _structured_set(12, dim=8, seed=2)
+        _, trace = train_ganomaly(normals, cfg, seed=0, validation=normals[:4])
+        assert len(trace.val_loss) == 3
+        # per iteration: 2 passes per discriminator step, 5 per generator step
+        assert len(calls) == cfg.epochs * cfg.iterations_per_epoch * (2 * cfg.k_d + 5 * cfg.k_g)
 
 
 class TestDiscriminatorLoss:
@@ -271,7 +306,7 @@ class TestTraining:
         batch = np.stack([fv.x for fv in _structured_set(12, seed=16)])
         dis_before = [p.copy() for p in dis.parameters()]
         gen_params = e1.parameters() + dec.parameters() + e2.parameters()
-        _, ge1, gdec, ge2 = generator_loss(batch, e1, dec, e2, dis, 50.0, 1.0, 1.0)
+        ge1, gdec, ge2 = generator_loss(batch, e1, dec, e2, dis, 50.0, 1.0, 1.0)[1]()
         adam_step(gen_params, ge1 + gdec + ge2, AdamState.for_params(gen_params))
         for before, after in zip(dis_before, dis.parameters()):
             assert np.array_equal(before, after)

@@ -20,6 +20,7 @@ from fetalguard.iforest import (
     model_to_dict,
     path_length,
 )
+from oracles import reference_if_scores
 
 
 def _toy_cloud(seed, n_inliers=99, distance=10.0):
@@ -114,6 +115,17 @@ class TestScore:
         data = np.random.default_rng(0).uniform(size=(50, 4))
         model = build_forest(data, n_trees=25, seed=0)
         assert np.isnan(if_scores(model, np.array([row]))[0])
+
+    def test_batch_scores_equal_the_per_sample_tree_walk_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(300, 6))
+        model = build_forest(data, n_trees=40, subsample_size=128, seed=3)
+        queries = np.vstack([rng.normal(size=(60, 6)) * 2.0, data[:20]])
+        queries[[5, 40], [0, 3]] = [np.nan, np.inf]
+        scores = if_scores(model, queries)
+        expected = reference_if_scores(model, queries)
+        assert np.isnan(scores[[5, 40]]).all()
+        assert scores.tobytes() == expected.tobytes()
 
 
 class TestBuildForest:

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import csv
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fetalguard.errors import (
     EmptyInputError,
+    FetalGuardError,
     LabelingError,
     ParseError,
     StructureError,
@@ -18,6 +25,7 @@ from fetalguard.ingest import (
     parse_record_csv,
     read_metadata_csv,
 )
+from oracles import reference_parse_record_csv
 
 
 def test_parse_record_transcribes_rows_in_order():
@@ -196,3 +204,122 @@ def test_metadata_reader_accepts_full_layout(tmp_path):
     assert meta.pco2 == pytest.approx(6.2)
     assert meta.po2 is None
     assert meta.bdecf == pytest.approx(3.1)
+
+
+def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path):
+    signals = tmp_path / "signals"
+    signals.mkdir()
+    _write_signal(signals / "a.csv", n=40)
+    (signals / "b.csv").write_text('time_s,fhr_bpm\n0.0,"140"\n0.25,141\n', encoding="utf-8")
+    (tmp_path / "meta.csv").write_text(
+        "record_id,ph,apgar1\na,7.10,5\nb,7.30,9\n", encoding="utf-8"
+    )
+    result = load_collection(signals, tmp_path / "meta.csv")
+    assert len(result.records) == 2
+    for item in result.records:
+        fhr = item.record.fhr
+        assert fhr.dtype == np.float64 and fhr.ndim == 1
+        assert fhr.base is None  # no view that keeps the time column alive
+
+
+def test_parse_record_bare_carriage_return_in_a_row_is_parse_error():
+    # csv refuses it; files reach the parser through read_text, which turns it into a line end
+    with pytest.raises(ParseError, match="malformed CSV") as exc:
+        parse_record_csv("time_s,fhr_bpm\n0.0,140\r0.25,141\n", "r1")
+    assert exc.value.line == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "times",
+    [["0", "nan", "1"], ["0", "inf"], ["-inf", "0"], ["-1e308", "1e308"], ["0", "1e-320"]],
+)
+def test_parse_record_rejects_a_sample_rate_that_is_not_finite(times):
+    text = "time_s,fhr_bpm\n" + "".join(f"{t},140\n" for t in times)
+    with pytest.raises(StructureError, match="sample rate"):
+        parse_record_csv(text, "r1")
+
+
+def test_parse_record_header_only_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyInputError):
+            parse_record_csv("time_s,fhr_bpm\n\n", "r1")
+
+
+def _assert_parse_matches_reference(text: str) -> None:
+    """Same record bits as the csv row loop, or the same typed error at the same line."""
+    try:
+        expected = reference_parse_record_csv(text, "r")
+    except FetalGuardError as exc:
+        with pytest.raises(FetalGuardError) as got:
+            parse_record_csv(text, "r")
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "line", None) == getattr(exc, "line", None)
+        return
+    except (csv.Error, ValueError):
+        # the row loop's own defects (a csv error, a zero or NaN sample rate): a typed error
+        with pytest.raises((ParseError, StructureError)):
+            parse_record_csv(text, "r")
+        return
+    if not math.isfinite(expected.sample_rate_hz):
+        with pytest.raises(StructureError):
+            parse_record_csv(text, "r")
+        return
+    record = parse_record_csv(text, "r")
+    assert record.fhr.dtype == expected.fhr.dtype
+    assert record.fhr.tobytes() == expected.fhr.tobytes()
+    assert record.sample_rate_hz == expected.sample_rate_hz
+
+
+HEADER = "time_s,fhr_bpm\n"
+# cells that float() reads one way and a C number parser might read another
+TRICKY_CELLS = [
+    "1_0", " 7 ", "+3", ".5", "5.", "1E2", "nan", "-nan", "inf", "-Infinity", "1e400",
+    "1e-320", "0x10", "1d5", "", " ", '"140"', '"1\n2"', "\x0c1", "1\x1c", "\xa01", "\u0661",
+]
+cells = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(TRICKY_CELLS),
+    st.text(alphabet=st.sampled_from(list('0123456789.,eE+-_ \t"\r\n\x0c\x1c\x1fnaif')), max_size=6),
+)
+
+
+@st.composite
+def signal_texts(draw):
+    """A header, then rows: mostly increasing times and numeric cells, some of them broken."""
+    n = draw(st.integers(0, 8))
+    times = sorted(draw(st.lists(st.floats(0, 1e4), min_size=n, max_size=n, unique=True)))
+    rows = [f"{t!r},{draw(st.integers(0, 240))}" for t in times]
+    for _ in range(draw(st.integers(0, 2))):
+        row = ",".join(draw(st.lists(cells, min_size=0, max_size=3)))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+    header = draw(st.sampled_from([HEADER, "time_s,fhr_bpm\r\n", "TIME_S, fhr_bpm\n"]))
+    return header + newline.join(rows) + end
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(signal_texts())
+@example(HEADER + "0.0,1\x0c0.25,2\n")  # \x0c inside a row: one row of three cells
+@example(HEADER + "0.0,1_0\n0.25,1_1\n")  # underscores, which float() accepts
+@example(HEADER + "0.0,140\n   \n0.25,141\n")  # a whitespace-only line is skipped
+@example(HEADER + '"0.0","140"\n0.25,"141"\n')  # quoted cells
+@example('time_s,fhr_bpm\r\n0.0,140\r\n0.25,141\r\n')  # \r\n line ends
+@example(HEADER)  # header only
+@example(HEADER + '"0\n1",140\n2,141\n')  # a quoted cell spanning two lines is not 01
+@example(HEADER + "0.0,140\r0.25,141\n")  # a bare carriage return inside a row
+@example(HEADER + "0.0,\x1c140\n0.25,141\n")  # a separator character numpy takes as space
+@example(HEADER + "0.0,140\n0.0,141\n")  # time not increasing
+def test_parse_record_matches_the_reference_row_loop(text):
+    _assert_parse_matches_reference(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(max_size=60))
+def test_parse_record_matches_the_reference_on_any_text(text):
+    _assert_parse_matches_reference(HEADER + text)
+    _assert_parse_matches_reference(text)
