@@ -20,7 +20,7 @@ from . import nn
 from .datasets import normals_only, validation_normals
 from .errors import ConfigError, ShapeError, TrainingError
 from .nn import AdamState, DenseNetwork, adam_step, backward, forward, init_network
-from .preprocess import as_matrix
+from .preprocess import PreprocessConfig, as_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -46,9 +46,11 @@ class AeConfig:
 
 @dataclass
 class AeModel:
-    """A trained autoencoder; scores, calibrate and to_dict form the shared detector interface."""
+    """A trained autoencoder; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ae"
+    format_version: ClassVar[int] = 1
+    past_formats: ClassVar[dict] = {}
     config_type: ClassVar[type] = AeConfig
     calibration_param: ClassVar[str] = "k_sigma"
 
@@ -59,7 +61,11 @@ class AeModel:
     k_sigma: float
     tau: float | None = None
     optimizer: dict | None = None  # hyperparameters the model was trained with
-    preprocess: dict | None = None
+    preprocess: PreprocessConfig | None = None
+
+    def __post_init__(self):
+        nn.require_dims("encoder", self.encoder, self.feature_dim, self.latent_dim)
+        nn.require_dims("decoder", self.decoder, self.latent_dim, self.feature_dim)
 
     @classmethod
     def fit(cls, config: AeConfig, train_core, validation, pre_validation_size: int, seed: int):
@@ -68,19 +74,12 @@ class AeModel:
         model, trace = train_ae(fit_items, config, seed, validation=validation_normals(validation))
         return model, trace, fit_items
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AeModel":
-        return model_from_dict(data)
-
     def scores(self, samples) -> np.ndarray:
         return ae_scores(self, samples)
 
     def calibrate(self, train_scores) -> float:
         self.tau = calibrate_threshold(train_scores, self.k_sigma)
         return self.tau
-
-    def to_dict(self) -> dict:
-        return model_to_dict(self)
 
 
 @dataclass
@@ -223,36 +222,3 @@ def calibrate_threshold(training_scores, k: float) -> float:
     if not np.isfinite(scores).all():
         raise TrainingError("cannot calibrate on a non-finite training score")
     return float(scores.mean() + k * scores.std())
-
-
-def model_to_dict(model: AeModel) -> dict:
-    return {
-        "model_type": model.model_type,
-        "format_version": 1,
-        "feature_dim": model.feature_dim,
-        "latent_dim": model.latent_dim,
-        "tau": model.tau,
-        "k_sigma": model.k_sigma,
-        "preprocess": model.preprocess,
-        "optimizer": model.optimizer,
-        "encoder": nn.network_to_dict(model.encoder),
-        "decoder": nn.network_to_dict(model.decoder),
-    }
-
-
-def model_from_dict(data: dict) -> AeModel:
-    if data["format_version"] != 1:
-        raise ConfigError(f"unsupported ae format version {data['format_version']!r}")
-    encoder = nn.network_from_dict(data["encoder"])
-    if encoder.in_dim != data["feature_dim"]:
-        raise ConfigError(f"feature_dim {data['feature_dim']} != encoder input dim {encoder.in_dim}")
-    return AeModel(
-        encoder=encoder,
-        decoder=nn.network_from_dict(data["decoder"]),
-        feature_dim=data["feature_dim"],
-        latent_dim=data["latent_dim"],
-        k_sigma=data["k_sigma"],
-        tau=data["tau"],
-        optimizer=data.get("optimizer"),
-        preprocess=data.get("preprocess"),
-    )

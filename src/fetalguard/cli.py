@@ -129,7 +129,7 @@ def cmd_train(args) -> int:
         logger.info("grid block present; `train` uses base parameters, `run` searches grids")
     fitted = fit_detector(args.model, model_config, train_core, validation, len(features), args.seed)
     if config is not None:
-        fitted.model.preprocess = config.preprocess.to_dict()
+        fitted.model.preprocess = config.preprocess
     out = Path(args.out)
     persistence.save_model(fitted.model, out / "model.json")
     if fitted.trace is not None:
@@ -184,10 +184,7 @@ def cmd_evaluate(args) -> int:
         fh.write("record_id,label,score\n")
         for fv, score in zip(features, scores):
             fh.write(f"{fv.record_id},{int(fv.label)},{float(score)!r}\n")
-    metrics.write_pr_csv(report.pr_points, out / "pr_curve.csv")
-    metrics.write_roc_csv(report.roc_points, out / "roc_curve.csv")
-    positive = sum(1 for l in labels if l is ClassLabel.ABNORMAL) / len(labels)
-    metrics.render_curves_svg(report.pr_points, report.roc_points, positive, out / "curves.svg")
+    metrics.write_curves(report.pr_points, report.roc_points, labels, out)
     print(
         f"f1={report.f1:.3f} balanced_accuracy={report.balanced_accuracy:.3f} "
         f"precision={report.precision:.3f} recall={report.recall:.3f} auc_roc={report.auc_roc:.3f}"
@@ -201,10 +198,9 @@ def cmd_score(args) -> int:
     tau = model.tau
     signal_path = Path(args.signal)
     record = parse_record_csv(signal_path.read_text(encoding="utf-8"), signal_path.stem)
-    pre = model.preprocess
-    if not pre:
+    config = model.preprocess
+    if config is None:
         raise ConfigError("model artifact carries no preprocessing parameters")
-    config = PreprocessConfig(**pre)
     if config.feature_dim != model.feature_dim:
         raise ConfigError(
             f"model expects dim {model.feature_dim} but preprocessing yields {config.feature_dim}"
@@ -239,10 +235,7 @@ def cmd_curves(args) -> int:
     pr_points = metrics.pr_curve(scores, labels)
     roc_points, auc = metrics.roc_curve_and_auc(scores, labels)
     out = Path(args.out)
-    metrics.write_pr_csv(pr_points, out / "pr_curve.csv")
-    metrics.write_roc_csv(roc_points, out / "roc_curve.csv")
-    positive = sum(labels) / len(labels)
-    metrics.render_curves_svg(pr_points, roc_points, positive, out / "curves.svg")
+    metrics.write_curves(pr_points, roc_points, labels, out)
     print(f"auc_roc={auc:.6f} auc_pr={metrics.pr_auc(pr_points):.6f}")
     print(f"curves: {out}")
     return 0

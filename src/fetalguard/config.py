@@ -2,19 +2,25 @@
 
 The file has sections ``data``, ``preprocess``, ``split``, ``model.<name>``,
 ``eval``, and ``output``. Unknown keys anywhere are errors; messages carry the
-key path and, where possible, the line in the file.
+key path and, where possible, the line in the file. The same ``encode`` and
+``decode`` pair writes and reads the model artifacts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field
+import sys
+import types
+import typing
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
+from . import iforest, nn
 from .autoencoder import AeModel
 from .datasets import SplitConfig
-from .errors import ConfigError
+from .errors import ConfigError, FetalGuardError
 from .ganomaly import GanomalyModel
 from .iforest import IsolationForestModel
 from .preprocess import PreprocessConfig
@@ -87,47 +93,92 @@ def _key_line(raw_text: str | None, key: str) -> str:
     return ""
 
 
-def _build_dataclass(cls, data: dict, path: str, raw_text: str | None):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    allowed = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key {path}.{key}{_key_line(raw_text, key)}; "
-                f"valid keys: {', '.join(sorted(allowed))}"
-            )
-        default = allowed[key].default
-        if isinstance(default, tuple) and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+# the JSON value each scalar field type takes, as messages name it; a float field takes an int too
+EXPECTED = {bool: "a boolean", str: "a string", int: "an integer", float: "a finite number", dict: "an object"}
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """name -> (type hint, required?) of a dataclass's fields, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def encode(value):
+    """JSON-ready form of a config or model: the inverse of ``decode``."""
+    return _encode(value)
+
+
+def _encode(value):
+    if isinstance(value, nn.DenseNetwork):
+        return nn.network_to_dict(value)
+    if isinstance(value, iforest.TreeNode):
+        return iforest.tree_to_dict(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
+
+
+def decode(cls, data, path: str, raw_text: str | None = None):
+    """Dataclass cls from parsed JSON, checked against its fields' type hints.
+
+    An unknown key, a missing required key and a value of the wrong type are
+    each a one-line ConfigError naming the key path; an absent key takes the
+    field's default. An int is accepted for a float field and kept as an int.
+    """
+    return _decode(cls, data, path, raw_text, None)
+
+
+def _decode(hint, value, path, raw_text, outer):
+    """Decode one value; outer holds the outermost object's fields decoded so far."""
     try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        if hint is nn.DenseNetwork:
+            return nn.network_from_dict(value)
+        if hint == iforest.TreeNode:
+            return iforest.tree_from_dict(value, outer["feature_dim"], outer["subsample_size"])
+    except FetalGuardError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _build_data_config(data: dict, raw_text: str | None) -> DataConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("data: expected an object")
-    data = dict(data)
-    synth_body = data.pop("synth", None)
-    allowed = {f.name for f in dataclasses.fields(DataConfig)} - {"synth"}
-    for key in data:
-        if key not in allowed:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _decode(args[0], value, path, raw_text, outer)
+    if hint in EXPECTED:
+        if (
+            not isinstance(value, (int, float) if hint is float else hint)
+            or (isinstance(value, bool) and hint is not bool)
+            or (hint is float and not abs(value) <= sys.float_info.max)  # NaN, inf, huge int
+        ):
+            raise ConfigError(f"{path}: expected {EXPECTED[hint]}, got {json.dumps(value)[:60]}")
+        return value
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected an array, got {json.dumps(value)[:60]}")
+        items = [_decode(args[0], v, f"{path}[{i}]", raw_text, outer) for i, v in enumerate(value)]
+        return items if origin is list else tuple(items)
+    if not isinstance(value, dict):  # a dataclass
+        raise ConfigError(f"{path}: expected an object, got {json.dumps(value)[:60]}")
+    fields = _fields(hint)
+    prefix = f"{path}." if path else ""  # the config root has the empty path
+    for key in value:
+        if key not in fields:
             raise ConfigError(
-                f"unknown key data.{key}{_key_line(raw_text, key)}; "
-                f"valid keys: {', '.join(sorted(allowed | {'synth'}))}"
+                f"unknown key {prefix}{key}{_key_line(raw_text, key)}; "
+                f"valid keys: {', '.join(sorted(fields))}"
             )
-    synth = (
-        _build_dataclass(SynthDataConfig, synth_body, "data.synth", raw_text)
-        if synth_body is not None
-        else None
-    )
-    return DataConfig(synth=synth, **data)
+    kwargs = {}
+    context = kwargs if outer is None else outer
+    for name, (field_hint, required) in fields.items():
+        if name in value:
+            kwargs[name] = _decode(field_hint, value[name], prefix + name, raw_text, context)
+        elif required:
+            raise ConfigError(f"{path}: missing key {name!r}")
+    return hint(**kwargs)
 
 
 def _build_models(section: dict, raw_text: str | None) -> tuple[dict, dict]:
@@ -135,27 +186,26 @@ def _build_models(section: dict, raw_text: str | None) -> tuple[dict, dict]:
         raise ConfigError("model: expected an object of model sections")
     if not section:
         raise ConfigError("model: at least one model section is required")
-    models: dict = {}
-    grids: dict = {}
+    models, grids = {}, {}
     for name, body in section.items():
         cls = detector(name).config_type
+        path = f"model.{name}"
         if not isinstance(body, dict):
-            raise ConfigError(f"model.{name}: expected an object")
-        body = dict(body)
-        grid = body.pop("grid", None)
-        models[name] = _build_dataclass(cls, body, f"model.{name}", raw_text)
+            raise ConfigError(f"{path}: expected an object")
+        models[name] = decode(cls, {k: v for k, v in body.items() if k != "grid"}, path, raw_text)
+        grid = body.get("grid")
         if grid is not None:
             if not isinstance(grid, dict):
-                raise ConfigError(f"model.{name}.grid: expected an object of parameter lists")
-            valid = {f.name for f in dataclasses.fields(cls)}
+                raise ConfigError(f"{path}.grid: expected an object of parameter lists")
+            fields = _fields(cls)
+            grids[name] = {}
             for param, values in grid.items():
-                if param not in valid:
-                    raise ConfigError(
-                        f"model.{name}.grid: {param!r} is not a {name} parameter"
-                    )
+                if param not in fields:
+                    raise ConfigError(f"{path}.grid: {param!r} is not a {name} parameter")
                 if not isinstance(values, list) or not values:
-                    raise ConfigError(f"model.{name}.grid.{param}: expected a non-empty list")
-            grids[name] = grid
+                    raise ConfigError(f"{path}.grid.{param}: expected a non-empty list")
+                hint = list[fields[param][0]]  # each value is checked as the field is
+                grids[name][param] = _decode(hint, values, f"{path}.grid.{param}", raw_text, None)
     return models, grids
 
 
@@ -177,25 +227,10 @@ def parse_config(
     for section in required:
         if section not in data:
             raise ConfigError(f"missing required section {section!r}")
-    if "data" in data:
-        data_config = _build_data_config(data["data"], raw_text)
-    else:
-        data_config = DataConfig(synth=SynthDataConfig())
-    if "model" in data:
-        models, grids = _build_models(data["model"], raw_text)
-    else:
-        models, grids = {}, {}
-    return ExperimentConfig(
-        data=data_config,
-        preprocess=_build_dataclass(
-            PreprocessConfig, data.get("preprocess", {}), "preprocess", raw_text
-        ),
-        split=_build_dataclass(SplitConfig, data.get("split", {}), "split", raw_text),
-        models=models,
-        grids=grids,
-        eval=_build_dataclass(EvalConfig, data.get("eval", {}), "eval", raw_text),
-        output=_build_dataclass(OutputConfig, data.get("output", {}), "output", raw_text),
-    )
+    models, grids = _build_models(data["model"], raw_text) if "model" in data else ({}, {})
+    sections = {"data": {"synth": {}}, **{key: value for key, value in data.items() if key != "model"}}
+    config = decode(ExperimentConfig, sections, "", raw_text)
+    return dataclasses.replace(config, models=models, grids=grids)
 
 
 def load_config(
@@ -207,6 +242,8 @@ def load_config(
         raw_text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason}") from None
     try:
         data = json.loads(raw_text)
     except json.JSONDecodeError as exc:
@@ -216,24 +253,10 @@ def load_config(
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Resolved configuration as plain JSON-ready data (for run provenance)."""
-
-    def encode(value):
-        if dataclasses.is_dataclass(value):
-            return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        if isinstance(value, tuple):
-            return list(value)
-        if isinstance(value, dict):
-            return {k: encode(v) for k, v in value.items()}
-        return value
-
-    return {
-        "data": encode(config.data),
-        "preprocess": encode(config.preprocess),
-        "split": encode(config.split),
-        "model": {
-            name: {**encode(cfg), **({"grid": config.grids[name]} if name in config.grids else {})}
-            for name, cfg in config.models.items()
-        },
-        "eval": encode(config.eval),
-        "output": encode(config.output),
+    data = encode(config)
+    grids = data.pop("grids")
+    data["model"] = {
+        name: {**body, **({"grid": grids[name]} if name in grids else {})}
+        for name, body in data.pop("models").items()
     }
+    return data

@@ -109,11 +109,10 @@ def _validation_f1(model, validation) -> dict:
     decisions = [metrics.classify(s, model.tau) for s in model.scores(validation)]
     labels = [fv.label for fv in validation]
     counts = metrics.confusion(labels, decisions)
-    scalars = metrics.scalar_metrics(counts)
-    return scalars.to_dict()
+    return dataclasses.asdict(metrics.scalar_metrics(counts))
 
 
-def run_single(name, model_config, grid, features, split_config, preprocess_dict, seed):
+def run_single(name, model_config, grid, features, split_config, preprocess, seed):
     """One (seed, model) leg: split, fit (with optional grid search), test once.
 
     Returns a dict with the fitted model, reports, traces, and score tables.
@@ -135,7 +134,7 @@ def run_single(name, model_config, grid, features, split_config, preprocess_dict
             }
 
     fitted = best["fitted"]
-    fitted.model.preprocess = preprocess_dict
+    fitted.model.preprocess = preprocess
 
     guard.unlock()
     test_items = guard.take()
@@ -243,13 +242,8 @@ def write_run_artifacts(result, run_dir: Path) -> dict:
     if fitted.trace is not None:
         fitted.trace.write_csv(run_dir / "trace.csv")
     report = result["report"]
-    metrics.write_pr_csv(report.pr_points, run_dir / "pr_curve.csv")
-    metrics.write_roc_csv(report.roc_points, run_dir / "roc_curve.csv")
     labels = [fv.label for fv in result["test_items"]]
-    positive_fraction = sum(1 for l in labels if l is ClassLabel.ABNORMAL) / len(labels)
-    metrics.render_curves_svg(
-        report.pr_points, report.roc_points, positive_fraction, run_dir / "curves.svg"
-    )
+    metrics.write_curves(report.pr_points, report.roc_points, labels, run_dir)
     _write_json(result["distribution"], run_dir / "score_distribution.json")
     return payload
 
@@ -309,7 +303,6 @@ def run_experiment(
         logger.warning("rejected %s: %s", record_id, reason)
 
     _write_json(config_to_dict(config), out_dir / "config.resolved.json")
-    preprocess_dict = config.preprocess.to_dict()
 
     payloads = []
     for seed in seeds:
@@ -321,7 +314,7 @@ def run_experiment(
                 config.grids.get(name, {}),
                 prep.features,
                 config.split,
-                preprocess_dict,
+                config.preprocess,
                 seed,
             )
             run_dir = out_dir / f"seed_{seed:03d}" / name

@@ -30,7 +30,7 @@ from .nn import (
     forward,
     init_network,
 )
-from .preprocess import as_matrix
+from .preprocess import PreprocessConfig, as_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -71,9 +71,11 @@ class GanomalyConfig:
 
 @dataclass
 class GanomalyModel:
-    """Trained GANomaly networks; scores, calibrate and to_dict form the shared detector interface."""
+    """Trained GANomaly networks; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ganomaly"
+    format_version: ClassVar[int] = 1
+    past_formats: ClassVar[dict] = {}
     config_type: ClassVar[type] = GanomalyConfig
     calibration_param: ClassVar[str] = "k_sigma"
 
@@ -90,7 +92,15 @@ class GanomalyModel:
     score_mode: str = "data"
     tau: float | None = None
     optimizer: dict | None = None  # hyperparameters the model was trained with
-    preprocess: dict | None = None
+    preprocess: PreprocessConfig | None = None
+
+    def __post_init__(self):
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"score_mode must be one of {SCORE_MODES}, got {self.score_mode!r}")
+        nn.require_dims("encoder1", self.encoder1, self.feature_dim, self.latent_dim)
+        nn.require_dims("decoder", self.decoder, self.latent_dim, self.feature_dim)
+        nn.require_dims("encoder2", self.encoder2, self.feature_dim, self.latent_dim)
+        nn.require_dims("discriminator", self.discriminator, self.feature_dim, 1)
 
     @classmethod
     def fit(cls, config: GanomalyConfig, train_core, validation, pre_validation_size: int, seed: int):
@@ -99,19 +109,12 @@ class GanomalyModel:
         model, trace = train_ganomaly(fit_items, config, seed, validation=validation_normals(validation))
         return model, trace, fit_items
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GanomalyModel":
-        return model_from_dict(data)
-
     def scores(self, samples) -> np.ndarray:
         return gan_scores(self, samples)
 
     def calibrate(self, train_scores) -> float:
         self.tau = autoencoder.calibrate_threshold(train_scores, self.k_sigma)
         return self.tau
-
-    def to_dict(self) -> dict:
-        return model_to_dict(self)
 
 
 @dataclass
@@ -364,48 +367,3 @@ def gan_scores(model: GanomalyModel, samples) -> np.ndarray:
         z2, _ = forward(model.encoder2, xhat)
         return np.abs(z1 - z2).sum(axis=1)
     return np.abs(x - xhat).sum(axis=1)
-
-
-def model_to_dict(model: GanomalyModel) -> dict:
-    return {
-        "model_type": model.model_type,
-        "format_version": 1,
-        "feature_dim": model.feature_dim,
-        "latent_dim": model.latent_dim,
-        "lambda_c": model.lambda_c,
-        "lambda_e": model.lambda_e,
-        "lambda_a": model.lambda_a,
-        "tau": model.tau,
-        "k_sigma": model.k_sigma,
-        "score_mode": model.score_mode,
-        "preprocess": model.preprocess,
-        "optimizer": model.optimizer,
-        "encoder1": nn.network_to_dict(model.encoder1),
-        "decoder": nn.network_to_dict(model.decoder),
-        "encoder2": nn.network_to_dict(model.encoder2),
-        "discriminator": nn.network_to_dict(model.discriminator),
-    }
-
-
-def model_from_dict(data: dict) -> GanomalyModel:
-    if data["format_version"] != 1:
-        raise ConfigError(f"unsupported ganomaly format version {data['format_version']!r}")
-    encoder1 = nn.network_from_dict(data["encoder1"])
-    if encoder1.in_dim != data["feature_dim"]:
-        raise ConfigError(f"feature_dim {data['feature_dim']} != encoder1 input dim {encoder1.in_dim}")
-    return GanomalyModel(
-        encoder1=encoder1,
-        decoder=nn.network_from_dict(data["decoder"]),
-        encoder2=nn.network_from_dict(data["encoder2"]),
-        discriminator=nn.network_from_dict(data["discriminator"]),
-        lambda_c=data["lambda_c"],
-        lambda_e=data["lambda_e"],
-        lambda_a=data["lambda_a"],
-        feature_dim=data["feature_dim"],
-        latent_dim=data["latent_dim"],
-        k_sigma=data["k_sigma"],
-        score_mode=data.get("score_mode", "data"),
-        tau=data["tau"],
-        optimizer=data.get("optimizer"),
-        preprocess=data.get("preprocess"),
-    )

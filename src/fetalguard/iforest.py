@@ -16,10 +16,9 @@ import numpy as np
 
 from .datasets import normals_only
 from .errors import ConfigError, ShapeError, TrainingError
-from .preprocess import as_matrix
+from .preprocess import PreprocessConfig, as_matrix
 
 DEFAULT_SUBSAMPLE = 256
-FORMAT_VERSION = 2  # version 1 stored the threshold under "threshold"
 
 
 @dataclass
@@ -48,27 +47,39 @@ class InternalNode:
     right: "InternalNode | LeafNode"
 
 
+TreeNode = InternalNode | LeafNode
+
+
 @dataclass
 class IsolationTree:
-    root: InternalNode | LeafNode
+    root: TreeNode
     max_depth: int
 
 
 @dataclass
 class IsolationForestModel:
-    """A fitted forest; scores, calibrate and to_dict form the shared detector interface."""
+    """A fitted forest; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "iforest"
+    format_version: ClassVar[int] = 2
+    past_formats: ClassVar[dict] = {1: {"threshold": "tau"}}  # version -> renamed keys
     config_type: ClassVar[type] = IforestConfig
     calibration_param: ClassVar[str] = "contamination"
 
-    trees: list[IsolationTree]
     subsample_size: int
     contamination: float
     feature_dim: int
     seed: int
+    trees: list[IsolationTree]  # after the fields that tree_from_dict checks nodes against
     tau: float | None = None
-    preprocess: dict | None = None
+    preprocess: PreprocessConfig | None = None
+
+    def __post_init__(self):
+        if not self.trees:
+            raise ConfigError("model has no trees")
+        limit = depth_limit(self.subsample_size)
+        if any(tree.max_depth != limit for tree in self.trees):
+            raise ConfigError(f"max_depth of a tree is not {limit}, the limit for {self.subsample_size} samples")
 
     @classmethod
     def fit(cls, config: IforestConfig, train_core, validation, pre_validation_size: int, seed: int):
@@ -79,19 +90,12 @@ class IsolationForestModel:
         )
         return model, None, fit_items
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "IsolationForestModel":
-        return model_from_dict(data)
-
     def scores(self, samples) -> np.ndarray:
         return if_scores(self, samples)
 
     def calibrate(self, train_scores) -> float:
         self.tau = if_threshold(train_scores, self.contamination)
         return self.tau
-
-    def to_dict(self) -> dict:
-        return model_to_dict(self)
 
 
 @functools.cache
@@ -106,6 +110,11 @@ def average_path_correction(m: int) -> float:
     if m <= 1:
         return 0.0
     return 2.0 * harmonic_number(m - 1) - 2.0 * (m - 1) / m
+
+
+def depth_limit(psi: int) -> int:
+    """Depth at which growth stops for a subsample of psi points: ceil(log2 psi), at least 1."""
+    return max(1, math.ceil(math.log2(psi))) if psi > 1 else 1
 
 
 def _grow(x: np.ndarray, depth: int, limit: int, rng: np.random.Generator):
@@ -152,7 +161,7 @@ def build_forest(
     x = as_matrix(data)
     n = x.shape[0]
     psi = min(subsample_size, n)
-    limit = max(1, math.ceil(math.log2(psi))) if psi > 1 else 1
+    limit = depth_limit(psi)
     streams = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
     for stream in streams:
@@ -184,8 +193,6 @@ def if_score(model: IsolationForestModel, x) -> float:
     x = np.asarray(x.x if hasattr(x, "x") else x, dtype=float)
     if x.ndim != 1 or x.size != model.feature_dim:
         raise ShapeError(f"expected vector of dim {model.feature_dim}, got shape {x.shape}")
-    if not model.trees:
-        raise ConfigError("model has no trees")
     if not np.isfinite(x).all():  # a NaN fails every split test and would walk right
         return float("nan")
     mean_path = sum(path_length(t, x) for t in model.trees) / len(model.trees)
@@ -227,46 +234,24 @@ def tree_to_dict(node) -> dict:
     }
 
 
-def tree_from_dict(data: dict):
-    if data["leaf"]:
-        return LeafNode(size=data["size"], depth=data["depth"])
+def tree_from_dict(data: dict, feature_dim: int, subsample_size: int, depth: int = 0):
+    """Inverse of tree_to_dict; a node that cannot belong to the model is a ConfigError."""
+    leaf = data.get("leaf") if type(data) is dict else None
+    if leaf is True:
+        size = data.get("size")
+        if type(size) is not int or not 0 <= size <= subsample_size or data.get("depth") != depth:
+            raise ConfigError(f"leaf at depth {depth} has size {size!r} and depth {data.get('depth')!r}")
+        return LeafNode(size, depth)
+    if leaf is not False:
+        raise ConfigError(f"tree node at depth {depth} is not a leaf or split object")
+    feature, threshold = data.get("feature"), data.get("threshold")
+    if type(feature) is not int or not 0 <= feature < feature_dim:
+        raise ConfigError(f"split feature {feature!r} at depth {depth} outside [0, {feature_dim})")
+    if type(threshold) is not float or not math.isfinite(threshold):
+        raise ConfigError(f"split threshold {threshold!r} at depth {depth} is not a finite number")
     return InternalNode(
-        feature=data["feature"],
-        threshold=data["threshold"],
-        left=tree_from_dict(data["left"]),
-        right=tree_from_dict(data["right"]),
-    )
-
-
-def model_to_dict(model: IsolationForestModel) -> dict:
-    return {
-        "model_type": model.model_type,
-        "format_version": FORMAT_VERSION,
-        "subsample_size": model.subsample_size,
-        "contamination": model.contamination,
-        "feature_dim": model.feature_dim,
-        "seed": model.seed,
-        "tau": model.tau,
-        "preprocess": model.preprocess,
-        "trees": [
-            {"max_depth": t.max_depth, "root": tree_to_dict(t.root)} for t in model.trees
-        ],
-    }
-
-
-def model_from_dict(data: dict) -> IsolationForestModel:
-    version = data["format_version"]
-    if version not in (1, FORMAT_VERSION):
-        raise ConfigError(f"unsupported iforest format version {version!r}")
-    return IsolationForestModel(
-        trees=[
-            IsolationTree(root=tree_from_dict(t["root"]), max_depth=t["max_depth"])
-            for t in data["trees"]
-        ],
-        subsample_size=data["subsample_size"],
-        contamination=data["contamination"],
-        feature_dim=data["feature_dim"],
-        seed=data["seed"],
-        tau=data["tau" if version == FORMAT_VERSION else "threshold"],
-        preprocess=data.get("preprocess"),
+        feature,
+        threshold,
+        tree_from_dict(data.get("left"), feature_dim, subsample_size, depth + 1),
+        tree_from_dict(data.get("right"), feature_dim, subsample_size, depth + 1),
     )

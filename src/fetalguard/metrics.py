@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +33,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
 
 @dataclass
 class ScalarMetrics:
@@ -44,15 +41,6 @@ class ScalarMetrics:
     recall: float
     f1: float
     accuracy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "balanced_accuracy": self.balanced_accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-        }
 
 
 @dataclass
@@ -85,15 +73,11 @@ class EvalReport:
     auc_pr: float
 
     def scalars(self) -> dict:
+        """Every field but the curves, as JSON-ready data."""
         return {
-            "counts": self.counts.to_dict(),
-            "balanced_accuracy": self.balanced_accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "auc_roc": self.auc_roc,
-            "auc_pr": self.auc_pr,
+            f.name: asdict(self.counts) if f.name == "counts" else getattr(self, f.name)
+            for f in fields(self)
+            if not f.name.endswith("_points")
         }
 
 
@@ -242,6 +226,17 @@ def write_roc_csv(points: list[RocPoint], path: str | Path) -> None:
         writer.writerow(["threshold", "fpr", "tpr"])
         for p in points:
             writer.writerow([repr(p.threshold), repr(p.fpr), repr(p.tpr)])
+
+
+def write_curves(
+    pr_points: list[PrPoint], roc_points: list[RocPoint], labels, out_dir: str | Path
+) -> None:
+    """pr_curve.csv, roc_curve.csv and curves.svg (no-skill PR line at the positive fraction)."""
+    out_dir = Path(out_dir)
+    write_pr_csv(pr_points, out_dir / "pr_curve.csv")
+    write_roc_csv(roc_points, out_dir / "roc_curve.csv")
+    positive_fraction = sum(1 for label in labels if label == ClassLabel.ABNORMAL) / len(labels)
+    render_curves_svg(pr_points, roc_points, positive_fraction, out_dir / "curves.svg")
 
 
 def _svg_polyline(xs, ys, ox, oy, w, h, style) -> str:

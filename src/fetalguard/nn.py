@@ -213,12 +213,8 @@ class AdamState:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-        }
+        """The hyperparameters, without the accumulators."""
+        return {k: getattr(self, k) for k in ("learning_rate", "beta1", "beta2", "epsilon")}
 
 
 def adam_step(
@@ -312,16 +308,37 @@ def network_to_dict(net: DenseNetwork) -> dict:
 
 
 def network_from_dict(data: dict) -> DenseNetwork:
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    """Inverse of network_to_dict; a malformed encoding is a ConfigError or ShapeError."""
+    version = data.get("format_version") if isinstance(data, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ConfigError(f"unsupported network format version {version!r}")
-    layers = [
-        Layer(
-            weights=np.array(l["weights"], dtype=float),
-            biases=np.array(l["biases"], dtype=float),
-            activation=l["activation"],
-            alpha=float(l.get("alpha", 0.0)),
-        )
-        for l in data["layers"]
-    ]
-    return DenseNetwork(layers)
+    layers = data.get("layers")
+    if not isinstance(layers, list) or not all(isinstance(l, dict) for l in layers):
+        raise ConfigError("network layers must be an array of objects")
+    return DenseNetwork(
+        [
+            Layer(
+                weights=_numbers(l.get("weights"), 2),
+                biases=_numbers(l.get("biases"), 1),
+                activation=l.get("activation"),
+                alpha=float(_numbers(l.get("alpha", 0.0), 0)),
+            )
+            for l in layers
+        ]
+    )
+
+
+def _numbers(value, ndim: int) -> np.ndarray:
+    """A float array of ndim dimensions from JSON numbers; anything else is a ConfigError."""
+    try:
+        array = np.array(value)
+        if array.dtype.kind in "iuf" and array.ndim == ndim:
+            return array.astype(float, copy=False)
+    except (ValueError, OverflowError):  # ragged nesting, or an int beyond the float range
+        pass
+    raise ConfigError(f"layer value is not a {ndim}-dimensional array of numbers")
+
+
+def require_dims(name: str, net: DenseNetwork, in_dim: int, out_dim: int) -> None:
+    if (net.in_dim, net.out_dim) != (in_dim, out_dim):
+        raise ConfigError(f"{name} maps {net.in_dim} -> {net.out_dim}, expected {in_dim} -> {out_dim}")

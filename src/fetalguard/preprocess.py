@@ -9,7 +9,7 @@ vector normalized into [0, 1].
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +45,7 @@ class PreprocessConfig:
             raise ConfigError(f"segment_minutes must be positive, got {self.segment_minutes}")
 
     def to_dict(self) -> dict:
-        return {
-            "median_window": self.median_window,
-            "segment_minutes": self.segment_minutes,
-            "feature_dim": self.feature_dim,
-        }
+        return asdict(self)
 
 
 @dataclass

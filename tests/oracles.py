@@ -3,19 +3,22 @@
 These deliberately avoid the library's own code paths: medians via per-window
 sorting, AUC via the rank statistic, metrics via direct formula transcription,
 gradients via central finite differences, signal CSVs via a csv row loop,
-isolation-forest scores via one tree walk per sample and tree.
+isolation-forest scores via one tree walk per sample and tree, model
+artifacts via one hand-written encoder per model type.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
 
 from fetalguard.errors import EmptyInputError, ParseError, StructureError
+from fetalguard.iforest import tree_to_dict
 from fetalguard.ingest import SignalRecord
-from fetalguard.nn import forward, init_network
+from fetalguard.nn import forward, init_network, network_to_dict
 
 
 def median_oracle(values, window):
@@ -179,3 +182,69 @@ def reference_if_scores(model, x) -> np.ndarray:
         mean_path = sum(lengths) / len(model.trees)
         out.append(0.5 if denom == 0.0 else float(2.0 ** (-mean_path / denom)))
     return np.array(out)
+
+
+def _preprocess_section(model):
+    pre = model.preprocess  # a PreprocessConfig once loaded, or the dict a caller assigned
+    return dataclasses.asdict(pre) if dataclasses.is_dataclass(pre) else pre
+
+
+def reference_model_to_dict(model) -> dict:
+    """The model artifact format as three hand-written encoders, one per model type."""
+    return {
+        "iforest": _reference_iforest_to_dict,
+        "ae": _reference_ae_to_dict,
+        "ganomaly": _reference_ganomaly_to_dict,
+    }[model.model_type](model)
+
+
+def _reference_ae_to_dict(model) -> dict:
+    return {
+        "model_type": model.model_type,
+        "format_version": 1,
+        "feature_dim": model.feature_dim,
+        "latent_dim": model.latent_dim,
+        "tau": model.tau,
+        "k_sigma": model.k_sigma,
+        "preprocess": _preprocess_section(model),
+        "optimizer": model.optimizer,
+        "encoder": network_to_dict(model.encoder),
+        "decoder": network_to_dict(model.decoder),
+    }
+
+
+def _reference_ganomaly_to_dict(model) -> dict:
+    return {
+        "model_type": model.model_type,
+        "format_version": 1,
+        "feature_dim": model.feature_dim,
+        "latent_dim": model.latent_dim,
+        "lambda_c": model.lambda_c,
+        "lambda_e": model.lambda_e,
+        "lambda_a": model.lambda_a,
+        "tau": model.tau,
+        "k_sigma": model.k_sigma,
+        "score_mode": model.score_mode,
+        "preprocess": _preprocess_section(model),
+        "optimizer": model.optimizer,
+        "encoder1": network_to_dict(model.encoder1),
+        "decoder": network_to_dict(model.decoder),
+        "encoder2": network_to_dict(model.encoder2),
+        "discriminator": network_to_dict(model.discriminator),
+    }
+
+
+def _reference_iforest_to_dict(model) -> dict:
+    return {
+        "model_type": model.model_type,
+        "format_version": 2,
+        "subsample_size": model.subsample_size,
+        "contamination": model.contamination,
+        "feature_dim": model.feature_dim,
+        "seed": model.seed,
+        "tau": model.tau,
+        "preprocess": _preprocess_section(model),
+        "trees": [
+            {"max_depth": t.max_depth, "root": tree_to_dict(t.root)} for t in model.trees
+        ],
+    }

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,13 +8,12 @@ from fetalguard.autoencoder import (
     ae_scores,
     build_ae_networks,
     calibrate_threshold,
-    model_from_dict,
-    model_to_dict,
     train_ae,
 )
 from fetalguard.errors import ConfigError, ShapeError, TrainingDataError, TrainingError
 from fetalguard.ingest import ClassLabel
 from fetalguard.metrics import classify
+from fetalguard.persistence import load_model, save_model
 from fetalguard.preprocess import FeatureVector
 
 
@@ -174,10 +171,11 @@ class TestCalibration:
         assert classify(0.0, tau=0.5) is ClassLabel.NORMAL
 
 
-def test_model_roundtrip_preserves_scores():
+def test_model_roundtrip_preserves_scores(tmp_path):
     model, _ = train_ae(_near_constant_normals(n=16), SMALL, seed=9)
     model.tau = 0.123
-    restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    save_model(model, tmp_path / "model.json")
+    restored = load_model(tmp_path / "model.json")
     x = np.full(model.feature_dim, 0.7)
     assert restored.tau == 0.123
     assert restored.scores([x]).tolist() == model.scores([x]).tolist()

@@ -267,12 +267,47 @@ def _one_line_error(capsys) -> str:
     return err
 
 
+def _first_split(data):
+    node = data["trees"][0]["root"]
+    assert not node["leaf"]
+    return node
+
+
+def _first_leaf(data):
+    node = data["trees"][0]["root"]
+    while not node["leaf"]:
+        node = node["left"]
+    return node
+
+
 MISSING_KEY = {"iforest": "subsample_size", "ae": "decoder", "ganomaly": "encoder2"}
+NUMBER_KEY = {"iforest": "subsample_size", "ae": "k_sigma", "ganomaly": "k_sigma"}
 ARTIFACT_DEFECTS = {
     "missing key": lambda name, data: data.pop(MISSING_KEY[name]),
     "unknown format_version": lambda name, data: data.update(format_version=99),
     "unknown model_type": lambda name, data: data.update(model_type="svm"),
     "feature_dim off the first layer": lambda name, data: data.update(feature_dim=17),
+    "tau of the wrong type": lambda name, data: data.update(tau="abc"),
+    "tau not finite": lambda name, data: data.update(tau=float("inf")),
+    "number of the wrong type": lambda name, data: data.update({NUMBER_KEY[name]: "256"}),
+    "preprocess with an unknown key": lambda name, data: data.update(preprocess={"median_windw": 5}),
+    "preprocess not an object": lambda name, data: data.update(preprocess=[5, 20.0, 16]),
+    "preprocess value of the wrong type": lambda name, data: data.update(preprocess={"median_window": "5"}),
+    "unknown score_mode": lambda name, data: data.update(score_mode="bogus"),
+    "split feature 999": lambda name, data: _first_split(data).update(feature=999),
+    "split feature -1": lambda name, data: _first_split(data).update(feature=-1),
+    "leaf larger than the subsample": lambda name, data: _first_leaf(data).update(size=10**5),
+    "subsample_size off the trees' max_depth": lambda name, data: data.update(subsample_size=10**5),
+}
+# defects that only one kind of model can have; every other defect applies to all three
+DEFECT_MODELS = {
+    # an isolation forest has no layer to check feature_dim against
+    "feature_dim off the first layer": ("ae", "ganomaly"),
+    "unknown score_mode": ("ganomaly",),
+    "split feature 999": ("iforest",),
+    "split feature -1": ("iforest",),
+    "leaf larger than the subsample": ("iforest",),
+    "subsample_size off the trees' max_depth": ("iforest",),
 }
 
 
@@ -282,8 +317,7 @@ ARTIFACT_DEFECTS = {
         (name, defect)
         for name in DETECTORS
         for defect in ARTIFACT_DEFECTS
-        # an isolation forest has no layer to check feature_dim against
-        if not (name == "iforest" and defect.startswith("feature_dim"))
+        if name in DEFECT_MODELS.get(defect, DETECTORS)
     ],
 )
 def test_bad_model_artifact_is_a_one_line_config_error(

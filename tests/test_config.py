@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fetalguard.cli import main
 from fetalguard.config import config_to_dict, load_config, parse_config
 from fetalguard.errors import ConfigError
 
@@ -63,6 +64,13 @@ def test_json_syntax_error_is_line_precise(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert ":2:" in str(exc.value)
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"data": "\xff"}')
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(path)
 
 
 def test_data_section_requires_exactly_one_source():
@@ -150,3 +158,36 @@ def test_config_to_dict_roundtrips_through_parse(tmp_path):
 def test_bad_eval_seeds_rejected():
     with pytest.raises(ConfigError):
         parse_config({**MINIMAL, "eval": {"seeds": 0}})
+
+
+@pytest.mark.parametrize(
+    "section, key_path",
+    [
+        ({"model": {"ae": {"k_sigma": "x"}}}, "model.ae.k_sigma"),
+        ({"model": {"ae": {"k_sigma": True}}}, "model.ae.k_sigma"),
+        ({"model": {"ae": {"k_sigma": float("nan")}}}, "model.ae.k_sigma"),
+        ({"model": {"ae": {"learning_rate": 10**400}}}, "model.ae.learning_rate"),
+        ({"model": {"ae": {"batch_size": 2.5}}}, "model.ae.batch_size"),
+        ({"model": {"iforest": {"n_trees": 2.5}}}, "model.iforest.n_trees"),
+        ({"model": {"ae": {"encoder_units": "84"}}}, "model.ae.encoder_units"),
+        ({"model": {"ae": {"encoder_units": [84, "8"]}}}, "model.ae.encoder_units[1]"),
+        ({"model": {"ae": {"grid": {"k_sigma": [1.0, "x"]}}}}, "model.ae.grid.k_sigma[1]"),
+        ({"model": {"ganomaly": {"score_mode": 1}}}, "model.ganomaly.score_mode"),
+        ({"preprocess": {"segment_minutes": "20"}}, "preprocess.segment_minutes"),
+        ({"data": {"synth": {"n_normal": None}}}, "data.synth.n_normal"),
+        ({"split": {"seed": 1.0}}, "split.seed"),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_a_one_line_error(section, key_path, tmp_path, capsys):
+    path = _write(tmp_path, {**MINIMAL, **section})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{key_path}: expected " in err
+
+
+def test_an_int_for_a_float_field_is_kept_as_an_int():
+    config = parse_config({**MINIMAL, "model": {"ae": {"k_sigma": 2, "grid": {"learning_rate": [1, 0.5]}}}})
+    assert type(config.models["ae"].k_sigma) is int
+    assert config_to_dict(config)["model"]["ae"]["k_sigma"] == 2
+    assert [type(v) for v in config.grids["ae"]["learning_rate"]] == [int, float]

@@ -15,13 +15,12 @@ from fetalguard.ganomaly import (
     discriminator_loss,
     gan_scores,
     generator_loss,
-    model_from_dict,
-    model_to_dict,
     train_ganomaly,
 )
 from fetalguard.experiment import FittedDetector, score_distribution_report
 from fetalguard.ingest import ClassLabel
 from fetalguard.nn import DenseNetwork, Layer, adam_step, AdamState, forward
+from fetalguard.persistence import load_model, save_model
 from fetalguard.preprocess import FeatureVector
 
 TINY = GanomalyConfig(
@@ -362,9 +361,10 @@ class TestScoring:
         tau = scores.mean() + 5.0 * scores.std()
         assert (scores > tau).mean() <= 0.04
 
-    def test_identical_parameters_give_identical_scores(self, trained):
+    def test_identical_parameters_give_identical_scores(self, trained, tmp_path):
         model, normals = trained
-        clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        save_model(model, tmp_path / "model.json")
+        clone = load_model(tmp_path / "model.json")
         assert clone.scores(normals).tolist() == model.scores(normals).tolist()
 
     def test_latent_mode_uses_encoder_distance(self, trained):
@@ -454,12 +454,13 @@ def test_trace_csv_format(tmp_path):
     assert len(lines) == len(trace.l_d) + 1
 
 
-def test_model_json_roundtrip_fields():
+def test_model_json_roundtrip_fields(tmp_path):
     normals = _structured_set(30, seed=31)
     model, _ = train_ganomaly(normals, TINY, seed=32)
     model.tau = 1.5
-    data = model_to_dict(model)
+    save_model(model, tmp_path / "model.json")
+    data = json.loads((tmp_path / "model.json").read_text())
     assert data["lambda_c"] == 50.0 and data["k_sigma"] == 5.0
-    restored = model_from_dict(json.loads(json.dumps(data)))
+    restored = load_model(tmp_path / "model.json")
     assert restored.tau == 1.5
     assert restored.score_mode == "data"

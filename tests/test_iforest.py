@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,14 +10,14 @@ from fetalguard.iforest import (
     LeafNode,
     average_path_correction,
     build_forest,
+    depth_limit,
     harmonic_number,
     if_score,
     if_scores,
     if_threshold,
-    model_from_dict,
-    model_to_dict,
     path_length,
 )
+from fetalguard.persistence import load_model, save_model
 from oracles import reference_if_scores
 
 
@@ -74,7 +72,7 @@ class TestScore:
         from fetalguard.iforest import IsolationForestModel
 
         return IsolationForestModel(
-            trees=[IsolationTree(root=LeafNode(size=leaf_size, depth=leaf_depth), max_depth=99)],
+            trees=[IsolationTree(root=LeafNode(size=leaf_size, depth=leaf_depth), max_depth=depth_limit(psi))],
             subsample_size=psi,
             contamination=0.33,
             feature_dim=2,
@@ -226,8 +224,8 @@ def test_model_roundtrip_preserves_scores(tmp_path):
     data = _toy_cloud(3)
     model = build_forest(data, n_trees=10, seed=3)
     model.tau = 0.61
-    encoded = json.dumps(model_to_dict(model))
-    restored = model_from_dict(json.loads(encoded))
+    save_model(model, tmp_path / "model.json")
+    restored = load_model(tmp_path / "model.json")
     x = np.array([0.3, 0.3])
     assert restored.tau == 0.61
     assert if_score(restored, x) == if_score(model, x)

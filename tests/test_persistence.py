@@ -1,0 +1,174 @@
+from __future__ import annotations
+
+import copy
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fetalguard.config import DETECTORS
+from fetalguard.errors import ConfigError, ShapeError
+from fetalguard.experiment import fit_detector
+from fetalguard.ingest import ClassLabel
+from fetalguard.persistence import load_model, save_model
+from fetalguard.preprocess import FeatureVector, PreprocessConfig
+from oracles import reference_model_to_dict
+
+FEATURE_DIM = 16
+TINY_MODELS = {
+    "iforest": {"n_trees": 5},
+    # an int k_sigma, as a config file may give it, is written back as an int
+    "ae": {"encoder_units": (8, 4), "decoder_units": (4, 8), "epochs": 2, "patience": 2, "k_sigma": 2},
+    "ganomaly": {
+        "encoder_units": (8, 4),
+        "decoder_units": (4, 8),
+        "discriminator_units": (8, 1),
+        "iterations_per_epoch": 5,
+        "epochs": 1,
+        "k_sigma": 2,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def models():
+    rng = np.random.default_rng(0)
+    features = [
+        FeatureVector(
+            x=0.5 + 0.05 * rng.normal(size=FEATURE_DIM),
+            record_id=f"f{i:03d}",
+            label=ClassLabel.ABNORMAL if i >= 30 else ClassLabel.NORMAL,
+        )
+        for i in range(45)
+    ]
+    fitted = {}
+    for name, detector in DETECTORS.items():
+        config = detector.config_type(**TINY_MODELS[name])
+        model = fit_detector(name, config, features, features[:10], len(features), 0).model
+        model.preprocess = PreprocessConfig(segment_minutes=20, feature_dim=FEATURE_DIM)
+        fitted[name] = model
+    return fitted
+
+
+@pytest.fixture(scope="module")
+def artifacts(models, tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts")
+    data = {}
+    for name, model in models.items():
+        save_model(model, out / f"{name}.json")
+        data[name] = json.loads((out / f"{name}.json").read_text())
+    return data
+
+
+def _reference_text(model) -> str:
+    return json.dumps(reference_model_to_dict(model), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", list(DETECTORS))
+def test_save_model_writes_the_reference_format(name, models, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(models[name], path)
+    assert path.read_text() == _reference_text(models[name])
+    if name != "iforest":
+        assert '"k_sigma": 2,' in path.read_text()
+    resaved = tmp_path / "resaved.json"
+    save_model(load_model(path), resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_a_resaved_version_1_iforest_file_is_the_reference_format(artifacts, tmp_path):
+    data = copy.deepcopy(artifacts["iforest"])
+    data["format_version"] = 1
+    data["threshold"] = data.pop("tau")
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    model = load_model(path)
+    assert model.tau == artifacts["iforest"]["tau"]
+    save_model(model, path)
+    assert path.read_text() == _reference_text(model)
+    assert json.loads(path.read_text()) == artifacts["iforest"]
+
+
+def test_a_preprocess_dict_saves_as_its_config_does(models, tmp_path):
+    model = copy.copy(models["iforest"])
+    save_model(model, tmp_path / "config.json")
+    model.preprocess = PreprocessConfig(segment_minutes=20, feature_dim=FEATURE_DIM).to_dict()
+    save_model(model, tmp_path / "dict.json")
+    assert (tmp_path / "dict.json").read_bytes() == (tmp_path / "config.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"model_type": "ae\xff"}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not UTF-8", "nested too deeply"],
+)
+def test_a_file_that_is_not_utf8_or_nests_too_deeply_is_a_config_error(content, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="model.json"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.json"
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+
+
+DROP = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    _json_containers,
+    max_leaves=6,
+)
+
+
+def _paths(data, prefix=()):
+    """Paths to every key of every object, and to the first and last element of every array."""
+    if isinstance(data, dict):
+        children = list(data)
+    elif isinstance(data, list):
+        children = sorted({0, len(data) - 1}) if data else []
+    else:
+        return []
+    paths = []
+    for child in children:
+        paths.append(prefix + (child,))
+        paths.extend(_paths(data[child], prefix + (child,)))
+    return paths
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_corrupted_artifact_is_a_config_error_or_a_model_that_scores(artifacts, fuzz_file, data):
+    name = data.draw(st.sampled_from(sorted(artifacts)), label="model")
+    by_depth: dict = {}  # shallow keys are few, so a depth is drawn first
+    for path in _paths(artifacts[name]):
+        by_depth.setdefault(len(path), []).append(path)
+    depth = data.draw(st.sampled_from(sorted(by_depth)), label="depth")
+    path = data.draw(st.sampled_from(by_depth[depth]), label="path")
+    edit = data.draw(st.just(DROP) | JSON_VALUES, label="value")
+    corrupted = copy.deepcopy(artifacts[name])
+    parent = corrupted
+    for key in path[:-1]:
+        parent = parent[key]
+    if edit is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = edit
+    fuzz_file.write_text(json.dumps(corrupted), encoding="utf-8")
+    try:
+        model = load_model(fuzz_file)
+    except ConfigError:
+        return
+    row = np.full((1, FEATURE_DIM), 0.5)
+    if model.feature_dim != FEATURE_DIM:  # `score` refuses this against the preprocess section
+        with pytest.raises(ShapeError):
+            model.scores(row)
+    else:
+        assert model.scores(row).shape == (1,)
