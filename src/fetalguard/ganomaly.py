@@ -74,8 +74,8 @@ class GanomalyModel:
     """Trained GANomaly networks; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ganomaly"
-    format_version: ClassVar[int] = 1
-    past_formats: ClassVar[dict] = {}
+    format_version: ClassVar[int] = 2
+    past_formats: ClassVar[dict] = {1: {}}  # version -> renamed keys; 1 wrote arrays as JSON numbers
     config_type: ClassVar[type] = GanomalyConfig
     calibration_param: ClassVar[str] = "k_sigma"
 

@@ -19,6 +19,15 @@ from .errors import ConfigError, ShapeError, TrainingError
 from .preprocess import PreprocessConfig, as_matrix
 
 DEFAULT_SUBSAMPLE = 256
+# largest subsample a forest may draw or a model file may claim: scoring sums the
+# harmonic number of the subsample term by term, which takes about 4 ms at 2**16
+# and grows linearly, so an unbounded value read from a file could stall `score`
+MAX_SUBSAMPLE = 2**16
+
+
+def _check_subsample_size(subsample_size: int) -> None:
+    if not 1 <= subsample_size <= MAX_SUBSAMPLE:
+        raise ConfigError(f"subsample_size must be in [1, {MAX_SUBSAMPLE}], got {subsample_size}")
 
 
 @dataclass
@@ -29,6 +38,7 @@ class IforestConfig:
     train_on: str = "all"  # "all" (fully unsupervised) or "normals"
 
     def __post_init__(self):
+        _check_subsample_size(self.subsample_size)
         if self.train_on not in ("all", "normals"):
             raise ConfigError(f"train_on must be 'all' or 'normals', got {self.train_on!r}")
 
@@ -80,6 +90,7 @@ class IsolationForestModel:
         limit = depth_limit(self.subsample_size)
         if any(tree.max_depth != limit for tree in self.trees):
             raise ConfigError(f"max_depth of a tree is not {limit}, the limit for {self.subsample_size} samples")
+        _check_subsample_size(self.subsample_size)
 
     @classmethod
     def fit(cls, config: IforestConfig, train_core, validation, pre_validation_size: int, seed: int):

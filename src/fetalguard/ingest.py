@@ -14,6 +14,7 @@ import csv
 import io
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -227,6 +228,23 @@ def _parse_optional_float(cell: str, name: str, line: int) -> float | None:
         raise ParseError(f"non-numeric {name} {cell!r}", line=line) from None
 
 
+def read_csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each row of a UTF-8 CSV file, the header first.
+
+    A file that is not UTF-8 is a ParseError, and so is a row csv cannot read
+    (a cell beyond csv's field size limit), which names its line.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num) from None
+
+
 def read_metadata_csv(path: str | Path) -> dict[str, ClinicalMetadata]:
     """Read the metadata table into a mapping record_id -> ClinicalMetadata.
 
@@ -236,41 +254,40 @@ def read_metadata_csv(path: str | Path) -> dict[str, ClinicalMetadata]:
     """
     path = Path(path)
     out: dict[str, ClinicalMetadata] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows = read_csv_rows(path)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise EmptyInputError(f"{path}: metadata file is empty")
+    header = [c.strip().lower() for c in header]
+    if tuple(header) not in (_METADATA_COLUMNS[:3], _METADATA_COLUMNS):
+        raise ParseError(
+            f"{path}: expected header '{','.join(_METADATA_COLUMNS[:3])}' or "
+            f"'{','.join(_METADATA_COLUMNS)}', got '{','.join(header)}'",
+            line=1,
+        )
+    for line_no, row in rows:
+        if not row or not row[0].strip():
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}: expected {len(header)} columns, got {len(row)}", line=line_no)
+        record_id = row[0].strip()
+        if record_id in out:
+            raise StructureError(f"{path}: duplicate record_id {record_id!r} at line {line_no}")
+        ph = _parse_optional_float(row[1], "ph", line_no)
+        apgar_raw = _parse_optional_float(row[2], "apgar1", line_no)
+        if apgar_raw is not None and not apgar_raw.is_integer():
+            raise ParseError(f"{path}: apgar1 must be an integer, got {row[2].strip()!r}", line=line_no)
+        apgar1 = None if apgar_raw is None else int(apgar_raw)
+        extras = {}
+        if len(header) == 6:
+            extras = {
+                name: _parse_optional_float(row[i], name, line_no)
+                for i, name in ((3, "pco2"), (4, "po2"), (5, "bdecf"))
+            }
         try:
-            header = [c.strip().lower() for c in next(reader)]
-        except StopIteration:
-            raise EmptyInputError(f"{path}: metadata file is empty") from None
-        if tuple(header) not in (_METADATA_COLUMNS[:3], _METADATA_COLUMNS):
-            raise ParseError(
-                f"{path}: expected header '{','.join(_METADATA_COLUMNS[:3])}' or "
-                f"'{','.join(_METADATA_COLUMNS)}', got '{','.join(header)}'",
-                line=1,
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or not row[0].strip():
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: expected {len(header)} columns, got {len(row)}", line=line_no)
-            record_id = row[0].strip()
-            if record_id in out:
-                raise StructureError(f"{path}: duplicate record_id {record_id!r} at line {line_no}")
-            ph = _parse_optional_float(row[1], "ph", line_no)
-            apgar_raw = _parse_optional_float(row[2], "apgar1", line_no)
-            if apgar_raw is not None and not apgar_raw.is_integer():
-                raise ParseError(f"{path}: apgar1 must be an integer, got {row[2].strip()!r}", line=line_no)
-            apgar1 = None if apgar_raw is None else int(apgar_raw)
-            extras = {}
-            if len(header) == 6:
-                extras = {
-                    name: _parse_optional_float(row[i], name, line_no)
-                    for i, name in ((3, "pco2"), (4, "po2"), (5, "bdecf"))
-                }
-            try:
-                out[record_id] = ClinicalMetadata(ph=ph, apgar1=apgar1, **extras)
-            except ValueError as exc:  # pH or Apgar outside its range
-                raise ParseError(f"{path}: {exc}", line=line_no) from None
+            out[record_id] = ClinicalMetadata(ph=ph, apgar1=apgar1, **extras)
+        except ValueError as exc:  # pH or Apgar outside its range
+            raise ParseError(f"{path}: {exc}", line=line_no) from None
     return out
 
 

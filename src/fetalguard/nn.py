@@ -7,6 +7,8 @@ implemented (no convolutions, no general autodiff).
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,7 @@ ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "identity")
 
 PROB_EPS = 1e-7  # probability clamp applied before logarithms
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 1: arrays as nested JSON numbers; 2: arrays as base64 of little-endian float64
 
 
 @dataclass
@@ -290,7 +292,7 @@ def encoder_decoder_specs(feature_dim: int, config, activation: str, alpha: floa
 
 
 def network_to_dict(net: DenseNetwork) -> dict:
-    """JSON-ready encoding: layer specs with row-major weight arrays."""
+    """JSON-ready encoding: layer specs with each array as base64 of its C-order float64 bytes."""
     return {
         "format_version": FORMAT_VERSION,
         "layers": [
@@ -299,8 +301,8 @@ def network_to_dict(net: DenseNetwork) -> dict:
                 "out_dim": l.out_dim,
                 "activation": l.activation,
                 "alpha": l.alpha,
-                "weights": l.weights.tolist(),
-                "biases": l.biases.tolist(),
+                "weights": _to_blob(l.weights),
+                "biases": _to_blob(l.biases),
             }
             for l in net.layers
         ],
@@ -308,31 +310,66 @@ def network_to_dict(net: DenseNetwork) -> dict:
 
 
 def network_from_dict(data: dict) -> DenseNetwork:
-    """Inverse of network_to_dict; a malformed encoding is a ConfigError or ShapeError."""
+    """Inverse of network_to_dict, also for version 1; a malformed encoding is a ConfigError or ShapeError."""
     version = data.get("format_version") if isinstance(data, dict) else None
-    if type(version) is not int or version != FORMAT_VERSION:
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise ConfigError(f"unsupported network format version {version!r}")
     layers = data.get("layers")
     if not isinstance(layers, list) or not all(isinstance(l, dict) for l in layers):
         raise ConfigError("network layers must be an array of objects")
+    arrays = _v1_arrays if version == 1 else _v2_arrays
     return DenseNetwork(
         [
             Layer(
-                weights=_numbers(l.get("weights"), 2),
-                biases=_numbers(l.get("biases"), 1),
+                *arrays(l),
                 activation=l.get("activation"),
-                alpha=float(_numbers(l.get("alpha", 0.0), 0)),
+                alpha=float(_number_array(l.get("alpha", 0.0), 0)),
             )
             for l in layers
         ]
     )
 
 
-def _numbers(value, ndim: int) -> np.ndarray:
+def _to_blob(array: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _v2_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, biases) of a version-2 layer, checked against its in_dim and out_dim."""
+    in_dim, out_dim = layer.get("in_dim"), layer.get("out_dim")
+    if not all(type(d) is int and d > 0 for d in (in_dim, out_dim)):
+        raise ConfigError(f"layer dims must be positive integers, got ({in_dim!r}, {out_dim!r})")
+    return _from_blob(layer.get("weights"), (in_dim, out_dim)), _from_blob(layer.get("biases"), (out_dim,))
+
+
+def _from_blob(value, shape: tuple[int, ...]) -> np.ndarray:
+    """A writable float64 array of the given shape from base64 text; anything else is a ConfigError."""
+    try:
+        raw = base64.b64decode(value, validate=True) if isinstance(value, str) else None
+    except ValueError:  # not base64, or not ASCII
+        raw = None
+    if raw is None:
+        raise ConfigError("layer array is not a base64 string")
+    if len(raw) != 8 * math.prod(shape):
+        raise ConfigError(f"layer array holds {len(raw)} bytes, not 8 per element of shape {shape}")
+    # a copy: frombuffer over bytes is read-only, and Adam updates loaded weights in place
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
+def _v1_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, biases) of a version-1 layer."""
+    return _number_array(layer.get("weights"), 2), _number_array(layer.get("biases"), 1)
+
+
+def _number_array(value, ndim: int) -> np.ndarray:
     """A float array of ndim dimensions from JSON numbers; anything else is a ConfigError."""
     try:
         array = np.array(value)
-        if array.dtype.kind in "iuf" and array.ndim == ndim:
+        # numpy turns a boolean among numbers into 1.0 or 0.0, so look for one
+        rows = value if ndim == 2 else [value] if ndim == 1 else []
+        if array.dtype.kind in "iuf" and array.ndim == ndim and not any(
+            type(x) is bool for row in rows for x in row
+        ):
             return array.astype(float, copy=False)
     except (ValueError, OverflowError):  # ragged nesting, or an int beyond the float range
         pass

@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     TrainingDataError,
 )
-from .ingest import ClassLabel, SignalRecord
+from .ingest import ClassLabel, SignalRecord, read_csv_rows
 
 BPM_MIN = 50.0
 BPM_MAX = 200.0
@@ -244,28 +244,26 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
     """Read feature vectors written by write_features_csv."""
     path = Path(path)
     out: list[FeatureVector] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInputError(f"{path}: empty feature file")
-        d = len(header) - 2
-        if header[:2] != ["record_id", "label"] or d <= 0:
-            raise PreprocessError(f"{path}: not a feature CSV")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ParseError(f"{path}: expected {len(header)} columns, got {len(row)}", line=line)
-            if row[1] not in ("", "0", "1"):
-                raise ParseError(f"{path}: label must be 0, 1 or empty, got {row[1]!r}", line=line)
-            try:
-                x = np.array(row[2:], dtype=float)
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric feature cell", line=line) from None
-            label = None if row[1] == "" else ClassLabel(int(row[1]))
-            out.append(FeatureVector(x=x, record_id=row[0], label=label))
+    rows = read_csv_rows(path)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise EmptyInputError(f"{path}: empty feature file")
+    d = len(header) - 2
+    if header[:2] != ["record_id", "label"] or d <= 0:
+        raise PreprocessError(f"{path}: not a feature CSV")
+    for line, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}: expected {len(header)} columns, got {len(row)}", line=line)
+        if row[1] not in ("", "0", "1"):
+            raise ParseError(f"{path}: label must be 0, 1 or empty, got {row[1]!r}", line=line)
+        try:
+            x = np.array(row[2:], dtype=float)
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric feature cell", line=line) from None
+        label = None if row[1] == "" else ClassLabel(int(row[1]))
+        out.append(FeatureVector(x=x, record_id=row[0], label=label))
     if not out:
         raise EmptyInputError(f"{path}: no feature rows")
     return out

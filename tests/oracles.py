@@ -4,21 +4,24 @@ These deliberately avoid the library's own code paths: medians via per-window
 sorting, AUC via the rank statistic, metrics via direct formula transcription,
 gradients via central finite differences, signal CSVs via a csv row loop,
 isolation-forest scores via one tree walk per sample and tree, model
-artifacts via one hand-written encoder per model type.
+artifacts via one hand-written encoder per model type, with network arrays
+packed one Python float at a time.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import dataclasses
 import io
+import struct
 
 import numpy as np
 
 from fetalguard.errors import EmptyInputError, ParseError, StructureError
 from fetalguard.iforest import tree_to_dict
 from fetalguard.ingest import SignalRecord
-from fetalguard.nn import forward, init_network, network_to_dict
+from fetalguard.nn import forward, init_network
 
 
 def median_oracle(values, window):
@@ -189,34 +192,64 @@ def _preprocess_section(model):
     return dataclasses.asdict(pre) if dataclasses.is_dataclass(pre) else pre
 
 
-def reference_model_to_dict(model) -> dict:
-    """The model artifact format as three hand-written encoders, one per model type."""
+def reference_model_to_dict(model, version: int = 2) -> dict:
+    """The model artifact format as three hand-written encoders, one per model type.
+
+    version selects the network format of the AE and GANomaly artifacts: 2
+    (the current one) or 1 (arrays as nested JSON numbers); an isolation-forest
+    artifact is the same for both.
+    """
+    if model.model_type == "iforest":
+        return _reference_iforest_to_dict(model)
     return {
-        "iforest": _reference_iforest_to_dict,
         "ae": _reference_ae_to_dict,
         "ganomaly": _reference_ganomaly_to_dict,
-    }[model.model_type](model)
+    }[model.model_type](model, version)
 
 
-def _reference_ae_to_dict(model) -> dict:
+def _reference_blob(array) -> str:
+    """Base64 of the array's values in row-major order as little-endian IEEE doubles."""
+    values = [float(v) for row in np.atleast_2d(array) for v in row]
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def _reference_network(net, version: int) -> dict:
+    encode_array = _reference_blob if version == 2 else lambda array: array.tolist()
+    return {
+        "format_version": version,
+        "layers": [
+            {
+                "in_dim": len(layer.weights),
+                "out_dim": len(layer.biases),
+                "activation": layer.activation,
+                "alpha": layer.alpha,
+                "weights": encode_array(layer.weights),
+                "biases": encode_array(layer.biases),
+            }
+            for layer in net.layers
+        ],
+    }
+
+
+def _reference_ae_to_dict(model, version: int) -> dict:
     return {
         "model_type": model.model_type,
-        "format_version": 1,
+        "format_version": version,
         "feature_dim": model.feature_dim,
         "latent_dim": model.latent_dim,
         "tau": model.tau,
         "k_sigma": model.k_sigma,
         "preprocess": _preprocess_section(model),
         "optimizer": model.optimizer,
-        "encoder": network_to_dict(model.encoder),
-        "decoder": network_to_dict(model.decoder),
+        "encoder": _reference_network(model.encoder, version),
+        "decoder": _reference_network(model.decoder, version),
     }
 
 
-def _reference_ganomaly_to_dict(model) -> dict:
+def _reference_ganomaly_to_dict(model, version: int) -> dict:
     return {
         "model_type": model.model_type,
-        "format_version": 1,
+        "format_version": version,
         "feature_dim": model.feature_dim,
         "latent_dim": model.latent_dim,
         "lambda_c": model.lambda_c,
@@ -227,10 +260,10 @@ def _reference_ganomaly_to_dict(model) -> dict:
         "score_mode": model.score_mode,
         "preprocess": _preprocess_section(model),
         "optimizer": model.optimizer,
-        "encoder1": network_to_dict(model.encoder1),
-        "decoder": network_to_dict(model.decoder),
-        "encoder2": network_to_dict(model.encoder2),
-        "discriminator": network_to_dict(model.discriminator),
+        "encoder1": _reference_network(model.encoder1, version),
+        "decoder": _reference_network(model.decoder, version),
+        "encoder2": _reference_network(model.encoder2, version),
+        "discriminator": _reference_network(model.discriminator, version),
     }
 
 

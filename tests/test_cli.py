@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 import shutil
 
@@ -9,6 +10,7 @@ import pytest
 from fetalguard.cli import main
 from fetalguard.config import DETECTORS, load_config
 from fetalguard.experiment import fit_detector
+from fetalguard.iforest import MAX_SUBSAMPLE, depth_limit
 from fetalguard.ingest import ClassLabel
 from fetalguard.persistence import save_model
 from fetalguard.preprocess import FeatureVector, read_features_csv, write_features_csv
@@ -280,6 +282,27 @@ def _first_leaf(data):
     return node
 
 
+def _first_layer(name, data):
+    return data["encoder" if name == "ae" else "encoder1"]["layers"][0]
+
+
+def _edited_weights(edit):
+    """A defect that rewrites the first layer's weight blob as edit(its float64 values)."""
+
+    def apply(name, data):
+        layer = _first_layer(name, data)
+        values = np.frombuffer(base64.b64decode(layer["weights"]), dtype="<f8")
+        layer["weights"] = base64.b64encode(edit(values).astype("<f8").tobytes()).decode("ascii")
+
+    return apply
+
+
+def _subsample_beyond_the_cap(name, data):
+    data["subsample_size"] = MAX_SUBSAMPLE + 1  # and max_depth to match, so that only the cap refuses it
+    for tree in data["trees"]:
+        tree["max_depth"] = depth_limit(MAX_SUBSAMPLE + 1)
+
+
 MISSING_KEY = {"iforest": "subsample_size", "ae": "decoder", "ganomaly": "encoder2"}
 NUMBER_KEY = {"iforest": "subsample_size", "ae": "k_sigma", "ganomaly": "k_sigma"}
 ARTIFACT_DEFECTS = {
@@ -298,6 +321,14 @@ ARTIFACT_DEFECTS = {
     "split feature -1": lambda name, data: _first_split(data).update(feature=-1),
     "leaf larger than the subsample": lambda name, data: _first_leaf(data).update(size=10**5),
     "subsample_size off the trees' max_depth": lambda name, data: data.update(subsample_size=10**5),
+    "subsample_size beyond the cap": _subsample_beyond_the_cap,
+    "weight blob not base64": lambda name, data: _first_layer(name, data).update(weights="not base64!"),
+    "weight blob one float short": _edited_weights(lambda values: values[:-1]),
+    "weight blob holding a NaN": _edited_weights(lambda values: np.concatenate([[np.nan], values[1:]])),
+    "weight list where a blob belongs": lambda name, data: _first_layer(name, data).update(
+        weights=np.full((16, 8), 0.5).tolist()  # the first layer's shape, as version 1 wrote it
+    ),
+    "in_dim off its blob": lambda name, data: _first_layer(name, data).update(in_dim=17),
 }
 # defects that only one kind of model can have; every other defect applies to all three
 DEFECT_MODELS = {
@@ -308,6 +339,12 @@ DEFECT_MODELS = {
     "split feature -1": ("iforest",),
     "leaf larger than the subsample": ("iforest",),
     "subsample_size off the trees' max_depth": ("iforest",),
+    "subsample_size beyond the cap": ("iforest",),
+    "weight blob not base64": ("ae", "ganomaly"),
+    "weight blob one float short": ("ae", "ganomaly"),
+    "weight blob holding a NaN": ("ae", "ganomaly"),
+    "weight list where a blob belongs": ("ae", "ganomaly"),
+    "in_dim off its blob": ("ae", "ganomaly"),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from fetalguard.cli import main
 from fetalguard.config import config_to_dict, load_config, parse_config
 from fetalguard.errors import ConfigError
+from fetalguard.iforest import MAX_SUBSAMPLE
 
 MINIMAL = {
     "data": {"synth": {"n_normal": 20, "n_abnormal": 10, "seed": 1}},
@@ -191,3 +192,17 @@ def test_an_int_for_a_float_field_is_kept_as_an_int():
     assert type(config.models["ae"].k_sigma) is int
     assert config_to_dict(config)["model"]["ae"]["k_sigma"] == 2
     assert [type(v) for v in config.grids["ae"]["learning_rate"]] == [int, float]
+
+
+@pytest.mark.parametrize("value", [0, -1, MAX_SUBSAMPLE + 1, 2**40])
+def test_a_subsample_size_outside_its_bounds_is_a_one_line_error(value, tmp_path, capsys):
+    path = _write(tmp_path, {**MINIMAL, "model": {"iforest": {"subsample_size": value}}})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"subsample_size must be in [1, {MAX_SUBSAMPLE}], got {value}" in err
+
+
+def test_the_subsample_cap_itself_is_accepted():
+    config = parse_config({**MINIMAL, "model": {"iforest": {"subsample_size": MAX_SUBSAMPLE}}})
+    assert config.models["iforest"].subsample_size == MAX_SUBSAMPLE

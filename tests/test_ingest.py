@@ -323,3 +323,57 @@ def test_parse_record_matches_the_reference_row_loop(text):
 def test_parse_record_matches_the_reference_on_any_text(text):
     _assert_parse_matches_reference(HEADER + text)
     _assert_parse_matches_reference(text)
+
+
+@pytest.fixture(scope="module")
+def metadata_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("metadata-fuzz") / "metadata.csv"
+
+
+METADATA_HEADERS = [
+    "record_id,ph,apgar1", "record_id,ph,apgar1,pco2,po2,bdecf", "RECORD_ID, ph ,apgar1", "record_id,ph", "",
+]
+METADATA_CELLS = st.one_of(
+    st.sampled_from(
+        ["", " ", "7.1", "7.25", "6.5", "7.8", "6", "6.0", "10", "11", "-1", "nan", "inf", "1e400",
+         "1_0", '"7.1"', '"7\n1"', "x", "\r", "\x00", "\ud800"]
+    ),
+    st.floats().map(repr),
+    st.integers(-20, 20).map(str),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def metadata_texts(draw):
+    """A header, then rows of mostly the header's width: ids, some repeated, and numeric or broken cells."""
+    header = draw(st.sampled_from(METADATA_HEADERS))
+    width = len(header.split(","))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        record_id = draw(st.sampled_from(["r1", "r2", " r3 ", "", "r1"]))
+        n_cells = draw(st.sampled_from([width - 1, width - 1, width - 1, max(width - 2, 0), width]))
+        cells = draw(st.lists(METADATA_CELLS, min_size=n_cells, max_size=n_cells))
+        rows.append(",".join([record_id] + cells))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header] + rows) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(metadata_texts(), st.binary(max_size=3))
+@example("record_id,ph,apgar1\nr1,7.1,5\nr2,7.30,8\n", b"")
+@example("record_id,ph,apgar1\nr1,7.1\r5\n", b"")  # a bare carriage return inside a row
+@example("record_id,ph,apgar1\nr1,7.1,5\n", b"\xff")  # not UTF-8
+@example("record_id,ph,apgar1\nr1," + "7" * 200_000 + ",5\n", b"")  # a cell beyond csv's size limit
+def test_read_metadata_is_a_typed_error_or_valid_metadata(metadata_file, text, tail):
+    metadata_file.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per example
+    metadata_file.write_bytes(text.encode("utf-8", "surrogatepass") + tail)
+    try:
+        metadata = read_metadata_csv(metadata_file)
+    except FetalGuardError:
+        return
+    for record_id, meta in metadata.items():
+        assert record_id and record_id == record_id.strip()
+        assert meta.ph is None or 6.5 <= meta.ph <= 7.8
+        assert meta.apgar1 is None or (type(meta.apgar1) is int and 0 <= meta.apgar1 <= 10)
+        assert all(v is None or type(v) is float for v in (meta.pco2, meta.po2, meta.bdecf))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import base64
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -252,3 +254,73 @@ def test_serialization_rejects_unknown_version():
     data["format_version"] = 99
     with pytest.raises(ConfigError):
         nn.network_from_dict(data)
+
+
+def _version_1(net: DenseNetwork) -> dict:
+    return {
+        "format_version": 1,
+        "layers": [
+            {
+                "activation": l.activation,
+                "alpha": l.alpha,
+                "weights": l.weights.tolist(),
+                "biases": l.biases.tolist(),
+            }
+            for l in net.layers
+        ],
+    }
+
+
+def test_version_1_networks_still_load_bit_exact():
+    net = init_network([(5, 4, "leaky_relu", 0.2), (4, 1, "sigmoid")], seed=13)
+    restored = network_from_dict(json.loads(json.dumps(_version_1(net))))
+    for a, b in zip(net.parameters(), restored.parameters()):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("array", ["weights", "biases"])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_boolean_in_a_version_1_array_is_refused(array, value):
+    data = _version_1(init_network([(2, 3, "relu")], seed=0))
+    cells = data["layers"][0][array]
+    (cells[0] if array == "weights" else cells)[0] = value
+    with pytest.raises(ConfigError, match="array of numbers"):
+        network_from_dict(data)
+
+
+def _set_in_dim(layer, value):
+    layer["in_dim"] = value
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda layer: _set_in_dim(layer, True), "positive integers"),
+        (lambda layer: _set_in_dim(layer, 0), "positive integers"),
+        (lambda layer: _set_in_dim(layer, 2.0), "positive integers"),
+        (lambda layer: layer.pop("out_dim"), "positive integers"),
+        (lambda layer: layer.update(weights=[[0.5, 0.5, 0.5]] * 2), "not a base64 string"),
+        (lambda layer: layer.update(weights="AAAA*AAA"), "not a base64 string"),
+        (lambda layer: layer.update(weights="AAAAAAAAAAAé"), "not a base64 string"),
+        (lambda layer: layer.update(weights=layer["weights"][:4] + "\n" + layer["weights"][4:]), "not a base64"),
+        (lambda layer: layer.update(biases=layer["weights"]), "bytes"),
+        (lambda layer: layer.update(weights=base64.b64encode(bytes(8 * 5)).decode()), "40 bytes"),
+        (lambda layer: layer.update(biases=base64.b64encode(struct.pack("<3d", 0, math.nan, 0)).decode()), "finite"),
+    ],
+    ids=["in_dim bool", "in_dim 0", "in_dim float", "no out_dim", "a list", "not base64", "not ASCII",
+         "a line break", "weights for biases", "one float short", "a NaN"],
+)
+def test_a_malformed_version_2_layer_is_a_config_error(edit, message):
+    data = network_to_dict(init_network([(2, 3, "relu")], seed=0))
+    edit(data["layers"][0])
+    with pytest.raises(ConfigError, match=message):
+        network_from_dict(data)
+
+
+def test_loaded_parameters_are_writable_and_train():
+    net = init_network([(3, 2, "relu")], seed=0)
+    restored = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+    params = restored.parameters()
+    assert all(p.flags.writeable and p.flags.c_contiguous and p.dtype == np.float64 for p in params)
+    adam_step(params, [np.ones_like(p) for p in params], AdamState.for_params(params))
+    assert not np.array_equal(restored.layers[0].weights, net.layers[0].weights)

@@ -12,6 +12,7 @@ from fetalguard.config import DETECTORS
 from fetalguard.errors import ConfigError, ShapeError
 from fetalguard.experiment import fit_detector
 from fetalguard.ingest import ClassLabel
+from fetalguard.nn import DenseNetwork
 from fetalguard.persistence import load_model, save_model
 from fetalguard.preprocess import FeatureVector, PreprocessConfig
 from oracles import reference_model_to_dict
@@ -62,8 +63,12 @@ def artifacts(models, tmp_path_factory):
     return data
 
 
-def _reference_text(model) -> str:
-    return json.dumps(reference_model_to_dict(model), indent=2, sort_keys=True) + "\n"
+def _reference_text(model, version: int = 2) -> str:
+    return json.dumps(reference_model_to_dict(model, version), indent=2, sort_keys=True) + "\n"
+
+
+def _networks(model) -> dict:
+    return {name: value for name, value in vars(model).items() if isinstance(value, DenseNetwork)}
 
 
 @pytest.mark.parametrize("name", list(DETECTORS))
@@ -89,6 +94,31 @@ def test_a_resaved_version_1_iforest_file_is_the_reference_format(artifacts, tmp
     save_model(model, path)
     assert path.read_text() == _reference_text(model)
     assert json.loads(path.read_text()) == artifacts["iforest"]
+
+
+@pytest.mark.parametrize("name", ["ae", "ganomaly"])
+def test_a_version_1_network_file_loads_bit_exact_and_resaves_as_the_current_format(name, models, tmp_path):
+    model = models[name]
+    path = tmp_path / "v1.json"
+    path.write_text(_reference_text(model, version=1), encoding="utf-8")
+    assert '"format_version": 1' in path.read_text() and '"weights": [' in path.read_text()
+    loaded = load_model(path)
+    for key, net in _networks(model).items():
+        restored = _networks(loaded)[key]
+        assert [p.tobytes() for p in restored.parameters()] == [p.tobytes() for p in net.parameters()], key
+    x = np.random.default_rng(1).normal(0.5, 0.05, size=(20, FEATURE_DIM))
+    assert loaded.scores(x).tobytes() == model.scores(x).tobytes()
+    save_model(loaded, path)
+    assert path.read_text() == _reference_text(model)
+
+
+@pytest.mark.parametrize("name", ["ae", "ganomaly"])
+def test_loaded_network_weights_are_writable(name, models, tmp_path):
+    save_model(models[name], tmp_path / "model.json")
+    for net in _networks(load_model(tmp_path / "model.json")).values():
+        for p in net.parameters():
+            assert p.flags.writeable and p.dtype == np.float64
+            p += 0.0
 
 
 def test_a_preprocess_dict_saves_as_its_config_does(models, tmp_path):

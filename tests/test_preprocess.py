@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import median_oracle
 
-from fetalguard.errors import ConfigError, PreprocessError
+from fetalguard.errors import ConfigError, FetalGuardError, PreprocessError
 from fetalguard.ingest import ClassLabel, SignalRecord
 from fetalguard.preprocess import (
     CleanSignal,
@@ -247,3 +249,55 @@ def test_feature_csv_roundtrip(tmp_path):
     for a, b in zip(features, loaded):
         assert a.label == b.label
         assert np.array_equal(a.x, b.x)
+
+
+@pytest.fixture(scope="module")
+def features_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("features-fuzz") / "features.csv"
+
+
+FEATURE_CELLS = st.one_of(
+    st.sampled_from(
+        ["", " ", "0.5", " 1 ", "1_0", "nan", "-inf", "1e400", "0x10", '"0.5"', '"0\n5"', "x", "\r", "\x00",
+         "\ud800"]
+    ),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def feature_texts(draw):
+    """A header of 0-3 feature columns, then rows of mostly its width with labels and cells, some broken."""
+    dim = draw(st.integers(0, 3))
+    prefix = draw(st.sampled_from([["record_id", "label"], ["id", "label"], []]))
+    header = prefix + [f"f{i}" for i in range(dim)]
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        label = draw(st.sampled_from(["", "0", "1", "2", " 1", "x"]))
+        n_cells = draw(st.sampled_from([dim, dim, dim, dim + 1, max(dim - 1, 0)]))
+        cells = draw(st.lists(FEATURE_CELLS, min_size=n_cells, max_size=n_cells))
+        rows.append(",".join([draw(st.sampled_from(["r1", "r2", ""])), label] + cells))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([",".join(header)] + rows) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(feature_texts(), st.binary(max_size=3))
+@example("record_id,label,f0,f1\nr1,1,0.5,0.25\nr2,,0.5,nan\n", b"")
+@example("record_id,label,f0\nr1,1,0.5\r0.25\n", b"")  # a bare carriage return inside a row
+@example("record_id,label,f0\nr1,1,0.5\n", b"\xff")  # not UTF-8
+@example("record_id,label,f0\nr1,1," + "5" * 200_000 + "\n", b"")  # a cell beyond csv's size limit
+def test_read_features_is_a_typed_error_or_valid_features(features_file, text, tail):
+    features_file.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per example
+    features_file.write_bytes(text.encode("utf-8", "surrogatepass") + tail)
+    try:
+        features = read_features_csv(features_file)
+    except FetalGuardError:
+        return
+    assert features
+    dim = features[0].x.size
+    for fv in features:
+        assert isinstance(fv.record_id, str)
+        assert fv.label in (None, ClassLabel.NORMAL, ClassLabel.ABNORMAL)
+        assert fv.x.dtype == np.float64 and fv.x.shape == (dim,) and dim > 0
