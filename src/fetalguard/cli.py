@@ -21,7 +21,7 @@ from .config import DETECTORS, load_config
 from .datasets import SplitConfig, class_counts, train_test_split, validation_split
 from .errors import ConfigError, FetalGuardError, ParseError
 from .experiment import fit_detector, run_experiment
-from .ingest import ClassLabel, load_collection, parse_record_csv
+from .ingest import ClassLabel, load_collection, read_csv_rows, read_record_csv
 from .preprocess import (
     PreprocessConfig,
     preprocess_collection,
@@ -196,8 +196,7 @@ def cmd_evaluate(args) -> int:
 def cmd_score(args) -> int:
     model = _load_calibrated(args.model_file)
     tau = model.tau
-    signal_path = Path(args.signal)
-    record = parse_record_csv(signal_path.read_text(encoding="utf-8"), signal_path.stem)
+    record = read_record_csv(args.signal)
     config = model.preprocess
     if config is None:
         raise ConfigError("model artifact carries no preprocessing parameters")
@@ -215,23 +214,21 @@ def cmd_score(args) -> int:
 def cmd_curves(args) -> int:
     scores: list[float] = []
     labels: list[int] = []
-    with open(args.scores, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["record_id", "label", "score"]:
-            raise ConfigError(f"{args.scores}: expected header record_id,label,score")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != 3:
-                raise ParseError(f"{args.scores}: expected 3 columns, got {len(cells)}", line=line_no)
-            if cells[1] not in ("0", "1"):
-                raise ParseError(f"{args.scores}: label must be 0 or 1, got {cells[1]!r}", line=line_no)
-            try:
-                scores.append(float(cells[2]))
-            except ValueError:
-                raise ParseError(f"{args.scores}: non-numeric score", line=line_no) from None
-            labels.append(int(cells[1]))
+    rows = read_csv_rows(Path(args.scores))
+    if [cell.strip() for cell in next(rows, (0, []))[1]] != ["record_id", "label", "score"]:
+        raise ConfigError(f"{args.scores}: expected header record_id,label,score")
+    for line_no, cells in rows:
+        if not cells or (len(cells) == 1 and not cells[0].strip()):
+            continue
+        if len(cells) != 3:
+            raise ParseError(f"{args.scores}: expected 3 columns, got {len(cells)}", line=line_no)
+        if cells[1] not in ("0", "1"):
+            raise ParseError(f"{args.scores}: label must be 0 or 1, got {cells[1]!r}", line=line_no)
+        try:
+            scores.append(float(cells[2]))
+        except ValueError:
+            raise ParseError(f"{args.scores}: non-numeric score", line=line_no) from None
+        labels.append(int(cells[1]))
     pr_points = metrics.pr_curve(scores, labels)
     roc_points, auc = metrics.roc_curve_and_auc(scores, labels)
     out = Path(args.out)

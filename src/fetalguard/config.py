@@ -109,20 +109,22 @@ def _fields(cls) -> dict:
 
 def encode(value):
     """JSON-ready form of a config or model: the inverse of ``decode``."""
-    return _encode(value)
+    return _encode(value, None)
 
 
-def _encode(value):
+def _encode(value, hint):
+    """Encode one value; hint is the type hint of the field that holds it, if any."""
     if isinstance(value, nn.DenseNetwork):
         return nn.network_to_dict(value)
-    if isinstance(value, iforest.TreeNode):
-        return iforest.tree_to_dict(value)
+    if hint == iforest.Forest:
+        return iforest._forest_to_json(value)
     if dataclasses.is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        fields = _fields(type(value))
+        return {name: _encode(getattr(value, name), field_hint) for name, (field_hint, _) in fields.items()}
     if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+        return [_encode(v, None) for v in value]
     if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
+        return {k: _encode(v, None) for k, v in value.items()}
     return value
 
 
@@ -141,8 +143,8 @@ def _decode(hint, value, path, raw_text, outer):
     try:
         if hint is nn.DenseNetwork:
             return nn.network_from_dict(value)
-        if hint == iforest.TreeNode:
-            return iforest.tree_from_dict(value, outer["feature_dim"], outer["subsample_size"])
+        if hint == iforest.Forest:
+            return iforest._forest_from_json(value, outer["feature_dim"], outer["subsample_size"])
     except FetalGuardError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     origin, args = typing.get_origin(hint), typing.get_args(hint)

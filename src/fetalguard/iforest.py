@@ -7,6 +7,7 @@ within the node. Samples that isolate on short paths score as anomalies.
 
 from __future__ import annotations
 
+import base64
 import functools
 import math
 from dataclasses import dataclass
@@ -66,13 +67,16 @@ class IsolationTree:
     max_depth: int
 
 
+Forest = list[IsolationTree]  # model files hold it as flat arrays: see _forest_to_json
+
+
 @dataclass
 class IsolationForestModel:
     """A fitted forest; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "iforest"
-    format_version: ClassVar[int] = 2
-    past_formats: ClassVar[dict] = {1: {"threshold": "tau"}}  # version -> renamed keys
+    format_version: ClassVar[int] = 3
+    past_formats: ClassVar[dict] = {1: {"threshold": "tau"}, 2: {}}  # version -> renamed keys
     config_type: ClassVar[type] = IforestConfig
     calibration_param: ClassVar[str] = "contamination"
 
@@ -80,7 +84,7 @@ class IsolationForestModel:
     contamination: float
     feature_dim: int
     seed: int
-    trees: list[IsolationTree]  # after the fields that tree_from_dict checks nodes against
+    trees: Forest  # after the fields that _forest_from_json checks the nodes against
     tau: float | None = None
     preprocess: PreprocessConfig | None = None
 
@@ -233,20 +237,147 @@ def if_threshold(training_scores, contamination: float) -> float:
     return float(np.quantile(scores, 1.0 - contamination))
 
 
-def tree_to_dict(node) -> dict:
-    if isinstance(node, LeafNode):
-        return {"leaf": True, "size": node.size, "depth": node.depth}
+# A version-3 model file stores its forest as these arrays, each the base64 of
+# little-endian fixed-width values: the node count of each tree, then for each
+# node (tree after tree, each in preorder) its split feature (-1 at a leaf),
+# threshold, left and right child as indices within its tree, and leaf size.
+# A leaf writes threshold 0.0 and children -1, a split size 0; the reader
+# ignores those slots. Depths follow from the structure, and max_depth from
+# subsample_size, so neither is stored.
+_FOREST_ARRAYS = {
+    "node_counts": "<i4",
+    "feature": "<i4",
+    "threshold": "<f8",
+    "left": "<i4",
+    "right": "<i4",
+    "size": "<i4",
+}
+
+
+def _forest_to_json(trees: Forest) -> dict:
+    """The trees as flat base64 arrays; the inverse of _forest_from_json."""
+    counts, rows = [], []
+    for tree in trees:
+        tree_rows: list = []
+        _preorder(tree.root, tree_rows)
+        counts.append(len(tree_rows))
+        rows += tree_rows
+    columns = [counts, *zip(*rows)]
     return {
-        "leaf": False,
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
+        name: base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+        for (name, dtype), values in zip(_FOREST_ARRAYS.items(), columns)
     }
 
 
+def _preorder(node: TreeNode, rows: list) -> int:
+    """Append a (feature, threshold, left, right, size) row per node in preorder -> the node's index."""
+    index = len(rows)
+    if isinstance(node, LeafNode):
+        rows.append((-1, 0.0, -1, -1, node.size))
+    else:
+        rows.append(None)  # filled in once the children have their indices
+        left = _preorder(node.left, rows)
+        rows[index] = (node.feature, node.threshold, left, _preorder(node.right, rows), 0)
+    return index
+
+
+def _forest_from_json(value, feature_dim: int, subsample_size: int) -> Forest:
+    """Trees from a model file; a forest that cannot belong to the model is a ConfigError.
+
+    A version-3 file holds the arrays of _forest_to_json. They are checked in
+    one vectorised pass before any node is built, and a split is refused at
+    depth_limit(subsample_size), which bounds the depth of what is built.
+    Versions 1 and 2 hold a list of nested trees.
+    """
+    if isinstance(value, list):
+        return [_nested_tree(tree, feature_dim, subsample_size) for tree in value]
+    if type(value) is not dict or value.keys() != _FOREST_ARRAYS.keys():
+        raise ConfigError(f"forest must be an object of the arrays {', '.join(_FOREST_ARRAYS)}")
+    counts, feature, threshold, left, right, size = (
+        _array(value[name], name, dtype) for name, dtype in _FOREST_ARRAYS.items()
+    )
+    if (counts < 1).any():
+        raise ConfigError(f"a tree has {counts.min()} nodes")
+    n = int(counts.sum())
+    lengths = sorted({a.size for a in (feature, threshold, left, right, size)})
+    if lengths != [n]:
+        raise ConfigError(f"node counts add up to {n}, but the node arrays hold {lengths} values")
+    starts = np.cumsum(counts) - counts  # the root of each tree
+    tree_of = np.repeat(np.arange(counts.size), counts)
+    index = np.arange(n) - starts[tree_of]  # within its tree
+    end = counts[tree_of]
+    leaf = feature == -1
+    split = ~leaf
+
+    def refuse(bad, message):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigError(f"node {index[i]} of tree {tree_of[i]}: {message(i)}")
+
+    refuse(
+        split & ((feature < 0) | (feature >= feature_dim)),
+        lambda i: f"split feature {feature[i]} outside [0, {feature_dim})",
+    )
+    refuse(split & ~np.isfinite(threshold), lambda i: f"split threshold {threshold[i]} is not finite")
+    refuse(
+        leaf & ((size < 0) | (size > subsample_size)),
+        lambda i: f"leaf size {size[i]} outside [0, {subsample_size}]",
+    )
+    refuse(
+        split & ((left <= index) | (right <= index) | (left >= end) | (right >= end)),
+        lambda i: f"children {left[i]} and {right[i]} are not after the node and inside its {end[i]}-node tree",
+    )
+    left, right = left + starts[tree_of], right + starts[tree_of]  # forest-wide
+    parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
+    refuse(parents != (index > 0), lambda i: f"{parents[i]} parents, where a root has none and other nodes one")
+
+    # now each tree is a tree, so a walk down from the roots reaches every node once
+    limit = depth_limit(subsample_size)
+    depth = np.full(n, -1)
+    level = starts
+    for d in range(limit + 1):
+        if not level.size:
+            break
+        depth[level] = d
+        inner = level[split[level]]
+        level = np.concatenate([left[inner], right[inner]])
+    refuse(split & (depth == limit), lambda i: f"split at depth {limit}, the limit for {subsample_size} samples")
+
+    features, thresholds, lefts, rights = feature.tolist(), threshold.tolist(), left.tolist(), right.tolist()
+    sizes, depths = size.tolist(), depth.tolist()
+    nodes: list = [None] * n
+    for i in reversed(range(n)):  # children come after their parents
+        nodes[i] = (
+            LeafNode(sizes[i], depths[i])
+            if features[i] < 0
+            else InternalNode(features[i], thresholds[i], nodes[lefts[i]], nodes[rights[i]])
+        )
+    return [IsolationTree(nodes[start], limit) for start in starts.tolist()]
+
+
+def _array(value, name: str, dtype: str) -> np.ndarray:
+    """One forest array from base64 text, widened to int64 or float64; anything else is a ConfigError."""
+    try:
+        raw = base64.b64decode(value, validate=True) if isinstance(value, str) else None
+    except ValueError:  # not base64, or not ASCII
+        raw = None
+    if raw is None:
+        raise ConfigError(f"forest array {name} is not a base64 string")
+    width = np.dtype(dtype).itemsize
+    if len(raw) % width:
+        raise ConfigError(f"forest array {name} holds {len(raw)} bytes, not a multiple of {width}")
+    return np.frombuffer(raw, dtype=dtype).astype(np.float64 if dtype == "<f8" else np.int64)
+
+
+def _nested_tree(data, feature_dim: int, subsample_size: int) -> IsolationTree:
+    """One tree of a version-1 or version-2 file: an integer max_depth and a nested root."""
+    if type(data) is not dict or data.keys() != {"max_depth", "root"} or type(data["max_depth"]) is not int:
+        raise ConfigError("a tree must be an object of an integer max_depth and a root node")
+    return IsolationTree(tree_from_dict(data["root"], feature_dim, subsample_size), data["max_depth"])
+
+
 def tree_from_dict(data: dict, feature_dim: int, subsample_size: int, depth: int = 0):
-    """Inverse of tree_to_dict; a node that cannot belong to the model is a ConfigError."""
+    """A nested node of a version-1 or version-2 file; one that cannot belong to the model is a ConfigError."""
     leaf = data.get("leaf") if type(data) is dict else None
     if leaf is True:
         size = data.get("size")

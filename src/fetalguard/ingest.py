@@ -10,6 +10,7 @@ the preprocessing stage treats them as missing.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import logging
@@ -228,19 +229,35 @@ def _parse_optional_float(cell: str, name: str, line: int) -> float | None:
         raise ParseError(f"non-numeric {name} {cell!r}", line=line) from None
 
 
+@contextlib.contextmanager
+def _utf8_text(path: Path, newline: str | None = None):
+    """path opened as UTF-8 text; text that does not decode, read inside the block, is a ParseError."""
+    with path.open(newline=newline, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_record_csv(path: str | Path) -> SignalRecord:
+    """parse_record_csv of one signal file, named by its stem; a file that is not UTF-8 is a ParseError."""
+    path = Path(path)
+    with _utf8_text(path) as fh:
+        text = fh.read()
+    return parse_record_csv(text, path.stem)
+
+
 def read_csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of each row of a UTF-8 CSV file, the header first.
 
     A file that is not UTF-8 is a ParseError, and so is a row csv cannot read
     (a cell beyond csv's field size limit), which names its line.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _utf8_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
                 yield reader.line_num, row
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
             raise ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num) from None
 

@@ -4,8 +4,8 @@ These deliberately avoid the library's own code paths: medians via per-window
 sorting, AUC via the rank statistic, metrics via direct formula transcription,
 gradients via central finite differences, signal CSVs via a csv row loop,
 isolation-forest scores via one tree walk per sample and tree, model
-artifacts via one hand-written encoder per model type, with network arrays
-packed one Python float at a time.
+artifacts via one hand-written encoder per model type, with network and
+forest arrays packed one Python number at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import struct
 import numpy as np
 
 from fetalguard.errors import EmptyInputError, ParseError, StructureError
-from fetalguard.iforest import tree_to_dict
 from fetalguard.ingest import SignalRecord
 from fetalguard.nn import forward, init_network
 
@@ -192,16 +191,21 @@ def _preprocess_section(model):
     return dataclasses.asdict(pre) if dataclasses.is_dataclass(pre) else pre
 
 
-def reference_model_to_dict(model, version: int = 2) -> dict:
+# the format version each model type writes today
+CURRENT_FORMAT = {"iforest": 3, "ae": 2, "ganomaly": 2}
+
+
+def reference_model_to_dict(model, version: int | None = None) -> dict:
     """The model artifact format as three hand-written encoders, one per model type.
 
-    version selects the network format of the AE and GANomaly artifacts: 2
-    (the current one) or 1 (arrays as nested JSON numbers); an isolation-forest
-    artifact is the same for both.
+    version selects the format, by default the current one. An isolation
+    forest has three: 3 (flat arrays), 2 (one nested object per tree) and 1
+    (as 2, with the threshold under ``threshold``). The AE and GANomaly have
+    2 (network arrays as base64) and 1 (as nested JSON numbers).
     """
-    if model.model_type == "iforest":
-        return _reference_iforest_to_dict(model)
+    version = CURRENT_FORMAT[model.model_type] if version is None else version
     return {
+        "iforest": _reference_iforest_to_dict,
         "ae": _reference_ae_to_dict,
         "ganomaly": _reference_ganomaly_to_dict,
     }[model.model_type](model, version)
@@ -267,17 +271,64 @@ def _reference_ganomaly_to_dict(model, version: int) -> dict:
     }
 
 
-def _reference_iforest_to_dict(model) -> dict:
+def _reference_iforest_to_dict(model, version: int) -> dict:
+    if version == 3:
+        trees = _reference_forest_arrays(model.trees)
+    else:
+        trees = [{"max_depth": t.max_depth, "root": _reference_nested_node(t.root, 0)} for t in model.trees]
     return {
         "model_type": model.model_type,
-        "format_version": 2,
+        "format_version": version,
         "subsample_size": model.subsample_size,
         "contamination": model.contamination,
         "feature_dim": model.feature_dim,
         "seed": model.seed,
-        "tau": model.tau,
+        "threshold" if version == 1 else "tau": model.tau,
         "preprocess": _preprocess_section(model),
-        "trees": [
-            {"max_depth": t.max_depth, "root": tree_to_dict(t.root)} for t in model.trees
-        ],
+        "trees": trees,
+    }
+
+
+def _reference_nested_node(node, depth: int) -> dict:
+    """A node of a version-1 or version-2 file; a leaf records the depth it was reached at."""
+    if not hasattr(node, "left"):
+        return {"leaf": True, "size": node.size, "depth": depth}
+    return {
+        "leaf": False,
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": _reference_nested_node(node.left, depth + 1),
+        "right": _reference_nested_node(node.right, depth + 1),
+    }
+
+
+def _reference_forest_arrays(trees) -> dict:
+    """The version-3 forest: per tree its nodes in preorder, found with an explicit stack.
+
+    Each array is packed with struct as little-endian int32 (``i``) or
+    float64 (``d``); children are indices within their tree, and a leaf has
+    feature -1, threshold 0.0 and children -1, a split size 0.
+    """
+    columns = {name: [] for name in ("node_counts", "feature", "threshold", "left", "right", "size")}
+    for tree in trees:
+        order, stack = [], [tree.root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if hasattr(node, "left"):
+                stack += [node.right, node.left]  # the left subtree comes out first
+        position = {id(node): i for i, node in enumerate(order)}
+        columns["node_counts"].append(len(order))
+        for node in order:
+            split = hasattr(node, "left")
+            columns["feature"].append(node.feature if split else -1)
+            columns["threshold"].append(node.threshold if split else 0.0)
+            columns["left"].append(position[id(node.left)] if split else -1)
+            columns["right"].append(position[id(node.right)] if split else -1)
+            columns["size"].append(0 if split else node.size)
+    return {
+        name: base64.b64encode(
+            struct.pack(f"<{len(values)}{'d' if name == 'threshold' else 'i'}", *values)
+        ).decode("ascii")
+        for name, values in columns.items()
     }

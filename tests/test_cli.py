@@ -14,6 +14,7 @@ from fetalguard.iforest import MAX_SUBSAMPLE, depth_limit
 from fetalguard.ingest import ClassLabel
 from fetalguard.persistence import save_model
 from fetalguard.preprocess import FeatureVector, read_features_csv, write_features_csv
+from oracles import reference_model_to_dict
 
 TINY_MODELS = {
     "iforest": {"n_trees": 5},
@@ -242,6 +243,9 @@ def model_files(features_file, tmp_path_factory):
         fitted = fit_detector(name, config, features, features[:10], len(features), 0)
         files[name] = out / f"{name}.json"
         save_model(fitted.model, files[name])
+        if name == "iforest":  # and as a version-2 file, whose nested trees have a reader of their own
+            files["iforest_v2"] = out / "iforest_v2.json"
+            files["iforest_v2"].write_text(json.dumps(reference_model_to_dict(fitted.model, version=2)))
     return files
 
 
@@ -297,6 +301,51 @@ def _edited_weights(edit):
     return apply
 
 
+# the arrays of a version-3 forest and the little-endian type of their values
+FOREST_DTYPES = {
+    "node_counts": "<i4", "feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4", "size": "<i4"
+}
+
+
+def _forest_arrays(forest) -> dict:
+    return {key: np.frombuffer(base64.b64decode(blob), dtype=FOREST_DTYPES[key]).copy() for key, blob in forest.items()}
+
+
+def _edited_forest(edit):
+    """A defect that rewrites the forest arrays as edit(arrays) leaves them; tree 0's root is a split."""
+
+    def apply(name, data):
+        arrays = _forest_arrays(data["trees"])
+        assert arrays["feature"][0] >= 0
+        edit(arrays)
+        data["trees"] = {
+            key: base64.b64encode(values.astype(FOREST_DTYPES[key]).tobytes()).decode("ascii")
+            for key, values in arrays.items()
+        }
+
+    return apply
+
+
+def _set_in_forest(key, index, value):
+    """A defect that sets one value of a forest array; index and value may be functions of the arrays."""
+
+    def edit(arrays):
+        at = index(arrays) if callable(index) else index
+        arrays[key][at] = value(arrays) if callable(value) else value
+
+    return _edited_forest(edit)
+
+
+def _first_array_leaf(arrays):
+    return int(np.flatnonzero(arrays["feature"] == -1)[0])
+
+
+def _subsample_below_a_split(name, data):
+    """subsample_size as large as the largest leaf, whose depth limit some split is at or beyond."""
+    data["subsample_size"] = int(_forest_arrays(data["trees"])["size"].max())
+    assert depth_limit(data["subsample_size"]) < depth_limit(45)  # the fitted forest's subsample
+
+
 def _subsample_beyond_the_cap(name, data):
     data["subsample_size"] = MAX_SUBSAMPLE + 1  # and max_depth to match, so that only the cap refuses it
     for tree in data["trees"]:
@@ -322,6 +371,7 @@ ARTIFACT_DEFECTS = {
     "leaf larger than the subsample": lambda name, data: _first_leaf(data).update(size=10**5),
     "subsample_size off the trees' max_depth": lambda name, data: data.update(subsample_size=10**5),
     "subsample_size beyond the cap": _subsample_beyond_the_cap,
+    "max_depth not an integer": lambda name, data: data["trees"][0].update(max_depth=6.0),
     "weight blob not base64": lambda name, data: _first_layer(name, data).update(weights="not base64!"),
     "weight blob one float short": _edited_weights(lambda values: values[:-1]),
     "weight blob holding a NaN": _edited_weights(lambda values: np.concatenate([[np.nan], values[1:]])),
@@ -329,6 +379,62 @@ ARTIFACT_DEFECTS = {
         weights=np.full((16, 8), 0.5).tolist()  # the first layer's shape, as version 1 wrote it
     ),
     "in_dim off its blob": lambda name, data: _first_layer(name, data).update(in_dim=17),
+    "forest without an array": lambda name, data: data["trees"].pop("size"),
+    "forest with an unknown array": lambda name, data: data["trees"].update(depth=data["trees"]["size"]),
+    "forest array not base64": lambda name, data: data["trees"].update(  # a line break inside
+        threshold=data["trees"]["threshold"][:8] + "\n" + data["trees"]["threshold"][8:]
+    ),
+    "forest array of a partial value": lambda name, data: data["trees"].update(
+        feature=base64.b64encode(base64.b64decode(data["trees"]["feature"])[:-1]).decode("ascii")
+    ),
+    "forest array of the wrong length": _edited_forest(lambda a: a.update(size=a["size"][:-1])),
+    "forest node counts off the arrays": _set_in_forest("node_counts", 0, lambda a: a["node_counts"][0] + 1),
+    "forest tree of no nodes": _set_in_forest("node_counts", 0, 0),
+    "forest split feature 999": _set_in_forest("feature", 0, 999),
+    "forest split feature -2": _set_in_forest("feature", 0, -2),
+    "forest split threshold not finite": _set_in_forest("threshold", 0, np.inf),
+    "forest leaf larger than the subsample": _set_in_forest("size", _first_array_leaf, 10**5),
+    "forest child before its parent": _set_in_forest("left", 0, 0),
+    "forest child beyond its tree": _set_in_forest("right", 0, lambda a: a["node_counts"][0]),
+    "forest node with two parents": _set_in_forest("right", 0, lambda a: a["left"][0]),
+    "forest node with no parent": _set_in_forest("feature", 0, -1),  # the root as a leaf orphans its children
+    "forest split at the depth limit": _subsample_below_a_split,
+    "forest subsample_size beyond the cap": lambda name, data: data.update(subsample_size=MAX_SUBSAMPLE + 1),
+}
+# the defects above that edit nested trees, and so a version-2 forest file
+NESTED_DEFECTS = (
+    "split feature 999",
+    "split feature -1",
+    "leaf larger than the subsample",
+    "subsample_size off the trees' max_depth",
+    "subsample_size beyond the cap",
+    "max_depth not an integer",
+)
+# what the error names, for the defects that only the forest has
+DEFECT_MESSAGES = {
+    "split feature 999": "split feature 999 at depth 0 outside [0, 16)",
+    "split feature -1": "split feature -1 at depth 0 outside [0, 16)",
+    "leaf larger than the subsample": "has size 100000",
+    "subsample_size off the trees' max_depth": "max_depth of a tree is not 17",
+    "subsample_size beyond the cap": "subsample_size must be in [1, 65536], got 65537",
+    "max_depth not an integer": "a tree must be an object of an integer max_depth and a root node",
+    "forest without an array": "forest must be an object of the arrays",
+    "forest with an unknown array": "forest must be an object of the arrays",
+    "forest array not base64": "forest array threshold is not a base64 string",
+    "forest array of a partial value": "forest array feature holds",
+    "forest array of the wrong length": "node arrays hold",
+    "forest node counts off the arrays": "node arrays hold",
+    "forest tree of no nodes": "a tree has 0 nodes",
+    "forest split feature 999": "node 0 of tree 0: split feature 999 outside [0, 16)",
+    "forest split feature -2": "node 0 of tree 0: split feature -2 outside [0, 16)",
+    "forest split threshold not finite": "node 0 of tree 0: split threshold inf is not finite",
+    "forest leaf larger than the subsample": "leaf size 100000 outside [0, 45]",
+    "forest child before its parent": "node 0 of tree 0: children 0 and",
+    "forest child beyond its tree": "are not after the node and inside its",
+    "forest node with two parents": "2 parents",
+    "forest node with no parent": "node 1 of tree 0: 0 parents",
+    "forest split at the depth limit": "split at depth",
+    "forest subsample_size beyond the cap": "subsample_size must be in [1, 65536], got 65537",
 }
 # defects that only one kind of model can have; every other defect applies to all three
 DEFECT_MODELS = {
@@ -340,11 +446,13 @@ DEFECT_MODELS = {
     "leaf larger than the subsample": ("iforest",),
     "subsample_size off the trees' max_depth": ("iforest",),
     "subsample_size beyond the cap": ("iforest",),
+    "max_depth not an integer": ("iforest",),
     "weight blob not base64": ("ae", "ganomaly"),
     "weight blob one float short": ("ae", "ganomaly"),
     "weight blob holding a NaN": ("ae", "ganomaly"),
     "weight list where a blob belongs": ("ae", "ganomaly"),
     "in_dim off its blob": ("ae", "ganomaly"),
+    **{defect: ("iforest",) for defect in ARTIFACT_DEFECTS if defect.startswith("forest ")},
 }
 
 
@@ -360,9 +468,11 @@ DEFECT_MODELS = {
 def test_bad_model_artifact_is_a_one_line_config_error(
     name, defect, model_files, features_file, tmp_path, capsys
 ):
-    bad = _edited_copy(model_files[name], tmp_path, lambda data: ARTIFACT_DEFECTS[defect](name, data))
+    source = model_files["iforest_v2" if defect in NESTED_DEFECTS else name]
+    bad = _edited_copy(source, tmp_path, lambda data: ARTIFACT_DEFECTS[defect](name, data))
     assert main(["calibrate", "--model-file", str(bad), "--features", str(features_file)]) == 2
-    assert str(bad) in _one_line_error(capsys)
+    err = _one_line_error(capsys)
+    assert str(bad) in err and DEFECT_MESSAGES.get(defect, "") in err
 
 
 def test_train_reads_its_config_once(features_file, config_file, tmp_path, monkeypatch):
@@ -383,20 +493,22 @@ def test_train_reads_its_config_once(features_file, config_file, tmp_path, monke
     assert len(reads) == 1
     model_data = json.loads((out / "model.json").read_text())
     assert model_data["preprocess"] == load_config(config_file, required=()).preprocess.to_dict()
-    assert len(model_data["trees"]) == 25  # the model section of the same file
+    node_counts = base64.b64decode(model_data["trees"]["node_counts"])
+    assert len(node_counts) == 4 * 25  # one int32 per tree, as the model section of the same file asks
 
 
 def test_version_1_iforest_artifact_still_loads(model_files, features_file, tmp_path, capsys):
-    def as_version_1(data):
+    def as_version_1(data):  # the nested trees of version 2, with the threshold under its old key
         data["format_version"] = 1
         data["threshold"] = data.pop("tau")
 
-    old = _edited_copy(model_files["iforest"], tmp_path, as_version_1)
+    old = _edited_copy(model_files["iforest_v2"], tmp_path, as_version_1)
     tau = json.loads(old.read_text())["threshold"]
     assert main(["calibrate", "--model-file", str(old), "--features", str(features_file)]) == 0
     assert capsys.readouterr().out.startswith(f"tau: {tau!r} -> ")
     rewritten = json.loads(old.read_text())
-    assert rewritten["format_version"] == 2 and "threshold" not in rewritten
+    assert rewritten["format_version"] == 3 and "threshold" not in rewritten
+    assert rewritten["trees"].keys() == FOREST_DTYPES.keys()
 
 
 @pytest.mark.parametrize("name", ["ae", "ganomaly", "iforest"])
@@ -460,3 +572,17 @@ def test_curves_rejects_an_empty_label_with_its_line(tmp_path, capsys):
     assert main(["curves", "--scores", str(scores), "--out", str(tmp_path / "curves")]) == 1
     err = _one_line_error(capsys)
     assert "line 3" in err and "label" in err
+
+
+def test_score_refuses_a_signal_that_is_not_utf8(dataset, model_files, tmp_path, capsys):
+    signal = tmp_path / "bad.csv"
+    signal.write_bytes((dataset / "signals" / "syn0000.csv").read_bytes() + b"1e9,\xff\n")
+    assert main(["score", "--model-file", str(model_files["iforest"]), "--signal", str(signal)]) == 1
+    assert f"{signal}: not UTF-8 text" in _one_line_error(capsys)
+
+
+def test_curves_refuses_a_scores_file_that_is_not_utf8(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(b"record_id,label,score\na,1,0.9\nb,0,0.\xff\n")
+    assert main(["curves", "--scores", str(scores), "--out", str(tmp_path / "curves")]) == 1
+    assert f"{scores}: not UTF-8 text" in _one_line_error(capsys)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fetalguard.config import DETECTORS
 from fetalguard.errors import ConfigError, ShapeError
 from fetalguard.experiment import fit_detector
+from fetalguard.iforest import build_forest, if_scores
 from fetalguard.ingest import ClassLabel
 from fetalguard.nn import DenseNetwork
 from fetalguard.persistence import load_model, save_model
@@ -63,7 +64,7 @@ def artifacts(models, tmp_path_factory):
     return data
 
 
-def _reference_text(model, version: int = 2) -> str:
+def _reference_text(model, version: int | None = None) -> str:
     return json.dumps(reference_model_to_dict(model, version), indent=2, sort_keys=True) + "\n"
 
 
@@ -83,17 +84,59 @@ def test_save_model_writes_the_reference_format(name, models, tmp_path):
     assert resaved.read_bytes() == path.read_bytes()
 
 
-def test_a_resaved_version_1_iforest_file_is_the_reference_format(artifacts, tmp_path):
-    data = copy.deepcopy(artifacts["iforest"])
-    data["format_version"] = 1
-    data["threshold"] = data.pop("tau")
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    model = load_model(path)
-    assert model.tau == artifacts["iforest"]["tau"]
-    save_model(model, path)
+def _check_an_old_iforest_file(version, model, tmp_path):
+    """A file the oracle writes in an old format loads node for node and re-saves as the current one."""
+    path = tmp_path / f"v{version}.json"
+    path.write_text(_reference_text(model, version), encoding="utf-8")
+    assert isinstance(json.loads(path.read_text())["trees"], list)
+    loaded = load_model(path)
+    assert loaded.trees == model.trees and loaded.tau == model.tau
+    x = np.random.default_rng(1).normal(0.5, 0.05, size=(20, FEATURE_DIM))
+    assert loaded.scores(x).tobytes() == model.scores(x).tobytes()
+    save_model(loaded, path)
     assert path.read_text() == _reference_text(model)
-    assert json.loads(path.read_text()) == artifacts["iforest"]
+
+
+def test_a_resaved_version_1_iforest_file_is_the_reference_format(models, tmp_path):
+    _check_an_old_iforest_file(1, models["iforest"], tmp_path)
+
+
+def test_a_resaved_version_2_iforest_file_is_the_reference_format(models, tmp_path):
+    _check_an_old_iforest_file(2, models["iforest"], tmp_path)
+
+
+@pytest.fixture(scope="module")
+def forest_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("forests") / "model.json"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 120),
+    dim=st.integers(1, 4),
+    levels=st.sampled_from([None, 2, 5]),  # a few distinct values give duplicate points
+    subsample_size=st.integers(1, 128),
+    n_trees=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_forest_saved_in_any_format_loads_node_for_node(
+    forest_file, n, dim, levels, subsample_size, n_trees, seed
+):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, dim)) if levels is None else rng.integers(0, levels, size=(n, dim)) * 1.0
+    model = build_forest(data, n_trees=n_trees, subsample_size=subsample_size, seed=seed)
+    model.tau = 0.5
+    queries = np.vstack([data, rng.normal(size=(10, dim)) * 3.0])
+    forest_file.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per example
+    save_model(model, forest_file)
+    assert forest_file.read_text() == _reference_text(model)
+    for version in (3, 2, 1):
+        if version != 3:
+            forest_file.unlink()
+            forest_file.write_text(_reference_text(model, version), encoding="utf-8")
+        loaded = load_model(forest_file)
+        assert loaded.trees == model.trees, version
+        assert if_scores(loaded, queries).tobytes() == if_scores(model, queries).tobytes(), version
 
 
 @pytest.mark.parametrize("name", ["ae", "ganomaly"])
@@ -191,6 +234,7 @@ def test_a_corrupted_artifact_is_a_config_error_or_a_model_that_scores(artifacts
         del parent[path[-1]]
     else:
         parent[path[-1]] = edit
+    fuzz_file.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per example
     fuzz_file.write_text(json.dumps(corrupted), encoding="utf-8")
     try:
         model = load_model(fuzz_file)
