@@ -8,7 +8,6 @@ mean + k * std of the training scores.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 from . import nn
 from .datasets import normals_only, validation_normals
 from .errors import ConfigError, ShapeError, TrainingError
+from .files import write_csv
 from .nn import AdamState, DenseNetwork, adam_step, backward, forward, init_network
 from .preprocess import PreprocessConfig, as_matrix
 
@@ -90,13 +90,8 @@ class AeTrainingTrace:
     val_loss: list[float] = field(default_factory=list)
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss"])
-            for i, (t, v) in enumerate(zip(self.train_loss, self.val_loss)):
-                writer.writerow([i, repr(t), repr(v)])
+        rows = ((i, repr(t), repr(v)) for i, (t, v) in enumerate(zip(self.train_loss, self.val_loss)))
+        write_csv(path, ["epoch", "train_loss", "val_loss"], rows)
 
 
 def build_ae_networks(feature_dim: int, config: AeConfig, seed) -> tuple[DenseNetwork, DenseNetwork]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -20,8 +19,9 @@ from . import metrics, persistence
 from .config import DETECTORS, load_config
 from .datasets import SplitConfig, class_counts, train_test_split, validation_split
 from .errors import ConfigError, FetalGuardError, ParseError
-from .experiment import fit_detector, run_experiment
-from .ingest import ClassLabel, load_collection, read_csv_rows, read_record_csv
+from .experiment import fit_detector, run_experiment, write_scores_csv
+from .files import read_csv_rows, write_csv, write_json
+from .ingest import ClassLabel, load_collection, read_record_csv
 from .preprocess import (
     PreprocessConfig,
     preprocess_collection,
@@ -62,17 +62,14 @@ def cmd_ingest(args) -> int:
     )
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "index.csv").open("w", encoding="utf-8") as fh:
-            fh.write("record_id,label,ph,apgar1,n_samples,sample_rate_hz\n")
-            for item in result.records:
-                rec, meta = item.record, item.record.metadata
-                fh.write(
-                    f"{rec.record_id},{int(item.label)},{meta.ph},{meta.apgar1},"
-                    f"{rec.fhr.size},{rec.sample_rate_hz}\n"
-                )
+        rows = (
+            (r.record.record_id, int(r.label), r.record.metadata.ph, r.record.metadata.apgar1,
+             r.record.fhr.size, r.record.sample_rate_hz)
+            for r in result.records
+        )
+        write_csv(out / "index.csv", ["record_id", "label", "ph", "apgar1", "n_samples", "sample_rate_hz"], rows)
         skips = [{"record_id": s.record_id, "reason": s.reason} for s in result.skipped]
-        (out / "skipped.json").write_text(json.dumps(skips, indent=2) + "\n", encoding="utf-8")
+        write_json(skips, out / "skipped.json")
         print(f"index: {out / 'index.csv'}")
     return 0
 
@@ -105,7 +102,7 @@ def cmd_split(args) -> int:
         "train": class_counts(train),
         "test": class_counts(test),
     }
-    (out / "split.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(summary, out / "split.json")
     print(f"train: {len(train)}  test: {len(test)}  -> {out}")
     return 0
 
@@ -177,13 +174,8 @@ def cmd_evaluate(args) -> int:
     labels = [fv.label for fv in features]
     report = metrics.evaluate_scores(scores, labels, tau)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"tau": tau, **report.scalars()}
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    with (out / "scores.csv").open("w", encoding="utf-8") as fh:
-        fh.write("record_id,label,score\n")
-        for fv, score in zip(features, scores):
-            fh.write(f"{fv.record_id},{int(fv.label)},{float(score)!r}\n")
+    write_json({"tau": tau, **report.scalars()}, out / "report.json")
+    write_scores_csv(features, scores, out / "scores.csv")
     metrics.write_curves(report.pr_points, report.roc_points, labels, out)
     print(
         f"f1={report.f1:.3f} balanced_accuracy={report.balanced_accuracy:.3f} "

@@ -21,6 +21,7 @@ from . import iforest, nn
 from .autoencoder import AeModel
 from .datasets import SplitConfig
 from .errors import ConfigError, FetalGuardError
+from .files import read_json
 from .ganomaly import GanomalyModel
 from .iforest import IsolationForestModel
 from .preprocess import PreprocessConfig
@@ -238,19 +239,9 @@ def parse_config(
 def load_config(
     path: str | Path, required: tuple[str, ...] = ("data", "model")
 ) -> ExperimentConfig:
-    """Read and validate a config file; parse errors carry line and column."""
-    path = Path(path)
-    try:
-        raw_text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason}") from None
-    try:
-        data = json.loads(raw_text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return parse_config(data, raw_text, required=required)
+    """Read and validate a config file; errors name the file, and parse errors the line and column."""
+    decode = functools.partial(parse_config, required=required)
+    return read_json(Path(path), "config", decode, with_text=True)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

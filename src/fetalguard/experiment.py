@@ -9,10 +9,8 @@ mean +/- standard deviation per metric.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +21,7 @@ from . import metrics, persistence
 from .config import ExperimentConfig, config_to_dict, detector
 from .datasets import train_test_split, validation_split
 from .errors import ConfigError, TestIsolationError
+from .files import write_csv, write_json
 from .ingest import ClassLabel, load_collection
 from .preprocess import preprocess_collection
 from .synth import generate_dataset
@@ -201,19 +200,13 @@ def score_distribution_report(fitted: FittedDetector, test_items, test_scores) -
     return report
 
 
-def _write_json(data, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_scores_csv(items, scores, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "label", "score"])
-        for fv, score in zip(items, scores):
-            label = "" if fv.label is None else int(fv.label)
-            writer.writerow([fv.record_id, label, repr(float(score))])
+def write_scores_csv(items, scores, path: Path) -> None:
+    """record_id,label,score per item, as ``curves`` reads it; an unlabeled item has an empty label."""
+    rows = (
+        (fv.record_id, "" if fv.label is None else int(fv.label), repr(float(score)))
+        for fv, score in zip(items, scores)
+    )
+    write_csv(path, ["record_id", "label", "score"], rows)
 
 
 def report_payload(result) -> dict:
@@ -233,18 +226,17 @@ def report_payload(result) -> dict:
 
 def write_run_artifacts(result, run_dir: Path) -> dict:
     """Persist every artifact for one (seed, model) leg; returns the report payload."""
-    run_dir.mkdir(parents=True, exist_ok=True)
     fitted = result["fitted"]
     persistence.save_model(fitted.model, run_dir / "model.json")
     payload = report_payload(result)
-    _write_json(payload, run_dir / "report.json")
-    _write_scores_csv(result["test_items"], result["test_scores"], run_dir / "scores_test.csv")
+    write_json(payload, run_dir / "report.json")
+    write_scores_csv(result["test_items"], result["test_scores"], run_dir / "scores_test.csv")
     if fitted.trace is not None:
         fitted.trace.write_csv(run_dir / "trace.csv")
     report = result["report"]
     labels = [fv.label for fv in result["test_items"]]
     metrics.write_curves(report.pr_points, report.roc_points, labels, run_dir)
-    _write_json(result["distribution"], run_dir / "score_distribution.json")
+    write_json(result["distribution"], run_dir / "score_distribution.json")
     return payload
 
 
@@ -302,7 +294,7 @@ def run_experiment(
     for record_id, reason in prep.rejected:
         logger.warning("rejected %s: %s", record_id, reason)
 
-    _write_json(config_to_dict(config), out_dir / "config.resolved.json")
+    write_json(config_to_dict(config), out_dir / "config.resolved.json")
 
     payloads = []
     for seed in seeds:
@@ -321,6 +313,6 @@ def run_experiment(
             payloads.append(write_run_artifacts(result, run_dir))
 
     aggregate = aggregate_runs(payloads)
-    _write_json(aggregate, out_dir / "aggregate.json")
+    write_json(aggregate, out_dir / "aggregate.json")
     (out_dir / "aggregate.txt").write_text(format_aggregate_table(aggregate), encoding="utf-8")
     return aggregate

@@ -1,0 +1,100 @@
+"""The package's file encodings: UTF-8 CSV and JSON files, and arrays as base64 text."""
+
+from __future__ import annotations
+
+import base64
+import contextlib
+import csv
+import json
+from collections.abc import Iterable, Iterator
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigError, ParseError
+
+
+@contextlib.contextmanager
+def utf8_text(path: Path, newline: str | None = None):
+    """path opened as UTF-8 text; text that does not decode, read inside the block, is a ParseError."""
+    with path.open(newline=newline, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each row of a UTF-8 CSV file, the header first.
+
+    A row csv cannot read (a cell beyond csv's field size limit) is a ParseError naming its line.
+    """
+    with utf8_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num) from None
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """header and rows as a UTF-8 CSV file by csv.writer ("\\r\\n" line ends), creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path: Path, what: str, decode, with_text: bool = False):
+    """decode(value) of a UTF-8 JSON file's value, or decode(value, text) with_text.
+
+    Any failure to read, parse or decode the file, nesting too deeply included, is a
+    one-line ConfigError that names it. Without with_text the text is freed before
+    decode runs: keeping a 3 MB model's text made decoding it 10% slower.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+        if with_text:
+            return decode(json.loads(text), text)
+        value = json.loads(text)
+        del text
+        return decode(value)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{what} {path} nests too deeply") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def write_json(data, path: str | Path) -> None:
+    """data as a UTF-8 JSON file, keys sorted, two-space indents, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def encode_array(values, dtype: str) -> str:
+    """base64 of values as the little-endian fixed-width dtype, in C order."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def decode_array(value, name: str, dtype: str) -> np.ndarray:
+    """encode_array's values as a writable int64 or float64 copy; anything else is a ConfigError naming it."""
+    try:
+        raw = base64.b64decode(value, validate=True) if isinstance(value, str) else None
+    except ValueError:  # not base64, or not ASCII
+        raw = None
+    if raw is None:
+        raise ConfigError(f"{name} is not a base64 string")
+    dtype = np.dtype(dtype)
+    if len(raw) % dtype.itemsize:
+        raise ConfigError(f"{name} holds {len(raw)} bytes, not a multiple of {dtype.itemsize}")
+    return np.frombuffer(raw, dtype=dtype).astype(np.float64 if dtype.kind == "f" else np.int64)

@@ -9,7 +9,6 @@ generator steps, each on freshly sampled minibatches.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +19,7 @@ import numpy as np
 from . import autoencoder, nn
 from .datasets import bootstrap_resample, normals_only, validation_normals
 from .errors import ConfigError, ShapeError, TrainingDataError, TrainingError
+from .files import write_csv
 from .nn import (
     AdamState,
     DenseNetwork,
@@ -129,13 +129,8 @@ class GanTrainingTrace:
     generator_updates: int = 0
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "l_d", "l_g"])
-            for i, (d, g) in enumerate(zip(self.l_d, self.l_g)):
-                writer.writerow([i, repr(d), repr(g)])
+        rows = ((i, repr(d), repr(g)) for i, (d, g) in enumerate(zip(self.l_d, self.l_g)))
+        write_csv(path, ["iter", "l_d", "l_g"], rows)
 
 
 def build_ganomaly_networks(

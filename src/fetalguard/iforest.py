@@ -7,7 +7,6 @@ within the node. Samples that isolate on short paths score as anomalies.
 
 from __future__ import annotations
 
-import base64
 import functools
 import math
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ import numpy as np
 
 from .datasets import normals_only
 from .errors import ConfigError, ShapeError, TrainingError
+from .files import decode_array, encode_array
 from .preprocess import PreprocessConfig, as_matrix
 
 DEFAULT_SUBSAMPLE = 256
@@ -264,7 +264,7 @@ def _forest_to_json(trees: Forest) -> dict:
         rows += tree_rows
     columns = [counts, *zip(*rows)]
     return {
-        name: base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+        name: encode_array(values, dtype)
         for (name, dtype), values in zip(_FOREST_ARRAYS.items(), columns)
     }
 
@@ -294,7 +294,7 @@ def _forest_from_json(value, feature_dim: int, subsample_size: int) -> Forest:
     if type(value) is not dict or value.keys() != _FOREST_ARRAYS.keys():
         raise ConfigError(f"forest must be an object of the arrays {', '.join(_FOREST_ARRAYS)}")
     counts, feature, threshold, left, right, size = (
-        _array(value[name], name, dtype) for name, dtype in _FOREST_ARRAYS.items()
+        decode_array(value[name], f"forest array {name}", dtype) for name, dtype in _FOREST_ARRAYS.items()
     )
     if (counts < 1).any():
         raise ConfigError(f"a tree has {counts.min()} nodes")
@@ -353,20 +353,6 @@ def _forest_from_json(value, feature_dim: int, subsample_size: int) -> Forest:
             else InternalNode(features[i], thresholds[i], nodes[lefts[i]], nodes[rights[i]])
         )
     return [IsolationTree(nodes[start], limit) for start in starts.tolist()]
-
-
-def _array(value, name: str, dtype: str) -> np.ndarray:
-    """One forest array from base64 text, widened to int64 or float64; anything else is a ConfigError."""
-    try:
-        raw = base64.b64decode(value, validate=True) if isinstance(value, str) else None
-    except ValueError:  # not base64, or not ASCII
-        raw = None
-    if raw is None:
-        raise ConfigError(f"forest array {name} is not a base64 string")
-    width = np.dtype(dtype).itemsize
-    if len(raw) % width:
-        raise ConfigError(f"forest array {name} holds {len(raw)} bytes, not a multiple of {width}")
-    return np.frombuffer(raw, dtype=dtype).astype(np.float64 if dtype == "<f8" else np.int64)
 
 
 def _nested_tree(data, feature_dim: int, subsample_size: int) -> IsolationTree:

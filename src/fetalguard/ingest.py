@@ -10,12 +10,10 @@ the preprocessing stage treats them as missing.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import logging
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -29,6 +27,7 @@ from .errors import (
     ParseError,
     StructureError,
 )
+from .files import read_csv_rows, utf8_text
 
 logger = logging.getLogger(__name__)
 
@@ -229,37 +228,12 @@ def _parse_optional_float(cell: str, name: str, line: int) -> float | None:
         raise ParseError(f"non-numeric {name} {cell!r}", line=line) from None
 
 
-@contextlib.contextmanager
-def _utf8_text(path: Path, newline: str | None = None):
-    """path opened as UTF-8 text; text that does not decode, read inside the block, is a ParseError."""
-    with path.open(newline=newline, encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def read_record_csv(path: str | Path) -> SignalRecord:
     """parse_record_csv of one signal file, named by its stem; a file that is not UTF-8 is a ParseError."""
     path = Path(path)
-    with _utf8_text(path) as fh:
+    with utf8_text(path) as fh:
         text = fh.read()
     return parse_record_csv(text, path.stem)
-
-
-def read_csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) of each row of a UTF-8 CSV file, the header first.
-
-    A file that is not UTF-8 is a ParseError, and so is a row csv cannot read
-    (a cell beyond csv's field size limit), which names its line.
-    """
-    with _utf8_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                yield reader.line_num, row
-        except csv.Error as exc:
-            raise ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num) from None
 
 
 def read_metadata_csv(path: str | Path) -> dict[str, ClinicalMetadata]:
@@ -330,7 +304,7 @@ def load_collection(signal_dir: str | Path, metadata_file: str | Path) -> LoadRe
             skipped.append(SkippedRecord(record_id, "no metadata row"))
             continue
         try:
-            record = parse_record_csv(path.read_text(encoding="utf-8"), record_id)
+            record = read_record_csv(path)
             record.metadata = meta
             label = assign_label(meta)
         except (FetalGuardError, ValueError) as exc:

@@ -7,7 +7,6 @@ so ties share a single point and the curves are exact at this data scale.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -15,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError, SplitError
+from .files import write_csv
 from .ingest import ClassLabel
 
 
@@ -151,18 +151,17 @@ def _curve_inputs(scores, labels):
     # last index of each run of tied scores
     boundary = np.nonzero(s[1:] != s[:-1])[0]
     idx = np.concatenate([boundary, [s.size - 1]])
-    return s[idx], tp_cum[idx], fp_cum[idx], n_pos, n_neg
+    # as Python numbers, so that the points hold floats and not numpy scalars
+    return s[idx].tolist(), tp_cum[idx].tolist(), fp_cum[idx].tolist(), n_pos, n_neg
 
 
 def pr_curve(scores, labels) -> list[PrPoint]:
     """(recall, precision) points swept over the distinct scores, descending."""
     thresholds, tp, fp, n_pos, _ = _curve_inputs(scores, labels)
-    points = []
-    for t, tp_i, fp_i in zip(thresholds, tp, fp):
-        points.append(
-            PrPoint(threshold=float(t), recall=tp_i / n_pos, precision=tp_i / (tp_i + fp_i))
-        )
-    return points
+    return [
+        PrPoint(threshold=t, recall=tp_i / n_pos, precision=tp_i / (tp_i + fp_i))
+        for t, tp_i, fp_i in zip(thresholds, tp, fp)
+    ]
 
 
 def roc_curve_and_auc(scores, labels) -> tuple[list[RocPoint], float]:
@@ -170,7 +169,7 @@ def roc_curve_and_auc(scores, labels) -> tuple[list[RocPoint], float]:
     thresholds, tp, fp, n_pos, n_neg = _curve_inputs(scores, labels)
     points = [RocPoint(threshold=float("inf"), fpr=0.0, tpr=0.0)]
     for t, tp_i, fp_i in zip(thresholds, tp, fp):
-        points.append(RocPoint(threshold=float(t), fpr=fp_i / n_neg, tpr=tp_i / n_pos))
+        points.append(RocPoint(threshold=t, fpr=fp_i / n_neg, tpr=tp_i / n_pos))
     auc = 0.0
     for a, b in zip(points, points[1:]):
         auc += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2.0
@@ -209,23 +208,12 @@ def evaluate_scores(scores, labels, threshold: float) -> EvalReport:
 
 
 def write_pr_csv(points: list[PrPoint], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "recall", "precision"])
-        for p in points:
-            writer.writerow([repr(p.threshold), repr(p.recall), repr(p.precision)])
+    rows = ((p.threshold, p.recall, p.precision) for p in points)
+    write_csv(path, ["threshold", "recall", "precision"], rows)
 
 
 def write_roc_csv(points: list[RocPoint], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for p in points:
-            writer.writerow([repr(p.threshold), repr(p.fpr), repr(p.tpr)])
+    write_csv(path, ["threshold", "fpr", "tpr"], ((p.threshold, p.fpr, p.tpr) for p in points))
 
 
 def write_curves(

@@ -7,13 +7,12 @@ implemented (no convolutions, no general autodiff).
 
 from __future__ import annotations
 
-import base64
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .files import decode_array, encode_array
 
 ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "identity")
 
@@ -301,8 +300,8 @@ def network_to_dict(net: DenseNetwork) -> dict:
                 "out_dim": l.out_dim,
                 "activation": l.activation,
                 "alpha": l.alpha,
-                "weights": _to_blob(l.weights),
-                "biases": _to_blob(l.biases),
+                "weights": encode_array(l.weights, "<f8"),
+                "biases": encode_array(l.biases, "<f8"),
             }
             for l in net.layers
         ],
@@ -330,30 +329,19 @@ def network_from_dict(data: dict) -> DenseNetwork:
     )
 
 
-def _to_blob(array: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
-
-
 def _v2_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
     """(weights, biases) of a version-2 layer, checked against its in_dim and out_dim."""
     in_dim, out_dim = layer.get("in_dim"), layer.get("out_dim")
     if not all(type(d) is int and d > 0 for d in (in_dim, out_dim)):
         raise ConfigError(f"layer dims must be positive integers, got ({in_dim!r}, {out_dim!r})")
-    return _from_blob(layer.get("weights"), (in_dim, out_dim)), _from_blob(layer.get("biases"), (out_dim,))
-
-
-def _from_blob(value, shape: tuple[int, ...]) -> np.ndarray:
-    """A writable float64 array of the given shape from base64 text; anything else is a ConfigError."""
-    try:
-        raw = base64.b64decode(value, validate=True) if isinstance(value, str) else None
-    except ValueError:  # not base64, or not ASCII
-        raw = None
-    if raw is None:
-        raise ConfigError("layer array is not a base64 string")
-    if len(raw) != 8 * math.prod(shape):
-        raise ConfigError(f"layer array holds {len(raw)} bytes, not 8 per element of shape {shape}")
-    # a copy: frombuffer over bytes is read-only, and Adam updates loaded weights in place
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    weights = decode_array(layer.get("weights"), "layer weights array", "<f8")
+    biases = decode_array(layer.get("biases"), "layer biases array", "<f8")
+    if (weights.size, biases.size) != (in_dim * out_dim, out_dim):
+        raise ConfigError(
+            f"layer weights and biases hold {8 * weights.size} bytes and {8 * biases.size} bytes, "
+            f"not 8 per element of shapes ({in_dim}, {out_dim}) and ({out_dim},)"
+        )
+    return weights.reshape(in_dim, out_dim), biases
 
 
 def _v1_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:

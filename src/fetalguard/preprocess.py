@@ -8,7 +8,6 @@ vector normalized into [0, 1].
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,7 +22,8 @@ from .errors import (
     ShapeError,
     TrainingDataError,
 )
-from .ingest import ClassLabel, SignalRecord, read_csv_rows
+from .files import read_csv_rows, write_csv
+from .ingest import ClassLabel, SignalRecord
 
 BPM_MIN = 50.0
 BPM_MAX = 200.0
@@ -226,18 +226,14 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
     if not features:
         raise PreprocessError("nothing to write: empty feature list")
     d = features[0].x.size
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "label"] + [f"f{i:03d}" for i in range(d)])
-        for fv in features:
-            if fv.x.size != d:
-                raise PreprocessError(
-                    f"inconsistent feature dimension for {fv.record_id}: {fv.x.size} != {d}"
-                )
-            label_cell = "" if fv.label is None else int(fv.label)
-            writer.writerow([fv.record_id, label_cell] + [repr(float(v)) for v in fv.x])
+    for fv in features:
+        if fv.x.size != d:
+            raise PreprocessError(f"inconsistent feature dimension for {fv.record_id}: {fv.x.size} != {d}")
+    rows = (
+        [fv.record_id, "" if fv.label is None else int(fv.label)] + [repr(float(v)) for v in fv.x]
+        for fv in features
+    )
+    write_csv(path, ["record_id", "label"] + [f"f{i:03d}" for i in range(d)], rows)
 
 
 def read_features_csv(path: str | Path) -> list[FeatureVector]:

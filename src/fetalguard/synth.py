@@ -9,13 +9,13 @@ rule agrees with the generator's ground truth.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .files import write_csv
 from .ingest import ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord
 
 SAMPLE_RATE_HZ = 4.0
@@ -147,20 +147,12 @@ def write_dataset(records: list[LabeledRecord], out_dir: str | Path) -> tuple[Pa
     """
     out_dir = Path(out_dir)
     signals_dir = out_dir / "signals"
-    signals_dir.mkdir(parents=True, exist_ok=True)
+    signals = [item.record for item in records]
+    for record in signals:
+        times = (i / record.sample_rate_hz for i in range(record.fhr.size))
+        rows = zip(map(repr, times), map(repr, record.fhr.tolist()))
+        write_csv(signals_dir / f"{record.record_id}.csv", ["time_s", "fhr_bpm"], rows)
     metadata_file = out_dir / "metadata.csv"
-    with metadata_file.open("w", newline="", encoding="utf-8") as meta_fh:
-        writer = csv.writer(meta_fh)
-        writer.writerow(["record_id", "ph", "apgar1", "pco2", "po2", "bdecf"])
-        for item in records:
-            record = item.record
-            meta = record.metadata
-            writer.writerow([record.record_id, meta.ph, meta.apgar1, "", "", ""])
-            with (signals_dir / f"{record.record_id}.csv").open(
-                "w", newline="", encoding="utf-8"
-            ) as sig_fh:
-                sig_writer = csv.writer(sig_fh)
-                sig_writer.writerow(["time_s", "fhr_bpm"])
-                for i, v in enumerate(record.fhr):
-                    sig_writer.writerow([repr(i / record.sample_rate_hz), repr(float(v))])
+    rows = ((r.record_id, r.metadata.ph, r.metadata.apgar1, "", "", "") for r in signals)
+    write_csv(metadata_file, ["record_id", "ph", "apgar1", "pco2", "po2", "bdecf"], rows)
     return signals_dir, metadata_file

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import csv
 import json
 import shutil
 
@@ -197,6 +198,13 @@ def test_invalid_json_reports_line(tmp_path, capsys):
     path.write_text('{\n  "data": oops\n}\n', encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 2
     assert ":2:" in capsys.readouterr().err
+
+
+def test_a_config_that_nests_too_deeply_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"config {path} nests too deeply" in _one_line_error(capsys)
 
 
 def test_missing_model_file_is_reported(tmp_path, capsys):
@@ -586,3 +594,20 @@ def test_curves_refuses_a_scores_file_that_is_not_utf8(tmp_path, capsys):
     scores.write_bytes(b"record_id,label,score\na,1,0.9\nb,0,0.\xff\n")
     assert main(["curves", "--scores", str(scores), "--out", str(tmp_path / "curves")]) == 1
     assert f"{scores}: not UTF-8 text" in _one_line_error(capsys)
+
+
+def test_evaluate_scores_round_trip_through_curves(features_file, model_files, tmp_path):
+    features = read_features_csv(features_file)
+    for i, fv in enumerate(features):
+        fv.record_id = f'rec {i}, "quoted"'
+    quoted = tmp_path / "features.csv"
+    write_features_csv(features, quoted)
+    evaluated, curves = tmp_path / "evaluate", tmp_path / "curves"
+    model = str(model_files["ae"])
+    assert main(["evaluate", "--model-file", model, "--features", str(quoted), "--out", str(evaluated)]) == 0
+    assert main(["curves", "--scores", str(evaluated / "scores.csv"), "--out", str(curves)]) == 0
+    for name in ("pr_curve.csv", "roc_curve.csv"):
+        assert (curves / name).read_bytes() == (evaluated / name).read_bytes()
+    with (evaluated / "scores.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[0] for row in rows] == [fv.record_id for fv in features]

@@ -160,6 +160,22 @@ def test_load_collection_skips_unlabelable_records(tmp_path):
     assert "apgar1" in result.skipped[0].reason
 
 
+def test_load_collection_skips_a_signal_that_is_not_utf8_as_score_refuses_it(tmp_path):
+    signals = tmp_path / "signals"
+    signals.mkdir()
+    for name in ("a", "b", "c"):
+        _write_signal(signals / f"{name}.csv")
+    bad = signals / "b.csv"
+    bad.write_bytes(bad.read_bytes() + b"1e9,\xff\n")
+    (tmp_path / "meta.csv").write_text(
+        "record_id,ph,apgar1\na,7.30,9\nb,7.30,9\nc,7.10,5\n", encoding="utf-8"
+    )
+    result = load_collection(signals, tmp_path / "meta.csv")
+    assert [r.record.record_id for r in result.records] == ["a", "c"]
+    assert [s.record_id for s in result.skipped] == ["b"]
+    assert result.skipped[0].reason.startswith(f"{bad}: not UTF-8 text")
+
+
 def test_load_collection_empty_directory_fails(tmp_path):
     signals = tmp_path / "signals"
     signals.mkdir()

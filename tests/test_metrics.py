@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from oracles import brute_force_scalars, rank_statistic_auc
@@ -221,3 +223,6 @@ def test_curve_csv_and_svg_outputs(tmp_path):
     assert roc_text.splitlines()[0] == "threshold,fpr,tpr"
     svg = (tmp_path / "curves.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+    for text in (pr_text, roc_text):  # every cell a plain number
+        assert all(float(cell) >= 0 for line in text.splitlines()[1:] for cell in line.split(","))
+    assert all(type(value) is float for p in pr_points + roc_points for value in astuple(p))

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fetalguard.config import DETECTORS
+from fetalguard.config import DETECTORS, load_config
 from fetalguard.errors import ConfigError, ShapeError
 from fetalguard.experiment import fit_detector
 from fetalguard.iforest import build_forest, if_scores
@@ -180,8 +181,26 @@ def test_a_preprocess_dict_saves_as_its_config_does(models, tmp_path):
 def test_a_file_that_is_not_utf8_or_nests_too_deeply_is_a_config_error(content, tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(content)
-    with pytest.raises(ConfigError, match="model.json"):
-        load_model(path)
+    for load in (load_model, load_config):
+        with pytest.raises(ConfigError, match="model.json"):
+            load(path)
+
+
+@pytest.mark.parametrize("kind", ["model", "config"])
+def test_a_value_nested_up_to_the_recursion_limit_is_a_config_error(kind, models, tmp_path):
+    # parsed, but too deep to print in the message that refuses it
+    path = tmp_path / "deep.json"
+    if kind == "model":
+        save_model(models["iforest"], path)
+        data, load = {**json.loads(path.read_text()), "tau": "@"}, load_model
+    else:
+        data, load = {"data": {"synth": {}}, "model": {"ae": {}}, "eval": {"seeds": "@"}}, load_config
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 150, limit + 10):
+        path.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per depth
+        path.write_text(json.dumps(data).replace('"@"', "[" * depth + "]" * depth))
+        with pytest.raises(ConfigError, match="deep.json"):
+            load(path)
 
 
 @pytest.fixture(scope="module")
