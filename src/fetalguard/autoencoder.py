@@ -40,8 +40,9 @@ class AeConfig:
     k_sigma: float = 1.0
 
     def __post_init__(self):
-        if self.batch_size <= 0 or self.epochs <= 0:
-            raise ConfigError("batch_size and epochs must be positive")
+        for key in ("batch_size", "epochs", "patience"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
 
 
 @dataclass
@@ -102,9 +103,7 @@ def build_ae_networks(feature_dim: int, config: AeConfig, seed) -> tuple[DenseNe
 
 
 def _mean_l1(encoder: DenseNetwork, decoder: DenseNetwork, x: np.ndarray) -> float:
-    z, _ = forward(encoder, x)
-    xhat, _ = forward(decoder, z)
-    return float(np.abs(x - xhat).sum(axis=1).mean())
+    return float(nn.reconstruction_errors(encoder, decoder, x).mean())
 
 
 def train_ae(
@@ -115,9 +114,8 @@ def train_ae(
 ) -> tuple[AeModel, AeTrainingTrace]:
     """Train on normal samples with minibatch Adam on the mean L1 reconstruction loss.
 
-    Stops early when the validation loss has not improved for ``patience``
-    epochs and restores the best-validation parameters. Raises TrainingError
-    on a non-finite loss.
+    Early stopping (nn.EarlyStopping) counts the untrained weights as epoch 0.
+    Raises TrainingError on a non-finite loss.
     """
     config = config or AeConfig()
     x = as_matrix(normals)
@@ -141,10 +139,7 @@ def train_ae(
     trace = AeTrainingTrace()
     trace.train_loss.append(_mean_l1(encoder, decoder, x))
     trace.val_loss.append(_mean_l1(encoder, decoder, x_val))
-
-    best_val = trace.val_loss[0]
-    best_params = [p.copy() for p in params]
-    stale = 0
+    stopper = nn.EarlyStopping(params, config.patience, initial_loss=trace.val_loss[0])
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -168,18 +163,10 @@ def train_ae(
                 "non-finite loss during autoencoder training",
                 diagnostics={"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss},
             )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = [p.copy() for p in params]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                logger.info("autoencoder early stop at epoch %d (best val %.6f)", epoch, best_val)
-                break
-
-    for p, best in zip(params, best_params):
-        p[...] = best
+        if stopper.stop(val_loss):
+            logger.info("autoencoder early stop at epoch %d (best val %.6f)", epoch, stopper.best_loss)
+            break
+    stopper.restore()
 
     model = AeModel(
         encoder=encoder,
@@ -192,18 +179,9 @@ def train_ae(
     return model, trace
 
 
-def reconstruct(model: AeModel, x: np.ndarray) -> np.ndarray:
-    z, _ = forward(model.encoder, x)
-    xhat, _ = forward(model.decoder, z)
-    return xhat
-
-
 def ae_scores(model: AeModel, samples) -> np.ndarray:
     """Anomaly scores: L1 distance between each sample and its reconstruction."""
-    x = as_matrix(samples)
-    if x.shape[1] != model.feature_dim:
-        raise ShapeError(f"expected dim {model.feature_dim}, got {x.shape[1]}")
-    return np.abs(x - reconstruct(model, x)).sum(axis=1)
+    return nn.reconstruction_errors(model.encoder, model.decoder, as_matrix(samples))
 
 
 def calibrate_threshold(training_scores, k: float) -> float:

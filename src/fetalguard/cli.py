@@ -18,9 +18,9 @@ from pathlib import Path
 from . import metrics, persistence
 from .config import DETECTORS, load_config
 from .datasets import SplitConfig, class_counts, train_test_split, validation_split
-from .errors import ConfigError, FetalGuardError, ParseError
-from .experiment import fit_detector, run_experiment, write_scores_csv
-from .files import read_csv_rows, write_csv, write_json
+from .errors import ConfigError, FetalGuardError
+from .experiment import fit_detector, read_scores_csv, run_experiment, write_scores_csv
+from .files import write_csv, write_json
 from .ingest import ClassLabel, load_collection, read_record_csv
 from .preprocess import (
     PreprocessConfig,
@@ -204,23 +204,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    scores: list[float] = []
-    labels: list[int] = []
-    rows = read_csv_rows(Path(args.scores))
-    if [cell.strip() for cell in next(rows, (0, []))[1]] != ["record_id", "label", "score"]:
-        raise ConfigError(f"{args.scores}: expected header record_id,label,score")
-    for line_no, cells in rows:
-        if not cells or (len(cells) == 1 and not cells[0].strip()):
-            continue
-        if len(cells) != 3:
-            raise ParseError(f"{args.scores}: expected 3 columns, got {len(cells)}", line=line_no)
-        if cells[1] not in ("0", "1"):
-            raise ParseError(f"{args.scores}: label must be 0 or 1, got {cells[1]!r}", line=line_no)
-        try:
-            scores.append(float(cells[2]))
-        except ValueError:
-            raise ParseError(f"{args.scores}: non-numeric score", line=line_no) from None
-        labels.append(int(cells[1]))
+    scores, labels = read_scores_csv(args.scores)
     pr_points = metrics.pr_curve(scores, labels)
     roc_points, auc = metrics.roc_curve_and_auc(scores, labels)
     out = Path(args.out)

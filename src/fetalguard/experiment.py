@@ -20,8 +20,8 @@ import numpy as np
 from . import metrics, persistence
 from .config import ExperimentConfig, config_to_dict, detector
 from .datasets import train_test_split, validation_split
-from .errors import ConfigError, TestIsolationError
-from .files import write_csv, write_json
+from .errors import ConfigError, ParseError, TestIsolationError
+from .files import read_csv_rows, write_csv, write_json
 from .ingest import ClassLabel, load_collection
 from .preprocess import preprocess_collection
 from .synth import generate_dataset
@@ -207,6 +207,28 @@ def write_scores_csv(items, scores, path: Path) -> None:
         for fv, score in zip(items, scores)
     )
     write_csv(path, ["record_id", "label", "score"], rows)
+
+
+def read_scores_csv(path: str | Path) -> tuple[list[float], list[int]]:
+    """(scores, labels) of a write_scores_csv file whose every row is labeled; blank rows are skipped."""
+    scores: list[float] = []
+    labels: list[int] = []
+    rows = read_csv_rows(Path(path))
+    if [cell.strip() for cell in next(rows, (0, []))[1]] != ["record_id", "label", "score"]:
+        raise ConfigError(f"{path}: expected header record_id,label,score")
+    for line_no, cells in rows:
+        if not cells or (len(cells) == 1 and not cells[0].strip()):
+            continue
+        if len(cells) != 3:
+            raise ParseError(f"{path}: expected 3 columns, got {len(cells)}", line=line_no)
+        if cells[1] not in ("0", "1"):
+            raise ParseError(f"{path}: label must be 0 or 1, got {cells[1]!r}", line=line_no)
+        try:
+            scores.append(float(cells[2]))
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric score", line=line_no) from None
+        labels.append(int(cells[1]))
+    return scores, labels
 
 
 def report_payload(result) -> dict:

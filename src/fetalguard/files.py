@@ -74,6 +74,13 @@ def read_json(path: Path, what: str, decode, with_text: bool = False):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def refuse_unknown_keys(data: dict, known, where: str) -> None:
+    """A ConfigError naming the first key of data that is not known, if any."""
+    unknown = data.keys() - known
+    if unknown:
+        raise ConfigError(f"unknown key {min(unknown)!r} in {where}")
+
+
 def write_json(data, path: str | Path) -> None:
     """data as a UTF-8 JSON file, keys sorted, two-space indents, creating its directory."""
     path = Path(path)

@@ -65,8 +65,9 @@ class GanomalyConfig:
             raise ConfigError(f"score_mode must be one of {SCORE_MODES}, got {self.score_mode!r}")
         if min(self.lambda_c, self.lambda_e, self.lambda_a) < 0:
             raise ConfigError("loss weights must be nonnegative")
-        if self.k_d <= 0 or self.k_g <= 0 or self.batch_size <= 0:
-            raise ConfigError("k_d, k_g, and batch_size must be positive")
+        for key in ("k_d", "k_g", "batch_size", "iterations_per_epoch", "epochs", "patience"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
 
 
 @dataclass
@@ -242,8 +243,7 @@ def train_ganomaly(
     Per outer iteration: k_d discriminator updates then k_g generator updates,
     each on two freshly drawn minibatches (one providing latents, one providing
     the direct samples). Adam state is kept separately for the generator group
-    and the discriminator. Stops early when the generator validation objective
-    has not improved for ``patience`` epochs; restores the best snapshot.
+    and the discriminator. nn.EarlyStopping watches the generator validation objective.
     """
     config = config or GanomalyConfig()
     x = as_matrix(normals)
@@ -269,9 +269,7 @@ def train_ganomaly(
         return x[rng.integers(0, n, size=config.batch_size)]
 
     trace = GanTrainingTrace()
-    best_val = np.inf
-    best_snapshot = None
-    stale = 0
+    stopper = nn.EarlyStopping(gen_params + dis_params, config.patience)
 
     for epoch in range(config.epochs):
         for _ in range(config.iterations_per_epoch):
@@ -320,19 +318,10 @@ def train_ganomaly(
             x_val, e1, dec, e2, dis, config.lambda_c, config.lambda_e, config.lambda_a
         )[0]
         trace.val_loss.append(val)
-        if val < best_val:
-            best_val = val
-            best_snapshot = [p.copy() for p in gen_params + dis_params]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                logger.info("ganomaly early stop after epoch %d (best val %.6f)", epoch + 1, best_val)
-                break
-
-    if best_snapshot is not None:
-        for p, best in zip(gen_params + dis_params, best_snapshot):
-            p[...] = best
+        if stopper.stop(val):
+            logger.info("ganomaly early stop after epoch %d (best val %.6f)", epoch + 1, stopper.best_loss)
+            break
+    stopper.restore()
 
     model = GanomalyModel(
         encoder1=e1,
@@ -353,12 +342,10 @@ def train_ganomaly(
 
 def gan_scores(model: GanomalyModel, samples) -> np.ndarray:
     """Anomaly scores: reconstruction L1 in data space, or latent L1 in "latent" mode."""
-    x = as_matrix(samples)
-    if x.shape[1] != model.feature_dim:
-        raise ShapeError(f"expected dim {model.feature_dim}, got {x.shape[1]}")
+    x = as_matrix(samples)  # forward refuses a dimension other than the encoder's
+    if model.score_mode == "data":
+        return nn.reconstruction_errors(model.encoder1, model.decoder, x)
     z1, _ = forward(model.encoder1, x)
     xhat, _ = forward(model.decoder, z1)
-    if model.score_mode == "latent":
-        z2, _ = forward(model.encoder2, xhat)
-        return np.abs(z1 - z2).sum(axis=1)
-    return np.abs(x - xhat).sum(axis=1)
+    z2, _ = forward(model.encoder2, xhat)
+    return np.abs(z1 - z2).sum(axis=1)

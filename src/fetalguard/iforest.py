@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import normals_only
 from .errors import ConfigError, ShapeError, TrainingError
-from .files import decode_array, encode_array
+from .files import decode_array, encode_array, refuse_unknown_keys
 from .preprocess import PreprocessConfig, as_matrix
 
 DEFAULT_SUBSAMPLE = 256
@@ -362,16 +362,24 @@ def _nested_tree(data, feature_dim: int, subsample_size: int) -> IsolationTree:
     return IsolationTree(tree_from_dict(data["root"], feature_dim, subsample_size), data["max_depth"])
 
 
+# the keys of a nested leaf and split node of a version-1 or version-2 file
+_NODE_KEYS = {True: {"leaf", "size", "depth"}, False: {"leaf", "feature", "threshold", "left", "right"}}
+
+
 def tree_from_dict(data: dict, feature_dim: int, subsample_size: int, depth: int = 0):
     """A nested node of a version-1 or version-2 file; one that cannot belong to the model is a ConfigError."""
     leaf = data.get("leaf") if type(data) is dict else None
-    if leaf is True:
+    if leaf is not True and leaf is not False:
+        raise ConfigError(f"tree node at depth {depth} is not a leaf or split object")
+    refuse_unknown_keys(data, _NODE_KEYS[leaf], f"a tree node at depth {depth}")
+    if leaf:
         size = data.get("size")
         if type(size) is not int or not 0 <= size <= subsample_size or data.get("depth") != depth:
             raise ConfigError(f"leaf at depth {depth} has size {size!r} and depth {data.get('depth')!r}")
         return LeafNode(size, depth)
-    if leaf is not False:
-        raise ConfigError(f"tree node at depth {depth} is not a leaf or split object")
+    limit = depth_limit(subsample_size)
+    if depth >= limit:
+        raise ConfigError(f"split at depth {depth}, where the limit for {subsample_size} samples is {limit}")
     feature, threshold = data.get("feature"), data.get("threshold")
     if type(feature) is not int or not 0 <= feature < feature_dim:
         raise ConfigError(f"split feature {feature!r} at depth {depth} outside [0, {feature_dim})")

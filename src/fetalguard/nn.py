@@ -12,13 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .files import decode_array, encode_array
+from .files import decode_array, encode_array, refuse_unknown_keys
 
 ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "identity")
 
 PROB_EPS = 1e-7  # probability clamp applied before logarithms
 
 FORMAT_VERSION = 2  # 1: arrays as nested JSON numbers; 2: arrays as base64 of little-endian float64
+
+_LAYER_KEYS = {"in_dim", "out_dim", "activation", "alpha", "weights", "biases"}  # of network_to_dict
 
 
 @dataclass
@@ -239,6 +241,41 @@ def adam_step(
     return params, state
 
 
+class EarlyStopping:
+    """The lowest validation loss seen, the parameters that gave it, and the epochs since.
+
+    initial_loss makes the current parameters the first candidate. A NaN loss never improves.
+    """
+
+    def __init__(self, params: list[np.ndarray], patience: int, initial_loss: float | None = None):
+        self.params = params
+        self.patience = patience
+        self.stale = 0
+        self.best_loss = np.inf if initial_loss is None else initial_loss
+        self.best_params = None if initial_loss is None else [p.copy() for p in params]
+
+    def stop(self, loss: float) -> bool:
+        """Record one epoch's validation loss -> whether patience epochs in a row did not improve."""
+        self.stale += 1
+        if loss < self.best_loss:
+            self.best_loss = loss
+            self.best_params = [p.copy() for p in self.params]
+            self.stale = 0
+        return self.stale >= self.patience
+
+    def restore(self) -> None:
+        """Copy the kept parameters, if any, back into the live arrays."""
+        for p, best in zip(self.params, self.best_params or []):
+            p[...] = best
+
+
+def reconstruction_errors(encoder: DenseNetwork, decoder: DenseNetwork, x: np.ndarray) -> np.ndarray:
+    """L1 distance between each row of x and its reconstruction decoder(encoder(x))."""
+    z, _ = forward(encoder, x)
+    xhat, _ = forward(decoder, z)
+    return np.abs(x - xhat).sum(axis=1)
+
+
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -316,6 +353,9 @@ def network_from_dict(data: dict) -> DenseNetwork:
     layers = data.get("layers")
     if not isinstance(layers, list) or not all(isinstance(l, dict) for l in layers):
         raise ConfigError("network layers must be an array of objects")
+    refuse_unknown_keys(data, {"format_version", "layers"}, "a network")
+    for i, layer in enumerate(layers):
+        refuse_unknown_keys(layer, _LAYER_KEYS, f"layer {i}")
     arrays = _v1_arrays if version == 1 else _v2_arrays
     return DenseNetwork(
         [
@@ -345,8 +385,12 @@ def _v2_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _v1_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, biases) of a version-1 layer."""
-    return _number_array(layer.get("weights"), 2), _number_array(layer.get("biases"), 1)
+    """(weights, biases) of a version-1 layer, checked against its in_dim and out_dim where it has them."""
+    weights, biases = _number_array(layer.get("weights"), 2), _number_array(layer.get("biases"), 1)
+    dims = layer.get("in_dim", weights.shape[0]), layer.get("out_dim", weights.shape[1])
+    if any(type(d) is not int for d in dims) or dims != weights.shape:
+        raise ConfigError(f"layer in_dim and out_dim {dims!r} are not the shape of its weights {weights.shape}")
+    return weights, biases
 
 
 def _number_array(value, ndim: int) -> np.ndarray:

@@ -39,6 +39,8 @@ class PreprocessConfig:
     feature_dim: int = 480
 
     def __post_init__(self):
+        if self.median_window <= 0 or self.median_window % 2 == 0:
+            raise ConfigError(f"median_window must be odd and positive, got {self.median_window}")
         if self.feature_dim <= 0:
             raise ConfigError(f"feature_dim must be positive, got {self.feature_dim}")
         if self.segment_minutes <= 0:

@@ -5,6 +5,7 @@ import pytest
 
 from fetalguard.autoencoder import (
     AeConfig,
+    _mean_l1,
     ae_scores,
     build_ae_networks,
     calibrate_threshold,
@@ -13,8 +14,9 @@ from fetalguard.autoencoder import (
 from fetalguard.errors import ConfigError, ShapeError, TrainingDataError, TrainingError
 from fetalguard.ingest import ClassLabel
 from fetalguard.metrics import classify
+from fetalguard.nn import forward
 from fetalguard.persistence import load_model, save_model
-from fetalguard.preprocess import FeatureVector
+from fetalguard.preprocess import FeatureVector, as_matrix
 
 
 SMALL = AeConfig(encoder_units=(16, 8), decoder_units=(8, 16), epochs=60, patience=60, batch_size=8)
@@ -31,6 +33,12 @@ def _near_constant_normals(n=48, dim=12, seed=0):
 
 def _constant_normals(n=48, dim=12, value=0.6):
     return _vectors(np.full((n, dim), value))
+
+
+def _reconstruction(model, x):
+    """decoder(encoder(x)) by two forward passes."""
+    z, _ = forward(model.encoder, x)
+    return forward(model.decoder, z)[0]
 
 
 class TestArchitecture:
@@ -59,10 +67,8 @@ class TestTraining:
             encoder_units=(16, 8), decoder_units=(8, 16), epochs=200, patience=200, batch_size=8
         )
         model, _ = train_ae(normals, config, seed=1)
-        from fetalguard.autoencoder import reconstruct
-
         x = np.stack([fv.x for fv in normals])
-        err = np.abs(x - reconstruct(model, x))
+        err = np.abs(x - _reconstruction(model, x))
         assert err.max() < 0.01
 
     def test_loss_descends(self):
@@ -83,6 +89,17 @@ class TestTraining:
         data = _vectors(0.5 + 0.05 * rng.normal(size=(64, 12)))
         model, trace = train_ae(data[:48], SMALL, seed=5, validation=data[48:])
         assert trace.val_loss[-1] <= 2.0 * trace.train_loss[-1] + 1e-9
+
+    def test_early_stopping_returns_the_best_validation_epoch(self):
+        rng = np.random.default_rng(5)
+        data = _vectors(0.5 + 0.05 * rng.normal(size=(64, 12)))
+        config = AeConfig(
+            encoder_units=(16, 8), decoder_units=(8, 16), epochs=60, patience=3, batch_size=8, learning_rate=0.05
+        )
+        model, trace = train_ae(data[:48], config, seed=5, validation=data[48:])
+        best = int(np.argmin(trace.val_loss))  # index 0 is the untrained network
+        assert 0 < best and len(trace.val_loss) - 1 == best + config.patience < config.epochs
+        assert _mean_l1(model.encoder, model.decoder, as_matrix(data[48:])) == min(trace.val_loss)
 
     def test_empty_input_rejected(self):
         with pytest.raises(TrainingDataError):
@@ -111,10 +128,8 @@ class TestScoring:
     def test_perfect_reconstruction_scores_zero(self):
         model = self._trained()
         x = np.zeros(model.feature_dim)
-        from fetalguard.autoencoder import reconstruct
-
         # score of the model's own fixed point: feed the reconstruction's reconstruction error bound
-        xhat = reconstruct(model, x)
+        xhat = _reconstruction(model, x)
         score = ae_scores(model, [x])[0]
         assert score == pytest.approx(np.abs(x - xhat).sum())
 
@@ -123,12 +138,10 @@ class TestScoring:
         model = self._trained()
         d = model.feature_dim
         x = np.full(d, 0.6)
-        from fetalguard.autoencoder import reconstruct
-
-        xhat = reconstruct(model, x)
+        xhat = _reconstruction(model, x)
         shifted = xhat + 0.1
         assert np.abs(shifted - xhat).sum() == pytest.approx(0.1 * d)
-        assert ae_scores(model, [shifted])[0] == pytest.approx(np.abs(shifted - reconstruct(model, shifted)).sum())
+        assert ae_scores(model, [shifted])[0] == pytest.approx(np.abs(shifted - _reconstruction(model, shifted)).sum())
 
     def test_scoring_is_order_independent(self):
         model = self._trained()

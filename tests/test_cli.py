@@ -251,9 +251,10 @@ def model_files(features_file, tmp_path_factory):
         fitted = fit_detector(name, config, features, features[:10], len(features), 0)
         files[name] = out / f"{name}.json"
         save_model(fitted.model, files[name])
-        if name == "iforest":  # and as a version-2 file, whose nested trees have a reader of their own
-            files["iforest_v2"] = out / "iforest_v2.json"
-            files["iforest_v2"].write_text(json.dumps(reference_model_to_dict(fitted.model, version=2)))
+        # and in an older format, by the reference encoder: nested trees, or network arrays as JSON numbers
+        old, version = ("iforest_v2", 2) if name == "iforest" else (f"{name}_v1", 1)
+        files[old] = out / f"{old}.json"
+        files[old].write_text(json.dumps(reference_model_to_dict(fitted.model, version=version)))
     return files
 
 
@@ -354,6 +355,21 @@ def _subsample_below_a_split(name, data):
     assert depth_limit(data["subsample_size"]) < depth_limit(45)  # the fitted forest's subsample
 
 
+def _nested_leaf_sizes(node):
+    if node["leaf"]:
+        return [node["size"]]
+    return _nested_leaf_sizes(node["left"]) + _nested_leaf_sizes(node["right"])
+
+
+def _nested_subsample_below_a_split(name, data):
+    """subsample_size as large as the largest leaf, and each tree's max_depth to match; a split is then too deep."""
+    size = max(size for tree in data["trees"] for size in _nested_leaf_sizes(tree["root"]))
+    assert depth_limit(size) < depth_limit(45)  # the fitted forest's subsample
+    data["subsample_size"] = size
+    for tree in data["trees"]:
+        tree["max_depth"] = depth_limit(size)
+
+
 def _subsample_beyond_the_cap(name, data):
     data["subsample_size"] = MAX_SUBSAMPLE + 1  # and max_depth to match, so that only the cap refuses it
     for tree in data["trees"]:
@@ -373,6 +389,7 @@ ARTIFACT_DEFECTS = {
     "preprocess with an unknown key": lambda name, data: data.update(preprocess={"median_windw": 5}),
     "preprocess not an object": lambda name, data: data.update(preprocess=[5, 20.0, 16]),
     "preprocess value of the wrong type": lambda name, data: data.update(preprocess={"median_window": "5"}),
+    "preprocess with an even median_window": lambda name, data: data.update(preprocess={"median_window": 4}),
     "unknown score_mode": lambda name, data: data.update(score_mode="bogus"),
     "split feature 999": lambda name, data: _first_split(data).update(feature=999),
     "split feature -1": lambda name, data: _first_split(data).update(feature=-1),
@@ -380,6 +397,9 @@ ARTIFACT_DEFECTS = {
     "subsample_size off the trees' max_depth": lambda name, data: data.update(subsample_size=10**5),
     "subsample_size beyond the cap": _subsample_beyond_the_cap,
     "max_depth not an integer": lambda name, data: data["trees"][0].update(max_depth=6.0),
+    "split at the depth limit": _nested_subsample_below_a_split,
+    "unknown key in a split node": lambda name, data: _first_split(data).update(gain=0.5),
+    "unknown key in a leaf node": lambda name, data: _first_leaf(data).update(mass=3),
     "weight blob not base64": lambda name, data: _first_layer(name, data).update(weights="not base64!"),
     "weight blob one float short": _edited_weights(lambda values: values[:-1]),
     "weight blob holding a NaN": _edited_weights(lambda values: np.concatenate([[np.nan], values[1:]])),
@@ -387,6 +407,9 @@ ARTIFACT_DEFECTS = {
         weights=np.full((16, 8), 0.5).tolist()  # the first layer's shape, as version 1 wrote it
     ),
     "in_dim off its blob": lambda name, data: _first_layer(name, data).update(in_dim=17),
+    "version-1 layer with in_dim off its weights": lambda name, data: _first_layer(name, data).update(in_dim=999),
+    "unknown key in a network": lambda name, data: data["decoder"].update(dropout=0.5),
+    "unknown key in a layer": lambda name, data: _first_layer(name, data).update(dropout=0.5),
     "forest without an array": lambda name, data: data["trees"].pop("size"),
     "forest with an unknown array": lambda name, data: data["trees"].update(depth=data["trees"]["size"]),
     "forest array not base64": lambda name, data: data["trees"].update(  # a line break inside
@@ -417,6 +440,15 @@ NESTED_DEFECTS = (
     "subsample_size off the trees' max_depth",
     "subsample_size beyond the cap",
     "max_depth not an integer",
+    "split at the depth limit",
+    "unknown key in a split node",
+    "unknown key in a leaf node",
+)
+# the defects above that edit a version-1 network, whose arrays are JSON numbers
+VERSION_1_DEFECTS = (
+    "version-1 layer with in_dim off its weights",
+    "unknown key in a network",
+    "unknown key in a layer",
 )
 # what the error names, for the defects that only the forest has
 DEFECT_MESSAGES = {
@@ -426,6 +458,13 @@ DEFECT_MESSAGES = {
     "subsample_size off the trees' max_depth": "max_depth of a tree is not 17",
     "subsample_size beyond the cap": "subsample_size must be in [1, 65536], got 65537",
     "max_depth not an integer": "a tree must be an object of an integer max_depth and a root node",
+    "split at the depth limit": "split at depth",
+    "unknown key in a split node": "unknown key 'gain' in a tree node at depth 0",
+    "unknown key in a leaf node": "unknown key 'mass' in a tree node at depth",
+    "preprocess with an even median_window": "median_window must be odd and positive, got 4",
+    "version-1 layer with in_dim off its weights": "layer in_dim and out_dim (999, 8) are not the shape of its weights (16, 8)",
+    "unknown key in a network": "decoder: unknown key 'dropout' in a network",
+    "unknown key in a layer": "unknown key 'dropout' in layer 0",
     "forest without an array": "forest must be an object of the arrays",
     "forest with an unknown array": "forest must be an object of the arrays",
     "forest array not base64": "forest array threshold is not a base64 string",
@@ -455,6 +494,12 @@ DEFECT_MODELS = {
     "subsample_size off the trees' max_depth": ("iforest",),
     "subsample_size beyond the cap": ("iforest",),
     "max_depth not an integer": ("iforest",),
+    "split at the depth limit": ("iforest",),
+    "unknown key in a split node": ("iforest",),
+    "unknown key in a leaf node": ("iforest",),
+    "version-1 layer with in_dim off its weights": ("ae", "ganomaly"),
+    "unknown key in a network": ("ae", "ganomaly"),
+    "unknown key in a layer": ("ae", "ganomaly"),
     "weight blob not base64": ("ae", "ganomaly"),
     "weight blob one float short": ("ae", "ganomaly"),
     "weight blob holding a NaN": ("ae", "ganomaly"),
@@ -476,7 +521,9 @@ DEFECT_MODELS = {
 def test_bad_model_artifact_is_a_one_line_config_error(
     name, defect, model_files, features_file, tmp_path, capsys
 ):
-    source = model_files["iforest_v2" if defect in NESTED_DEFECTS else name]
+    source = model_files[
+        "iforest_v2" if defect in NESTED_DEFECTS else f"{name}_v1" if defect in VERSION_1_DEFECTS else name
+    ]
     bad = _edited_copy(source, tmp_path, lambda data: ARTIFACT_DEFECTS[defect](name, data))
     assert main(["calibrate", "--model-file", str(bad), "--features", str(features_file)]) == 2
     err = _one_line_error(capsys)

@@ -206,3 +206,26 @@ def test_a_subsample_size_outside_its_bounds_is_a_one_line_error(value, tmp_path
 def test_the_subsample_cap_itself_is_accepted():
     config = parse_config({**MINIMAL, "model": {"iforest": {"subsample_size": MAX_SUBSAMPLE}}})
     assert config.models["iforest"].subsample_size == MAX_SUBSAMPLE
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"model": {"ganomaly": {"epochs": 0}}}, "epochs must be positive, got 0"),
+        ({"model": {"ganomaly": {"iterations_per_epoch": -3}}}, "iterations_per_epoch must be positive, got -3"),
+        ({"model": {"ganomaly": {"patience": 0}}}, "patience must be positive, got 0"),
+        ({"model": {"ae": {"patience": -1}}}, "patience must be positive, got -1"),
+        ({"model": {"ae": {"epochs": 0}}}, "epochs must be positive, got 0"),
+        ({"preprocess": {"median_window": 4}}, "median_window must be odd and positive, got 4"),
+        ({"preprocess": {"median_window": 0}}, "median_window must be odd and positive, got 0"),
+        ({"preprocess": {"median_window": -3}}, "median_window must be odd and positive, got -3"),
+    ],
+)
+def test_a_config_that_cannot_train_or_preprocess_is_refused_at_load(section, message, tmp_path, capsys):
+    path = _write(tmp_path, {**MINIMAL, **section})
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err

@@ -21,7 +21,7 @@ from fetalguard.experiment import FittedDetector, score_distribution_report
 from fetalguard.ingest import ClassLabel
 from fetalguard.nn import DenseNetwork, Layer, adam_step, AdamState, forward
 from fetalguard.persistence import load_model, save_model
-from fetalguard.preprocess import FeatureVector
+from fetalguard.preprocess import FeatureVector, as_matrix
 
 TINY = GanomalyConfig(
     encoder_units=(16, 8, 4),
@@ -321,6 +321,25 @@ class TestTraining:
     def test_empty_input_rejected(self):
         with pytest.raises(TrainingDataError):
             train_ganomaly([], TINY, seed=0)
+
+    def test_early_stopping_returns_the_best_validation_epoch(self):
+        validation = _structured_set(12, seed=2)
+        config = GanomalyConfig(
+            encoder_units=(16, 8, 4),
+            decoder_units=(4, 8, 16),
+            discriminator_units=(16, 4, 1),
+            iterations_per_epoch=10,
+            epochs=30,
+            patience=2,
+            batch_size=12,
+            learning_rate=0.002,
+        )
+        model, trace = train_ganomaly(_structured_set(40, seed=1), config, seed=0, validation=validation)
+        best = int(np.argmin(trace.val_loss))  # index 0 is the first epoch
+        assert len(trace.val_loss) == best + 1 + config.patience < config.epochs
+        networks = (model.encoder1, model.decoder, model.encoder2, model.discriminator)
+        weights = (model.lambda_c, model.lambda_e, model.lambda_a)
+        assert generator_loss(as_matrix(validation), *networks, *weights)[0] == min(trace.val_loss)
 
 
 @pytest.fixture(scope="module")

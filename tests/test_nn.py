@@ -211,6 +211,77 @@ class TestAdam:
             adam_step(params, [np.zeros(3)], state)
 
 
+class TestEarlyStopping:
+    @staticmethod
+    def _epochs(stopper, params, losses):
+        """Run one epoch per loss, each setting the parameters to its number -> the epoch that stopped."""
+        for epoch, loss in enumerate(losses, start=1):
+            for p in params:
+                p[...] = epoch
+            if stopper.stop(loss):
+                return epoch
+        return None
+
+    def test_stops_after_patience_epochs_without_improvement(self):
+        params = [np.zeros(2)]
+        stopper = nn.EarlyStopping(params, patience=2)
+        assert self._epochs(stopper, params, [3.0, 2.0, 2.5, 2.0, 1.0]) == 4  # a tie does not improve
+        assert stopper.best_loss == 2.0
+
+    def test_an_improvement_restarts_the_count(self):
+        params = [np.zeros(2)]
+        stopper = nn.EarlyStopping(params, patience=2)
+        assert self._epochs(stopper, params, [3.0, 4.0, 2.0, 5.0, 1.0, 6.0, 7.0, 0.0]) == 7
+
+    def test_patience_one_stops_at_the_first_epoch_without_improvement(self):
+        params = [np.zeros(2)]
+        assert self._epochs(nn.EarlyStopping(params, patience=1), params, [2.0, 1.0, 1.5, 0.5]) == 3
+
+    def test_restore_puts_back_the_best_epoch(self):
+        params = [np.zeros((2, 3)), np.zeros(3)]
+        stopper = nn.EarlyStopping(params, patience=2)
+        assert self._epochs(stopper, params, [3.0, 1.0, 2.0, 2.0]) == 4
+        stopper.restore()
+        assert all((p == 2.0).all() for p in params)
+
+    def test_restore_with_an_initial_loss_can_put_back_the_initial_parameters(self):
+        params = [np.full(3, -1.0)]
+        stopper = nn.EarlyStopping(params, patience=3, initial_loss=1.0)
+        assert self._epochs(stopper, params, [1.0, 2.0, 1.5]) == 3
+        stopper.restore()
+        assert (params[0] == -1.0).all()
+
+    def test_restore_with_an_initial_loss_puts_back_a_later_improvement(self):
+        params = [np.full(3, -1.0)]
+        stopper = nn.EarlyStopping(params, patience=2, initial_loss=1.0)
+        assert self._epochs(stopper, params, [2.0, 0.5, 0.7, 0.6]) == 4
+        stopper.restore()
+        assert (params[0] == 2.0).all()
+
+    def test_without_an_initial_loss_nothing_is_kept_until_an_epoch_improves(self):
+        params = [np.zeros(3)]
+        stopper = nn.EarlyStopping(params, patience=2)
+        assert self._epochs(stopper, params, [math.nan, math.nan]) == 2
+        stopper.restore()
+        assert (params[0] == 2.0).all()  # nothing was kept, so the last epoch's parameters stay
+
+    @pytest.mark.parametrize("initial_loss", [None, 5.0])
+    def test_a_nan_loss_never_becomes_the_best(self, initial_loss):
+        params = [np.zeros(3)]
+        stopper = nn.EarlyStopping(params, patience=3, initial_loss=initial_loss)
+        assert self._epochs(stopper, params, [4.0, math.nan, math.nan, math.nan, 1.0]) == 4
+        assert stopper.best_loss == 4.0
+        stopper.restore()
+        assert (params[0] == 1.0).all()
+
+
+def test_reconstruction_errors_are_row_l1_distances():
+    encoder = _single_layer(np.eye(3), [0.0, 0.0, 0.0], "identity")
+    decoder = _single_layer(np.eye(3), [0.5, -1.0, 0.0], "identity")
+    x = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    assert nn.reconstruction_errors(encoder, decoder, x).tolist() == [1.5, 1.5]
+
+
 class TestInitNetwork:
     def test_glorot_bound_and_zero_biases(self):
         net = init_network([(4, 2, "relu")], seed=5)
