@@ -11,42 +11,48 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
 from . import nn
 from .datasets import normals_only, validation_normals
-from .errors import ConfigError, ShapeError, TrainingError
+from .errors import (
+    Bound,
+    Checked,
+    ConfigError,
+    NonNegativeFloat,
+    PositiveFloat,
+    PositiveInt,
+    ShapeError,
+    TrainingError,
+)
 from .files import write_csv
 from .nn import AdamState, DenseNetwork, adam_step, backward, forward, init_network
 from .preprocess import PreprocessConfig, as_matrix
 
 logger = logging.getLogger(__name__)
 
+Beta = Annotated[float, Bound(ge=0, lt=1)]  # Adam's moment decay; 1 divides by zero in its bias correction
+
 
 @dataclass
-class AeConfig:
+class AeConfig(Checked):
     encoder_units: tuple[int, ...] = (128, 64, 16)
     decoder_units: tuple[int, ...] = (16, 64, 128)
     project_to_input: bool = True  # append an identity layer mapping back to the input dim
-    learning_rate: float = 0.001
-    beta1: float = 0.99
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    batch_size: int = 32
-    epochs: int = 200
-    patience: int = 25
-    k_sigma: float = 1.0
-
-    def __post_init__(self):
-        for key in ("batch_size", "epochs", "patience"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+    learning_rate: PositiveFloat = 0.001
+    beta1: Beta = 0.99
+    beta2: Beta = 0.999
+    epsilon: PositiveFloat = 1e-8
+    batch_size: PositiveInt = 32
+    epochs: PositiveInt = 200
+    patience: PositiveInt = 25
+    k_sigma: NonNegativeFloat = 1.0  # tau = mean + k_sigma * std of the training scores
 
 
 @dataclass
-class AeModel:
+class AeModel(Checked):
     """A trained autoencoder; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ae"
@@ -57,14 +63,15 @@ class AeModel:
 
     encoder: DenseNetwork
     decoder: DenseNetwork
-    feature_dim: int
+    feature_dim: PositiveInt
     latent_dim: int
-    k_sigma: float
+    k_sigma: NonNegativeFloat
     tau: float | None = None
     optimizer: dict | None = None  # hyperparameters the model was trained with
     preprocess: PreprocessConfig | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         nn.require_dims("encoder", self.encoder, self.feature_dim, self.latent_dim)
         nn.require_dims("decoder", self.decoder, self.latent_dim, self.feature_dim)
 

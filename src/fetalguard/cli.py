@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import metrics, persistence
-from .config import DETECTORS, load_config
+from .config import DETECTORS, SynthDataConfig, load_config
 from .datasets import SplitConfig, class_counts, train_test_split, validation_split
 from .errors import ConfigError, FetalGuardError
 from .experiment import fit_detector, read_scores_csv, run_experiment, write_scores_csv
@@ -43,7 +43,8 @@ def _configure_logging() -> None:
 
 
 def cmd_synth(args) -> int:
-    records = generate_dataset(args.normal, args.abnormal, seed=args.seed)
+    synth = SynthDataConfig(args.normal, args.abnormal, args.seed)
+    records = generate_dataset(synth.n_normal, synth.n_abnormal, seed=synth.seed)
     signals_dir, metadata_file = write_dataset(records, args.out)
     counts = class_counts(records)
     print(f"wrote {len(records)} records ({counts['NORMAL']} normal, {counts['ABNORMAL']} abnormal)")
@@ -91,14 +92,15 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_split(args) -> int:
+    split = SplitConfig(test_fraction=args.test_fraction, seed=args.seed)
     features = read_features_csv(args.features)
-    train, test = train_test_split(features, args.test_fraction, args.seed)
+    train, test = train_test_split(features, split.test_fraction, split.seed)
     out = Path(args.out)
     write_features_csv(train, out / "train.csv")
     write_features_csv(test, out / "test.csv")
     summary = {
-        "seed": args.seed,
-        "test_fraction": args.test_fraction,
+        "seed": split.seed,
+        "test_fraction": split.test_fraction,
         "train": class_counts(train),
         "test": class_counts(test),
     }
@@ -117,14 +119,15 @@ def _model_config_from(args, name):
 
 
 def cmd_train(args) -> int:
-    features = read_features_csv(args.features)
     model_config, grid, split_config, config = _model_config_from(args, args.model)
+    split_config = dataclasses.replace(split_config, seed=args.seed)
+    features = read_features_csv(args.features)
     train_core, validation = validation_split(
-        features, split_config.val_fraction_for(args.model), args.seed
+        features, split_config.val_fraction_for(args.model), split_config.seed
     )
     if grid:
         logger.info("grid block present; `train` uses base parameters, `run` searches grids")
-    fitted = fit_detector(args.model, model_config, train_core, validation, len(features), args.seed)
+    fitted = fit_detector(args.model, model_config, train_core, validation, len(features), split_config.seed)
     if config is not None:
         fitted.model.preprocess = config.preprocess
     out = Path(args.out)
@@ -148,7 +151,7 @@ def cmd_calibrate(args) -> int:
             continue
         if field != model.calibration_param:
             raise ConfigError(f"--{flag} does not apply to a {model.model_type} model")
-        setattr(model, field, value)
+        model = dataclasses.replace(model, **{field: value})
     features = read_features_csv(args.features)
     old_tau = model.tau
     new_tau = model.calibrate(model.scores(features))
@@ -217,15 +220,12 @@ def cmd_curves(args) -> int:
 def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = dataclasses.replace(
-            config, split=dataclasses.replace(config.split, seed=args.seed)
-        )
-    seeds = None
+        config = dataclasses.replace(config, split=dataclasses.replace(config.split, seed=args.seed))
     if args.seeds is not None:
-        seeds = [config.split.seed + i for i in range(args.seeds)]
+        config = dataclasses.replace(config, eval=dataclasses.replace(config.eval, seeds=args.seeds))
     models = [args.model] if args.model else None
     out_dir = args.out if args.out else None
-    aggregate = run_experiment(config, out_dir=out_dir, seeds=seeds, models=models)
+    run_experiment(config, out_dir=out_dir, models=models)
     out = Path(out_dir if out_dir else config.output.dir)
     print((out / "aggregate.txt").read_text(), end="")
     print(f"artifacts: {out}")

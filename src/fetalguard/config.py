@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import types
@@ -20,7 +21,7 @@ from pathlib import Path
 from . import iforest, nn
 from .autoencoder import AeModel
 from .datasets import SplitConfig
-from .errors import ConfigError, FetalGuardError
+from .errors import Checked, ConfigError, FetalGuardError, NonNegativeInt, PositiveInt
 from .files import read_json
 from .ganomaly import GanomalyModel
 from .iforest import IsolationForestModel
@@ -39,10 +40,10 @@ def detector(name):
 
 
 @dataclass
-class SynthDataConfig:
-    n_normal: int = 370
-    n_abnormal: int = 182
-    seed: int = 0
+class SynthDataConfig(Checked):
+    n_normal: NonNegativeInt = 370
+    n_abnormal: NonNegativeInt = 182
+    seed: NonNegativeInt = 0
 
 
 @dataclass
@@ -62,12 +63,8 @@ class DataConfig:
 
 
 @dataclass
-class EvalConfig:
-    seeds: int = 1
-
-    def __post_init__(self):
-        if self.seeds <= 0:
-            raise ConfigError(f"eval.seeds must be positive, got {self.seeds}")
+class EvalConfig(Checked):
+    seeds: PositiveInt = 1  # runs, at split.seed, split.seed + 1, ...
 
 
 @dataclass
@@ -100,7 +97,7 @@ EXPECTED = {bool: "a boolean", str: "a string", int: "an integer", float: "a fin
 
 @functools.cache
 def _fields(cls) -> dict:
-    """name -> (type hint, required?) of a dataclass's fields, in declaration order."""
+    """name -> (plain type hint, required?) of a dataclass's fields, in declaration order."""
     hints = typing.get_type_hints(cls)
     return {
         f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
@@ -209,7 +206,15 @@ def _build_models(section: dict, raw_text: str | None) -> tuple[dict, dict]:
                     raise ConfigError(f"{path}.grid.{param}: expected a non-empty list")
                 hint = list[fields[param][0]]  # each value is checked as the field is
                 grids[name][param] = _decode(hint, values, f"{path}.grid.{param}", raw_text, None)
+            grid_candidates(models[name], grids[name])  # so a value outside its bound fails before any fit
     return models, grids
+
+
+def grid_candidates(model_config, grid: dict) -> list[tuple[dict, object]]:
+    """(combination, model config) for each point of a {param: [values]} grid; one for no grid."""
+    names = sorted(grid)
+    combos = [dict(zip(names, values)) for values in itertools.product(*(grid[n] for n in names))]
+    return [(combo, dataclasses.replace(model_config, **combo)) for combo in combos]
 
 
 def parse_config(

@@ -10,20 +10,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, SplitError, TrainingDataError
+from .errors import Bound, Checked, ConfigError, NonNegativeInt, SplitError, TrainingDataError
 from .ingest import ClassLabel
 from .preprocess import FeatureVector
 
+Fraction = Annotated[float, Bound(gt=0, lt=1)]  # of each class, held out
+
 
 @dataclass
-class SplitConfig:
-    test_fraction: float = 0.10
-    val_fraction: float = 0.10
-    val_fraction_ganomaly: float = 0.40
-    seed: int = 0
+class SplitConfig(Checked):
+    test_fraction: Fraction = 0.10
+    val_fraction: Fraction = 0.10
+    val_fraction_ganomaly: Fraction = 0.40
+    seed: NonNegativeInt = 0
 
     def val_fraction_for(self, name: str) -> float:
         """A detector's own ``val_fraction_<name>`` field if there is one, else ``val_fraction``."""

@@ -10,7 +10,6 @@ mean +/- standard deviation per metric.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, persistence
-from .config import ExperimentConfig, config_to_dict, detector
+from .config import ExperimentConfig, config_to_dict, detector, grid_candidates
 from .datasets import train_test_split, validation_split
 from .errors import ConfigError, ParseError, TestIsolationError
 from .files import read_csv_rows, write_csv, write_json
@@ -97,13 +96,6 @@ def fit_detector(name, model_config, train_core, validation, pre_validation_size
     return FittedDetector(model, tau, train_scores, trace, extras, fit_items)
 
 
-def _grid_combinations(grid: dict) -> list[dict]:
-    if not grid:
-        return [{}]
-    names = sorted(grid)
-    return [dict(zip(names, combo)) for combo in itertools.product(*(grid[n] for n in names))]
-
-
 def _validation_f1(model, validation) -> dict:
     decisions = [metrics.classify(s, model.tau) for s in model.scores(validation)]
     labels = [fv.label for fv in validation]
@@ -121,8 +113,7 @@ def run_single(name, model_config, grid, features, split_config, preprocess, see
     train_core, validation = validation_split(train, split_config.val_fraction_for(name), seed)
 
     best = None
-    for combo in _grid_combinations(grid):
-        candidate_config = dataclasses.replace(model_config, **combo) if combo else model_config
+    for combo, candidate_config in grid_candidates(model_config, grid):
         fitted = fit_detector(name, candidate_config, train_core, validation, len(train), seed)
         val_metrics = _validation_f1(fitted.model, validation)
         if best is None or val_metrics["f1"] > best["validation"]["f1"]:
@@ -295,10 +286,9 @@ def format_aggregate_table(aggregate: dict) -> str:
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
-    seeds: list[int] | None = None,
     models: list[str] | None = None,
 ) -> dict:
-    """Execute the full protocol and write all artifacts under out_dir."""
+    """Execute the full protocol, one run per seed of config.eval, and write all artifacts under out_dir."""
     out_dir = Path(out_dir if out_dir is not None else config.output.dir)
     if models is None:
         models = list(config.models)
@@ -308,9 +298,6 @@ def run_experiment(
                 f"model {name!r} has no section in the config; configured: "
                 f"{', '.join(sorted(config.models))}"
             )
-    if seeds is None:
-        seeds = [config.split.seed + i for i in range(config.eval.seeds)]
-
     records = load_labeled_records(config)
     prep = preprocess_collection(records, config.preprocess)
     for record_id, reason in prep.rejected:
@@ -319,7 +306,7 @@ def run_experiment(
     write_json(config_to_dict(config), out_dir / "config.resolved.json")
 
     payloads = []
-    for seed in seeds:
+    for seed in range(config.split.seed, config.split.seed + config.eval.seeds):
         for name in models:
             logger.info("run seed=%d model=%s", seed, name)
             result = run_single(

@@ -12,13 +12,24 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import Annotated, Callable, ClassVar
 
 import numpy as np
 
 from . import autoencoder, nn
+from .autoencoder import Beta
 from .datasets import bootstrap_resample, normals_only, validation_normals
-from .errors import ConfigError, ShapeError, TrainingDataError, TrainingError
+from .errors import (
+    Bound,
+    Checked,
+    ConfigError,
+    NonNegativeFloat,
+    PositiveFloat,
+    PositiveInt,
+    ShapeError,
+    TrainingDataError,
+    TrainingError,
+)
 from .files import write_csv
 from .nn import (
     AdamState,
@@ -34,44 +45,40 @@ from .preprocess import PreprocessConfig, as_matrix
 
 logger = logging.getLogger(__name__)
 
-SCORE_MODES = ("data", "latent")
+ScoreMode = Annotated[str, Bound(choices=("data", "latent"))]
 
 
 @dataclass
-class GanomalyConfig:
+class GanomalyConfig(Checked):
     encoder_units: tuple[int, ...] = (128, 64, 16)
     decoder_units: tuple[int, ...] = (16, 64, 128)
     discriminator_units: tuple[int, ...] = (128, 16, 1)
-    leaky_alpha: float = 0.2
+    leaky_alpha: Annotated[float, Bound(ge=0, lt=1)] = 0.2
     project_to_input: bool = True
-    learning_rate: float = 0.0002
-    beta1: float = 0.50
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    lambda_c: float = 50.0
-    lambda_e: float = 1.0
-    lambda_a: float = 1.0
-    k_d: int = 1
-    k_g: int = 2
-    batch_size: int = 32
-    iterations_per_epoch: int = 500
-    epochs: int = 40
-    patience: int = 25
-    k_sigma: float = 5.0
-    score_mode: str = "data"
+    learning_rate: PositiveFloat = 0.0002
+    beta1: Beta = 0.50
+    beta2: Beta = 0.999
+    epsilon: PositiveFloat = 1e-8
+    lambda_c: NonNegativeFloat = 50.0
+    lambda_e: NonNegativeFloat = 1.0
+    lambda_a: NonNegativeFloat = 1.0
+    k_d: PositiveInt = 1
+    k_g: PositiveInt = 2
+    batch_size: PositiveInt = 32
+    iterations_per_epoch: PositiveInt = 500
+    epochs: PositiveInt = 40
+    patience: PositiveInt = 25
+    k_sigma: NonNegativeFloat = 5.0
+    score_mode: ScoreMode = "data"
 
     def __post_init__(self):
-        if self.score_mode not in SCORE_MODES:
-            raise ConfigError(f"score_mode must be one of {SCORE_MODES}, got {self.score_mode!r}")
-        if min(self.lambda_c, self.lambda_e, self.lambda_a) < 0:
-            raise ConfigError("loss weights must be nonnegative")
-        for key in ("k_d", "k_g", "batch_size", "iterations_per_epoch", "epochs", "patience"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        super().__post_init__()
+        if not self.discriminator_units or self.discriminator_units[-1] != 1:
+            raise ConfigError(f"discriminator_units must end in 1 unit, got {list(self.discriminator_units)}")
 
 
 @dataclass
-class GanomalyModel:
+class GanomalyModel(Checked):
     """Trained GANomaly networks; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ganomaly"
@@ -84,20 +91,19 @@ class GanomalyModel:
     decoder: DenseNetwork
     encoder2: DenseNetwork
     discriminator: DenseNetwork
-    lambda_c: float
-    lambda_e: float
-    lambda_a: float
-    feature_dim: int
+    lambda_c: NonNegativeFloat
+    lambda_e: NonNegativeFloat
+    lambda_a: NonNegativeFloat
+    feature_dim: PositiveInt
     latent_dim: int
-    k_sigma: float
-    score_mode: str = "data"
+    k_sigma: NonNegativeFloat
+    score_mode: ScoreMode = "data"
     tau: float | None = None
     optimizer: dict | None = None  # hyperparameters the model was trained with
     preprocess: PreprocessConfig | None = None
 
     def __post_init__(self):
-        if self.score_mode not in SCORE_MODES:
-            raise ConfigError(f"score_mode must be one of {SCORE_MODES}, got {self.score_mode!r}")
+        super().__post_init__()
         nn.require_dims("encoder1", self.encoder1, self.feature_dim, self.latent_dim)
         nn.require_dims("decoder", self.decoder, self.latent_dim, self.feature_dim)
         nn.require_dims("encoder2", self.encoder2, self.feature_dim, self.latent_dim)

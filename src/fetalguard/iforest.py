@@ -10,12 +10,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
 from .datasets import normals_only
-from .errors import ConfigError, ShapeError, TrainingError
+from .errors import Bound, Checked, ConfigError, NonNegativeInt, PositiveInt, ShapeError, TrainingError
 from .files import decode_array, encode_array, refuse_unknown_keys
 from .preprocess import PreprocessConfig, as_matrix
 
@@ -24,24 +24,16 @@ DEFAULT_SUBSAMPLE = 256
 # harmonic number of the subsample term by term, which takes about 4 ms at 2**16
 # and grows linearly, so an unbounded value read from a file could stall `score`
 MAX_SUBSAMPLE = 2**16
-
-
-def _check_subsample_size(subsample_size: int) -> None:
-    if not 1 <= subsample_size <= MAX_SUBSAMPLE:
-        raise ConfigError(f"subsample_size must be in [1, {MAX_SUBSAMPLE}], got {subsample_size}")
+SubsampleSize = Annotated[int, Bound(ge=1, le=MAX_SUBSAMPLE)]
+Contamination = Annotated[float, Bound(gt=0, le=0.5)]  # the share of training scores above tau
 
 
 @dataclass
-class IforestConfig:
-    n_trees: int = 100
-    subsample_size: int = DEFAULT_SUBSAMPLE
-    contamination: float = 0.33
-    train_on: str = "all"  # "all" (fully unsupervised) or "normals"
-
-    def __post_init__(self):
-        _check_subsample_size(self.subsample_size)
-        if self.train_on not in ("all", "normals"):
-            raise ConfigError(f"train_on must be 'all' or 'normals', got {self.train_on!r}")
+class IforestConfig(Checked):
+    n_trees: PositiveInt = 100
+    subsample_size: SubsampleSize = DEFAULT_SUBSAMPLE
+    contamination: Contamination = 0.33
+    train_on: Annotated[str, Bound(choices=("all", "normals"))] = "all"  # "all" is fully unsupervised
 
 
 @dataclass
@@ -71,7 +63,7 @@ Forest = list[IsolationTree]  # model files hold it as flat arrays: see _forest_
 
 
 @dataclass
-class IsolationForestModel:
+class IsolationForestModel(Checked):
     """A fitted forest; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "iforest"
@@ -80,21 +72,22 @@ class IsolationForestModel:
     config_type: ClassVar[type] = IforestConfig
     calibration_param: ClassVar[str] = "contamination"
 
-    subsample_size: int
-    contamination: float
-    feature_dim: int
-    seed: int
+    subsample_size: SubsampleSize
+    contamination: Contamination
+    feature_dim: PositiveInt
+    seed: NonNegativeInt
     trees: Forest  # after the fields that _forest_from_json checks the nodes against
     tau: float | None = None
     preprocess: PreprocessConfig | None = None
 
     def __post_init__(self):
+        # the trees before the field bounds, so that trees a subsample_size disagrees with are named as such
         if not self.trees:
             raise ConfigError("model has no trees")
         limit = depth_limit(self.subsample_size)
         if any(tree.max_depth != limit for tree in self.trees):
             raise ConfigError(f"max_depth of a tree is not {limit}, the limit for {self.subsample_size} samples")
-        _check_subsample_size(self.subsample_size)
+        super().__post_init__()
 
     @classmethod
     def fit(cls, config: IforestConfig, train_core, validation, pre_validation_size: int, seed: int):

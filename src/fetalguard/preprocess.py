@@ -10,14 +10,19 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from .errors import (
+    Bound,
+    Checked,
     ConfigError,
     EmptyInputError,
     FetalGuardError,
     ParseError,
+    PositiveFloat,
+    PositiveInt,
     PreprocessError,
     ShapeError,
     TrainingDataError,
@@ -31,20 +36,12 @@ BPM_SPAN = BPM_MAX - BPM_MIN
 
 
 @dataclass
-class PreprocessConfig:
+class PreprocessConfig(Checked):
     """Tunable knobs of the cleaning pipeline."""
 
-    median_window: int = 5
-    segment_minutes: float = 20.0
-    feature_dim: int = 480
-
-    def __post_init__(self):
-        if self.median_window <= 0 or self.median_window % 2 == 0:
-            raise ConfigError(f"median_window must be odd and positive, got {self.median_window}")
-        if self.feature_dim <= 0:
-            raise ConfigError(f"feature_dim must be positive, got {self.feature_dim}")
-        if self.segment_minutes <= 0:
-            raise ConfigError(f"segment_minutes must be positive, got {self.segment_minutes}")
+    median_window: Annotated[int, Bound(gt=0, odd=True)] = 5
+    segment_minutes: PositiveFloat = 20.0
+    feature_dim: PositiveInt = 480
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import Bound, Checked, ConfigError, NonNegativeFloat, NonNegativeInt, PositiveFloat
 from .files import write_csv
 from .ingest import ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord
 
@@ -26,30 +27,18 @@ NORMAL_METADATA = ClinicalMetadata(ph=7.35, apgar1=9)
 
 
 @dataclass(frozen=True)
-class SynthParams:
-    baseline_bpm: float = 135.0
-    n_accels: int = 3
-    n_decels: int = 2
+class SynthParams(Checked):
+    baseline_bpm: Annotated[float, Bound(ge=110, le=160)] = 135.0
+    n_accels: NonNegativeInt = 3
+    n_decels: NonNegativeInt = 2
     accel_amplitude_bpm: float = 15.0
-    accel_duration_s: float = 40.0
+    accel_duration_s: PositiveFloat = 40.0
     decel_amplitude_bpm: float = 12.0
-    decel_duration_s: float = 45.0
-    noise_std: float = 4.0
-    dropout_rate: float = 0.02
-    duration_min: float = 20.0
+    decel_duration_s: PositiveFloat = 45.0
+    noise_std: NonNegativeFloat = 4.0
+    dropout_rate: Annotated[float, Bound(ge=0, le=1)] = 0.02
+    duration_min: PositiveFloat = 20.0
     abnormal: bool = False
-
-    def __post_init__(self):
-        if not 110.0 <= self.baseline_bpm <= 160.0:
-            raise ConfigError(f"baseline_bpm {self.baseline_bpm} outside [110, 160]")
-        if not 0.0 <= self.dropout_rate <= 1.0:
-            raise ConfigError(f"dropout_rate {self.dropout_rate} outside [0, 1]")
-        if self.duration_min <= 0 or self.accel_duration_s <= 0 or self.decel_duration_s <= 0:
-            raise ConfigError("durations must be positive")
-        if self.n_accels < 0 or self.n_decels < 0:
-            raise ConfigError("event counts must be nonnegative")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be nonnegative")
 
 
 def _add_bump(signal: np.ndarray, center: int, half_width: int, amplitude: float) -> None:

@@ -602,6 +602,42 @@ def test_calibrate_applies_an_override(name, flag, field, model_files, features_
 
 
 @pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("calibrate", ["--k", "-3"], "k_sigma must be nonnegative, got -3.0"),
+        ("run", ["--seeds", "0"], "seeds must be positive, got 0"),
+        ("run", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+        ("synth", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+        ("split", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+        ("train", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ],
+)
+def test_a_flag_outside_its_field_bound_is_a_one_line_error(
+    command, flags, message, model_files, features_file, config_file, tmp_path, capsys
+):
+    model_file, out = tmp_path / "model.json", tmp_path / "out"
+    shutil.copy(model_files["ae"], model_file)
+    inputs = {
+        "calibrate": ["--model-file", str(model_file), "--features", str(features_file)],
+        "run": ["--config", str(config_file), "--out", str(out)],
+        "synth": ["--normal", "4", "--abnormal", "2", "--out", str(out)],
+        "split": ["--features", str(features_file), "--out", str(out)],
+        "train": ["--model", "iforest", "--features", str(features_file), "--out", str(out)],
+    }
+    before = model_file.read_bytes()
+    assert main([command, *inputs[command], *flags]) == 2
+    assert message in _one_line_error(capsys)
+    assert not out.exists() and model_file.read_bytes() == before
+
+
+def test_score_refuses_a_model_file_with_a_value_outside_its_bound(dataset, model_files, tmp_path, capsys):
+    bad = _edited_copy(model_files["ae"], tmp_path, lambda data: data.update(k_sigma=-3))
+    signal = dataset / "signals" / "syn0000.csv"
+    assert main(["score", "--model-file", str(bad), "--signal", str(signal)]) == 2
+    assert "k_sigma must be nonnegative, got -3" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
     "column, value, message",
     [(1, "9.9", "ph 9.9 outside"), (2, "6.5", "apgar1 must be an integer"), (2, "11", "apgar1 11 outside")],
 )

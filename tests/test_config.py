@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+import typing
 
 import pytest
 
+from fetalguard.autoencoder import AeConfig
 from fetalguard.cli import main
-from fetalguard.config import config_to_dict, load_config, parse_config
-from fetalguard.errors import ConfigError
-from fetalguard.iforest import MAX_SUBSAMPLE
+from fetalguard.config import DETECTORS, EvalConfig, SynthDataConfig, config_to_dict, load_config, parse_config
+from fetalguard.datasets import SplitConfig
+from fetalguard.errors import ConfigError, field_bounds
+from fetalguard.ganomaly import GanomalyConfig
+from fetalguard.iforest import MAX_SUBSAMPLE, IforestConfig
+from fetalguard.preprocess import PreprocessConfig
 
 MINIMAL = {
     "data": {"synth": {"n_normal": 20, "n_abnormal": 10, "seed": 1}},
@@ -219,13 +226,51 @@ def test_the_subsample_cap_itself_is_accepted():
         ({"preprocess": {"median_window": 4}}, "median_window must be odd and positive, got 4"),
         ({"preprocess": {"median_window": 0}}, "median_window must be odd and positive, got 0"),
         ({"preprocess": {"median_window": -3}}, "median_window must be odd and positive, got -3"),
+        ({"model": {"ae": {"learning_rate": -0.01}}}, "learning_rate must be positive, got -0.01"),
+        ({"model": {"ae": {"beta1": 1.0}}}, "beta1 must be in [0, 1), got 1.0"),
+        ({"model": {"ae": {"k_sigma": -3}}}, "k_sigma must be nonnegative, got -3"),
+        ({"model": {"ganomaly": {"discriminator_units": [8, 2]}}}, "discriminator_units must end in 1 unit, got [8, 2]"),
+        ({"model": {"iforest": {"n_trees": 0}}}, "n_trees must be positive, got 0"),
+        ({"model": {"iforest": {"contamination": 0.9}}}, "contamination must be in (0, 0.5], got 0.9"),
+        ({"split": {"test_fraction": 1.5}}, "test_fraction must be in (0, 1), got 1.5"),
+        ({"split": {"seed": -1}}, "seed must be nonnegative, got -1"),
+        ({"data": {"synth": {"seed": -1}}}, "seed must be nonnegative, got -1"),
     ],
 )
 def test_a_config_that_cannot_train_or_preprocess_is_refused_at_load(section, message, tmp_path, capsys):
     path = _write(tmp_path, {**MINIMAL, **section})
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+def test_a_grid_value_outside_its_bound_is_refused_before_any_fit(tmp_path, capsys):
+    models = {"iforest": {"n_trees": 10}, "ae": {"epochs": 2, "grid": {"epochs": [2, 0]}}}
+    path = _write(tmp_path, {**MINIMAL, "model": models})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "epochs must be positive, got 0" in err
+    assert not (out / "seed_000").exists()
+
+
+CONFIG_CLASSES = (AeConfig, GanomalyConfig, IforestConfig, PreprocessConfig, SplitConfig, SynthDataConfig, EvalConfig)
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_number_and_choice_field_of_a_config_declares_its_bound(cls):
+    hints = typing.get_type_hints(cls)
+    fields = [f.name for f in dataclasses.fields(cls) if hints[f.name] in (int, float, str)]
+    assert [name for name in fields if name not in field_bounds(cls)] == []
+
+
+@pytest.mark.parametrize("cls", DETECTORS.values(), ids=lambda cls: cls.__name__)
+def test_a_model_field_that_mirrors_a_config_field_declares_the_same_bound(cls):
+    config_bounds = {name: bound for config in CONFIG_CLASSES for name, bound in field_bounds(config).items()}
+    mirrored = [f.name for f in dataclasses.fields(cls) if f.name in config_bounds]
+    assert mirrored, cls
+    assert {name: field_bounds(cls).get(name) for name in mirrored} == {name: config_bounds[name] for name in mirrored}
