@@ -34,12 +34,13 @@ from .preprocess import PreprocessConfig, as_matrix
 logger = logging.getLogger(__name__)
 
 Beta = Annotated[float, Bound(ge=0, lt=1)]  # Adam's moment decay; 1 divides by zero in its bias correction
+Units = tuple[PositiveInt, ...]  # the widths of a stack of layers
 
 
 @dataclass
 class AeConfig(Checked):
-    encoder_units: tuple[int, ...] = (128, 64, 16)
-    decoder_units: tuple[int, ...] = (16, 64, 128)
+    encoder_units: Units = (128, 64, 16)
+    decoder_units: Units = (16, 64, 128)
     project_to_input: bool = True  # append an identity layer mapping back to the input dim
     learning_rate: PositiveFloat = 0.001
     beta1: Beta = 0.99

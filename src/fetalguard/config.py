@@ -21,7 +21,7 @@ from pathlib import Path
 from . import iforest, nn
 from .autoencoder import AeModel
 from .datasets import SplitConfig
-from .errors import Checked, ConfigError, FetalGuardError, NonNegativeInt, PositiveInt
+from .errors import BoundError, Checked, ConfigError, FetalGuardError, NonNegativeInt, PositiveInt
 from .files import read_json
 from .ganomaly import GanomalyModel
 from .iforest import IsolationForestModel
@@ -129,9 +129,10 @@ def _encode(value, hint):
 def decode(cls, data, path: str, raw_text: str | None = None):
     """Dataclass cls from parsed JSON, checked against its fields' type hints.
 
-    An unknown key, a missing required key and a value of the wrong type are
-    each a one-line ConfigError naming the key path; an absent key takes the
-    field's default. An int is accepted for a float field and kept as an int.
+    An unknown key, a missing required key, a value of the wrong type and a
+    value outside its field's Bound are each a one-line ConfigError naming the
+    key path; an absent key takes the field's default. An int is accepted for
+    a float field and kept as an int.
     """
     return _decode(cls, data, path, raw_text, None)
 
@@ -178,7 +179,10 @@ def _decode(hint, value, path, raw_text, outer):
             kwargs[name] = _decode(field_hint, value[name], prefix + name, raw_text, context)
         elif required:
             raise ConfigError(f"{path}: missing key {name!r}")
-    return hint(**kwargs)
+    try:
+        return hint(**kwargs)
+    except BoundError as exc:  # it names the field; the path names the object
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _build_models(section: dict, raw_text: str | None) -> tuple[dict, dict]:
@@ -206,7 +210,10 @@ def _build_models(section: dict, raw_text: str | None) -> tuple[dict, dict]:
                     raise ConfigError(f"{path}.grid.{param}: expected a non-empty list")
                 hint = list[fields[param][0]]  # each value is checked as the field is
                 grids[name][param] = _decode(hint, values, f"{path}.grid.{param}", raw_text, None)
-            grid_candidates(models[name], grids[name])  # so a value outside its bound fails before any fit
+            try:  # so a value outside its bound fails before any fit
+                grid_candidates(models[name], grids[name])
+            except BoundError as exc:
+                raise ConfigError(f"{path}.grid.{exc}") from None
     return models, grids
 
 

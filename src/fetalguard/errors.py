@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import operator
 import typing
@@ -42,12 +43,18 @@ class ConfigError(FetalGuardError):
     """Invalid configuration value or unknown configuration key."""
 
 
+class BoundError(ConfigError):
+    """A field's value that its class refuses; the message begins with the field's name."""
+
+
 @dataclass(frozen=True)
 class Bound:
     """A field's allowed values, declared on its type hint: ``Annotated[int, Bound(gt=0)]``.
 
     ge/gt and le/lt are inclusive/exclusive limits, odd asks for an odd value,
-    and choices, when given, are the only values allowed.
+    and choices, when given, are the only values allowed. With each, they hold
+    for each item of a tuple; field_bounds sets it for a ``tuple[X, ...]``
+    field whose X declares the Bound.
     """
 
     ge: float | None = None
@@ -56,8 +63,12 @@ class Bound:
     lt: float | None = None
     odd: bool = False
     choices: tuple = ()
+    each: bool = False
 
     def allows(self, value) -> bool:
+        return all(map(self._allows_one, value)) if self.each else self._allows_one(value)
+
+    def _allows_one(self, value) -> bool:
         if self.choices:
             return value in self.choices
         limits = zip((self.ge, self.gt, self.le, self.lt), (operator.ge, operator.gt, operator.le, operator.lt))
@@ -71,29 +82,37 @@ class Bound:
         low = f"({self.gt}" if self.gt is not None else f"[{self.ge}"
         high = f"{self.le}]" if self.le is not None else f"{self.lt})" if self.lt is not None else "inf)"
         text = {"(0, inf)": "positive", "[0, inf)": "nonnegative"}.get(f"{low}, {high}", f"in {low}, {high}")
-        return f"odd and {text}" if self.odd else text
+        text = f"odd and {text}" if self.odd else text
+        return f"{text} in every item" if self.each else text
 
 
 @functools.cache
 def field_bounds(cls) -> dict:
     """name -> Bound of each field of cls that declares one, read once per class."""
-    hints = typing.get_type_hints(cls, include_extras=True)
-    metadata = {name: getattr(hint, "__metadata__", ()) for name, hint in hints.items()}
-    return {name: m for name, ms in metadata.items() for m in ms if isinstance(m, Bound)}
+    bounds = {}
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        each = typing.get_origin(hint) is tuple
+        for m in getattr(typing.get_args(hint)[0] if each else hint, "__metadata__", ()):
+            if isinstance(m, Bound):
+                bounds[name] = dataclasses.replace(m, each=True) if each else m
+    return bounds
 
 
 class Checked:
     """Base of a dataclass whose fields declare a Bound; building one checks them.
 
     Direct construction, ``dataclasses.replace`` and config.decode all run
-    this; a subclass checks a rule across fields after calling it.
+    this; a subclass checks a rule across fields after calling it. A value
+    outside its Bound is a BoundError, which config.decode prefixes with the
+    key path of the object.
     """
 
     def __post_init__(self):
         for name, bound in field_bounds(type(self)).items():
             value = getattr(self, name)
             if not bound.allows(value):
-                raise ConfigError(f"{name} must be {bound.describe()}, got {value!r}")
+                shown = list(value) if bound.each else value  # as a config file writes it
+                raise BoundError(f"{name} must be {bound.describe()}, got {shown!r}")
 
 
 PositiveInt = typing.Annotated[int, Bound(gt=0)]

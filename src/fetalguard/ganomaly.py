@@ -17,12 +17,12 @@ from typing import Annotated, Callable, ClassVar
 import numpy as np
 
 from . import autoencoder, nn
-from .autoencoder import Beta
+from .autoencoder import Beta, Units
 from .datasets import bootstrap_resample, normals_only, validation_normals
 from .errors import (
     Bound,
+    BoundError,
     Checked,
-    ConfigError,
     NonNegativeFloat,
     PositiveFloat,
     PositiveInt,
@@ -50,9 +50,9 @@ ScoreMode = Annotated[str, Bound(choices=("data", "latent"))]
 
 @dataclass
 class GanomalyConfig(Checked):
-    encoder_units: tuple[int, ...] = (128, 64, 16)
-    decoder_units: tuple[int, ...] = (16, 64, 128)
-    discriminator_units: tuple[int, ...] = (128, 16, 1)
+    encoder_units: Units = (128, 64, 16)
+    decoder_units: Units = (16, 64, 128)
+    discriminator_units: Units = (128, 16, 1)
     leaky_alpha: Annotated[float, Bound(ge=0, lt=1)] = 0.2
     project_to_input: bool = True
     learning_rate: PositiveFloat = 0.0002
@@ -74,7 +74,7 @@ class GanomalyConfig(Checked):
     def __post_init__(self):
         super().__post_init__()
         if not self.discriminator_units or self.discriminator_units[-1] != 1:
-            raise ConfigError(f"discriminator_units must end in 1 unit, got {list(self.discriminator_units)}")
+            raise BoundError(f"discriminator_units must end in 1 unit, got {list(self.discriminator_units)}")
 
 
 @dataclass

@@ -125,27 +125,53 @@ def depth_limit(psi: int) -> int:
     return max(1, math.ceil(math.log2(psi))) if psi > 1 else 1
 
 
-def _grow(x: np.ndarray, depth: int, limit: int, rng: np.random.Generator):
+def _most_tied(x: np.ndarray) -> int:
+    """The most rows of x that share one value in a column; all of them if a value is not finite.
+
+    A node of more rows than that holds two different values in every column,
+    so every feature splits it, and it need not take any column's min and max.
+    """
     n = x.shape[0]
+    if x.size == 0 or not np.isfinite(x).all():  # no column, or one whose min or max may not split
+        return n
+    ordered = np.sort(x, axis=0)
+    same = ordered[1:] == ordered[:-1]
+    if not same.any():
+        return 1
+    index = np.arange(n - 1)[:, None]
+    # the last i <= index where values i and i + 1 differ: a run of equal values ends at index + 1
+    last_step = np.maximum.accumulate(np.where(same, -1, index), axis=0)
+    return int((index - last_step).max()) + 1
+
+
+def _grow(x: np.ndarray, most_tied: int, rows: np.ndarray, depth: int, limit: int, rng: np.random.Generator):
+    """The subtree of x[rows]: each split draws its feature among those whose max exceeds their min."""
+    n = rows.size
     if n <= 1 or depth >= limit:
         return LeafNode(size=n, depth=depth)
-    mins = x.min(axis=0)
-    maxs = x.max(axis=0)
-    splittable = np.nonzero(maxs > mins)[0]
-    if splittable.size == 0:  # duplicate points
-        return LeafNode(size=n, depth=depth)
-    feature = int(splittable[rng.integers(0, splittable.size)])
-    lo, hi = mins[feature], maxs[feature]
+    if n > most_tied:  # every feature splits, so splittable is arange(d)
+        feature = int(rng.integers(0, x.shape[1]))
+        column = x[rows, feature]
+        lo, hi = column.min(), column.max()
+    else:
+        values = x[rows]
+        mins = values.min(axis=0)
+        maxs = values.max(axis=0)
+        splittable = np.nonzero(maxs > mins)[0]
+        if splittable.size == 0:  # duplicate points
+            return LeafNode(size=n, depth=depth)
+        feature = int(splittable[rng.integers(0, splittable.size)])
+        column, lo, hi = values[:, feature], mins[feature], maxs[feature]
     while True:  # open interval keeps both children non-empty
         threshold = float(rng.uniform(lo, hi))
         if lo < threshold < hi:
             break
-    goes_left = x[:, feature] < threshold
+    goes_left = column < threshold
     return InternalNode(
         feature=feature,
         threshold=threshold,
-        left=_grow(x[goes_left], depth + 1, limit, rng),
-        right=_grow(x[~goes_left], depth + 1, limit, rng),
+        left=_grow(x, most_tied, rows[goes_left], depth + 1, limit, rng),
+        right=_grow(x, most_tied, rows[~goes_left], depth + 1, limit, rng),
     )
 
 
@@ -170,12 +196,13 @@ def build_forest(
     n = x.shape[0]
     psi = min(subsample_size, n)
     limit = depth_limit(psi)
+    most_tied = _most_tied(x)
     streams = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
     for stream in streams:
         rng = np.random.default_rng(stream)
         rows = rng.choice(n, size=psi, replace=False)
-        trees.append(IsolationTree(root=_grow(x[rows], 0, limit, rng), max_depth=limit))
+        trees.append(IsolationTree(root=_grow(x, most_tied, rows, 0, limit, rng), max_depth=limit))
     return IsolationForestModel(
         trees=trees,
         subsample_size=psi,

@@ -127,7 +127,11 @@ def interpolate_missing(values: np.ndarray, missing: np.ndarray) -> CleanSignal:
 def median_smooth(signal: CleanSignal, window: int) -> CleanSignal:
     """Median filter with boundary-replication padding; output length equals input.
 
-    The window must be odd, positive, and no longer than the signal.
+    The window must be odd, positive, and no longer than the signal. An
+    odd-even transposition sort of the window's shifted copies, made of
+    np.minimum and np.maximum, puts each window's median in the middle row.
+    Both return one of their inputs, so the result holds the very values that
+    np.median takes from each window of finite values.
     """
     if window <= 0 or window % 2 == 0:
         raise ConfigError(f"median window must be odd and positive, got {window}")
@@ -136,12 +140,13 @@ def median_smooth(signal: CleanSignal, window: int) -> CleanSignal:
         raise ConfigError(
             f"median window {window} longer than signal of length {values.size}"
         )
-    if window == 1:
-        return CleanSignal(values=values.copy(), mask=signal.mask.copy())
     pad = window // 2
     padded = np.concatenate([np.full(pad, values[0]), values, np.full(pad, values[-1])])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
-    return CleanSignal(values=np.median(windows, axis=1), mask=signal.mask.copy())
+    rows = [padded[i : i + values.size] for i in range(window)]  # row i: the i-th value of each window
+    for step in range(window):  # window rounds of compare-exchange sort window rows
+        for i in range(step % 2, window - 1, 2):
+            rows[i], rows[i + 1] = np.minimum(rows[i], rows[i + 1]), np.maximum(rows[i], rows[i + 1])
+    return CleanSignal(values=rows[pad], mask=signal.mask.copy())
 
 
 def featurize(

@@ -50,17 +50,15 @@ def _add_bump(signal: np.ndarray, center: int, half_width: int, amplitude: float
 
 
 def _add_plateau(signal: np.ndarray, start: int, length: int, depth: float, ramp: int) -> None:
-    """Superimpose a sustained dip with cosine ramps in place."""
+    """Superimpose a sustained dip with cosine ramps in place; where the ramps overlap the lower scale holds."""
     end = min(signal.size, start + length)
-    for i in range(start, end):
-        into = i - start
-        left = end - 1 - i
-        scale = 1.0
-        if into < ramp:
-            scale = 0.5 * (1.0 - np.cos(np.pi * into / ramp))
-        if left < ramp:
-            scale = min(scale, 0.5 * (1.0 - np.cos(np.pi * left / ramp)))
-        signal[i] -= depth * scale
+    into = np.arange(end - start)  # samples since the start
+    left = into[::-1]  # samples before the last one
+    scale = np.ones(into.size)
+    rising, falling = into < ramp, left < ramp
+    scale[rising] = 0.5 * (1.0 - np.cos(np.pi * into[rising] / ramp))
+    scale[falling] = np.minimum(scale[falling], 0.5 * (1.0 - np.cos(np.pi * left[falling] / ramp)))
+    signal[start:end] -= depth * scale
 
 
 def generate_record(params: SynthParams, seed) -> tuple[SignalRecord, ClassLabel]:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: medians via per-window
 sorting, AUC via the rank statistic, metrics via direct formula transcription,
 gradients via central finite differences, signal CSVs via a csv row loop,
-isolation-forest scores via one tree walk per sample and tree, model
+isolation forests grown by taking every column's min and max at each node,
+isolation-forest scores via one tree walk per sample and tree, plateaus one
+sample at a time, model
 artifacts via one hand-written encoder per model type, with network and
 forest arrays packed one Python number at a time.
 """
@@ -18,9 +20,11 @@ import struct
 
 import numpy as np
 
-from fetalguard.errors import EmptyInputError, ParseError, StructureError
+from fetalguard.errors import ConfigError, EmptyInputError, ParseError, StructureError
+from fetalguard.iforest import InternalNode, IsolationForestModel, IsolationTree, LeafNode, depth_limit
 from fetalguard.ingest import SignalRecord
 from fetalguard.nn import forward, init_network
+from fetalguard.preprocess import as_matrix
 
 
 def median_oracle(values, window):
@@ -184,6 +188,75 @@ def reference_if_scores(model, x) -> np.ndarray:
         mean_path = sum(lengths) / len(model.trees)
         out.append(0.5 if denom == 0.0 else float(2.0 ** (-mean_path / denom)))
     return np.array(out)
+
+
+def _reference_grow(x: np.ndarray, depth: int, limit: int, rng: np.random.Generator):
+    n = x.shape[0]
+    if n <= 1 or depth >= limit:
+        return LeafNode(size=n, depth=depth)
+    mins = x.min(axis=0)
+    maxs = x.max(axis=0)
+    splittable = np.nonzero(maxs > mins)[0]
+    if splittable.size == 0:  # duplicate points
+        return LeafNode(size=n, depth=depth)
+    feature = int(splittable[rng.integers(0, splittable.size)])
+    lo, hi = mins[feature], maxs[feature]
+    while True:  # open interval keeps both children non-empty
+        threshold = float(rng.uniform(lo, hi))
+        if lo < threshold < hi:
+            break
+    goes_left = x[:, feature] < threshold
+    return InternalNode(
+        feature=feature,
+        threshold=threshold,
+        left=_reference_grow(x[goes_left], depth + 1, limit, rng),
+        right=_reference_grow(x[~goes_left], depth + 1, limit, rng),
+    )
+
+
+def reference_build_forest(
+    data,
+    n_trees: int = 100,
+    subsample_size: int = 256,
+    seed: int = 0,
+    contamination: float = 0.33,
+) -> IsolationForestModel:
+    """An isolation forest whose every node takes the min and max of every column of its rows."""
+    if n_trees <= 0:
+        raise ConfigError(f"n_trees must be positive, got {n_trees}")
+    if not 0.0 < contamination <= 0.5:
+        raise ConfigError(f"contamination must be in (0, 0.5], got {contamination}")
+    x = as_matrix(data)
+    n = x.shape[0]
+    psi = min(subsample_size, n)
+    limit = depth_limit(psi)
+    streams = np.random.SeedSequence(seed).spawn(n_trees)
+    trees = []
+    for stream in streams:
+        rng = np.random.default_rng(stream)
+        rows = rng.choice(n, size=psi, replace=False)
+        trees.append(IsolationTree(root=_reference_grow(x[rows], 0, limit, rng), max_depth=limit))
+    return IsolationForestModel(
+        trees=trees,
+        subsample_size=psi,
+        contamination=contamination,
+        feature_dim=x.shape[1],
+        seed=seed,
+    )
+
+
+def reference_add_plateau(signal, start: int, length: int, depth: float, ramp: int) -> None:
+    """A sustained dip with cosine ramps, subtracted in place one sample at a time."""
+    end = min(signal.size, start + length)
+    for i in range(start, end):
+        into = i - start
+        left = end - 1 - i
+        scale = 1.0
+        if into < ramp:
+            scale = 0.5 * (1.0 - np.cos(np.pi * into / ramp))
+        if left < ramp:
+            scale = min(scale, 0.5 * (1.0 - np.cos(np.pi * left / ramp)))
+        signal[i] -= depth * scale
 
 
 def _preprocess_section(model):

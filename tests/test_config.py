@@ -235,6 +235,12 @@ def test_the_subsample_cap_itself_is_accepted():
         ({"split": {"test_fraction": 1.5}}, "test_fraction must be in (0, 1), got 1.5"),
         ({"split": {"seed": -1}}, "seed must be nonnegative, got -1"),
         ({"data": {"synth": {"seed": -1}}}, "seed must be nonnegative, got -1"),
+        ({"model": {"ae": {"encoder_units": [0, 8]}}}, "encoder_units must be positive in every item, got [0, 8]"),
+        ({"model": {"ae": {"decoder_units": [16, -4]}}}, "decoder_units must be positive in every item, got [16, -4]"),
+        (
+            {"model": {"ganomaly": {"discriminator_units": [0, 1]}}},
+            "discriminator_units must be positive in every item, got [0, 1]",
+        ),
     ],
 )
 def test_a_config_that_cannot_train_or_preprocess_is_refused_at_load(section, message, tmp_path, capsys):
@@ -245,6 +251,33 @@ def test_a_config_that_cannot_train_or_preprocess_is_refused_at_load(section, me
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "section, key_path, message",
+    [
+        ({"model": {"ae": {"epochs": 0}}}, "model.ae.epochs", "must be positive, got 0"),
+        ({"model": {"ganomaly": {"epochs": 0}}}, "model.ganomaly.epochs", "must be positive, got 0"),
+        ({"split": {"seed": -1}}, "split.seed", "must be nonnegative, got -1"),
+        ({"data": {"synth": {"seed": -1}}}, "data.synth.seed", "must be nonnegative, got -1"),
+        ({"model": {"ae": {"encoder_units": [0, 8]}}}, "model.ae.encoder_units", "must be positive in every item"),
+        (
+            {"model": {"ganomaly": {"discriminator_units": [8, 2]}}},
+            "model.ganomaly.discriminator_units",
+            "must end in 1 unit",
+        ),
+        ({"model": {"ae": {"grid": {"epochs": [2, 0]}}}}, "model.ae.grid.epochs", "must be positive, got 0"),
+    ],
+)
+def test_a_field_bound_error_names_its_key_path(section, key_path, message, tmp_path, capsys):
+    path = _write(tmp_path, {**MINIMAL, **section})
+    with pytest.raises(ConfigError) as error:
+        load_config(path)
+    assert re.search(rf"(^|\s){re.escape(key_path)} {re.escape(message)}", str(error.value)), str(error.value)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f" {key_path} {message}" in err
 
 
 def test_a_grid_value_outside_its_bound_is_refused_before_any_fit(tmp_path, capsys):
@@ -264,7 +297,7 @@ CONFIG_CLASSES = (AeConfig, GanomalyConfig, IforestConfig, PreprocessConfig, Spl
 @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_number_and_choice_field_of_a_config_declares_its_bound(cls):
     hints = typing.get_type_hints(cls)
-    fields = [f.name for f in dataclasses.fields(cls) if hints[f.name] in (int, float, str)]
+    fields = [f.name for f in dataclasses.fields(cls) if hints[f.name] in (int, float, str, tuple[int, ...])]
     assert [name for name in fields if name not in field_bounds(cls)] == []
 
 

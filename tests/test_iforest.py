@@ -8,6 +8,8 @@ from fetalguard.iforest import (
     InternalNode,
     IsolationTree,
     LeafNode,
+    _forest_to_json,
+    _most_tied,
     average_path_correction,
     build_forest,
     depth_limit,
@@ -18,7 +20,9 @@ from fetalguard.iforest import (
     path_length,
 )
 from fetalguard.persistence import load_model, save_model
-from oracles import reference_if_scores
+from fetalguard.preprocess import as_matrix, preprocess_collection
+from fetalguard.synth import generate_dataset
+from oracles import reference_build_forest, reference_if_scores
 
 
 def _toy_cloud(seed, n_inliers=99, distance=10.0):
@@ -171,6 +175,85 @@ class TestBuildForest:
     def test_subsample_clamped_to_dataset_size(self):
         model = build_forest(_toy_cloud(2), n_trees=5, seed=0, subsample_size=500)
         assert model.subsample_size == 100
+
+
+@pytest.fixture(scope="module")
+def features():
+    """496 x 480 features of a synthetic corpus: the training rows of a 552-record run."""
+    return as_matrix(preprocess_collection(generate_dataset(330, 166, seed=3)).features)
+
+
+def _outcome(build, data, **kwargs):
+    """A forest's file arrays, or the error its build ends in."""
+    try:
+        return _forest_to_json(build(data, **kwargs).trees)
+    except Exception as exc:  # the oracle's errors are numpy's and the library's alike
+        return type(exc), str(exc)
+
+
+class TestBuildMatchesReference:
+    """A node that reads only its split column grows the tree of one that takes every column's min and max."""
+
+    def _assert_same(self, data, **kwargs):
+        expected = _outcome(reference_build_forest, data, **kwargs)
+        assert _outcome(build_forest, data, **kwargs) == expected
+        return expected
+
+    def test_synthetic_features(self, features):
+        assert isinstance(self._assert_same(features, seed=3), dict)
+
+    def test_features_rounded_so_that_they_tie(self, features):
+        self._assert_same(np.round(features, 1), n_trees=20, seed=1)
+
+    def test_a_constant_column(self, features):
+        data = features[:, :40].copy()
+        data[:, 7] = 0.5
+        self._assert_same(data, n_trees=20, seed=2)
+
+    def test_duplicate_rows_end_in_duplicate_point_leaves(self, features):
+        data = np.repeat(features[:24, :6], 12, axis=0)
+        assert isinstance(self._assert_same(data, n_trees=20, seed=4), dict)
+        leaves = [size for tree in build_forest(data, n_trees=20, seed=4).trees for size in _leaf_sizes(tree.root)]
+        assert max(leaves) > 1
+
+    def test_a_nan_column(self, features):
+        data = features[:, :40].copy()
+        data[::5, 3] = np.nan
+        self._assert_same(data, n_trees=20, seed=5)
+
+    def test_an_inf_column(self, features):
+        data = features[:, :3].copy()
+        data[::9, 1] = np.inf
+        self._assert_same(data, n_trees=20, seed=6)
+
+    def test_one_row(self, features):
+        self._assert_same(features[:1], n_trees=5, seed=7)
+
+    def test_a_subsample_clamped_to_the_data(self, features):
+        self._assert_same(features[:100], n_trees=20, subsample_size=256, seed=8)
+
+    def test_no_column(self):
+        self._assert_same(np.empty((6, 0)), n_trees=3, seed=9)
+
+
+@pytest.mark.parametrize(
+    "columns, expected",
+    [
+        ([[3.0, 1.0, 2.0]], 1),
+        ([[3.0, 1.0, 2.0, 2.0, 2.0, 4.0], [1.0, 1.0, 0.0, 5.0, 6.0, 7.0]], 3),  # the longest run is inside
+        ([[0.0, -0.0, 1.0, 2.0]], 2),  # equal, though their bits differ
+        ([[1.0, 2.0, 3.0], [4.0, np.nan, 5.0]], 3),  # a value that is not finite: every row
+        ([[7.0]], 1),
+    ],
+)
+def test_most_tied_is_the_most_rows_sharing_a_value_in_a_column(columns, expected):
+    assert _most_tied(np.array(columns).T) == expected
+
+
+def _leaf_sizes(node):
+    if isinstance(node, LeafNode):
+        return [node.size]
+    return _leaf_sizes(node.left) + _leaf_sizes(node.right)
 
 
 class TestThreshold:

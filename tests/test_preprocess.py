@@ -122,6 +122,17 @@ class TestMedianSmooth:
             out = median_smooth(clean, window)
             assert out.values.tolist() == median_oracle(values, window)
 
+    @pytest.mark.parametrize("window", range(1, 16, 2))
+    def test_equals_numpy_median_bit_for_bit(self, window):
+        rng = np.random.default_rng(window)
+        for n in (window, window + 1, 3 * window + 2, 200):  # n == window: one window spans the signal
+            for values in (rng.uniform(50, 200, size=n), np.round(rng.uniform(110, 160, size=n))):  # ties too
+                pad = window // 2
+                padded = np.concatenate([np.full(pad, values[0]), values, np.full(pad, values[-1])])
+                expected = np.median(np.lib.stride_tricks.sliding_window_view(padded, window), axis=1)
+                out = median_smooth(CleanSignal(values, np.zeros(n, dtype=bool)), window)
+                assert out.values.tobytes() == expected.tobytes()
+
     def test_window_three_reaches_fixed_point_on_binary_signals(self):
         # iterated filtering converges to a root signal within ceil(n/2) passes,
         # after which one more pass is the identity

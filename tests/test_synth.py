@@ -6,7 +6,8 @@ import pytest
 from fetalguard.errors import ConfigError
 from fetalguard.ingest import ClassLabel, assign_label, load_collection
 from fetalguard.preprocess import PreprocessConfig, preprocess_collection
-from fetalguard.synth import SynthParams, generate_dataset, generate_record, write_dataset
+from fetalguard.synth import SynthParams, _add_plateau, generate_dataset, generate_record, write_dataset
+from oracles import reference_add_plateau
 
 
 class TestGenerateRecord:
@@ -56,6 +57,33 @@ class TestGenerateRecord:
             SynthParams(dropout_rate=1.5)
         with pytest.raises(ConfigError):
             SynthParams(duration_min=-1.0)
+
+
+class TestPlateau:
+    @pytest.mark.parametrize(
+        "start, length, ramp",
+        [
+            (0, 120, 60),  # starts at the first sample
+            (950, 600, 60),  # clipped at the signal end
+            (300, 90, 60),  # shorter than its two ramps, which overlap
+            (300, 120, 60),  # exactly its two ramps
+            (500, 1, 60),
+            (400, 360, 60),  # as generate_record makes them: minutes long with 15-second ramps
+            (999, 5, 3),  # one sample, at the end
+        ],
+    )
+    def test_equals_the_sample_loop_bit_for_bit(self, start, length, ramp):
+        signal = np.random.default_rng(start).normal(135.0, 4.0, size=1000)
+        expected = signal.copy()
+        _add_plateau(signal, start, length, 27.3, ramp)
+        reference_add_plateau(expected, start, length, 27.3, ramp)
+        assert signal.tobytes() == expected.tobytes()
+
+    def test_leaves_the_rest_of_the_signal_alone(self):
+        signal = np.full(100, 135.0)
+        _add_plateau(signal, 40, 30, 20.0, 5)
+        assert (signal[:40] == 135.0).all() and (signal[70:] == 135.0).all()
+        assert (signal[45:65] == 115.0).all()
 
 
 class TestGenerateDataset:
