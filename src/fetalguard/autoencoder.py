@@ -159,7 +159,7 @@ def train_ae(
             # loss = mean over batch of sum_j |x_j - xhat_j|
             d_xhat = np.sign(xhat - batch) / b
             dec_grads, d_z = backward(decoder, dec_cache, d_xhat)
-            enc_grads, _ = backward(encoder, enc_cache, d_z)
+            enc_grads, _ = backward(encoder, enc_cache, d_z, input_grad=False)
             adam_step(params, enc_grads + dec_grads, opt)
 
         train_loss = _mean_l1(encoder, decoder, x)

@@ -180,8 +180,8 @@ def generator_loss(
     this batch's own latents) as fixed decoder inputs, so it trains the decoder
     but not encoder1. Only forward passes run here; calling ``gradients()``
     runs the backward passes and returns the gradients of encoder1, decoder and
-    encoder2. The discriminator is frozen: gradients flow through it but are
-    discarded.
+    encoder2. The discriminator is frozen: gradients flow through it, but its
+    own are not computed.
     """
     x = np.atleast_2d(np.asarray(batch, dtype=float))
     if x.shape[0] == 0:
@@ -209,10 +209,10 @@ def generator_loss(
         d_xhat = lambda_c * np.sign(xhat - x) / b + d_xhat_latent
         dec_grads, d_z1 = backward(decoder, dec_cache, d_xhat)
         d_z1 = d_z1 + lambda_e * np.sign(z1 - z2) / b
-        e1_grads, _ = backward(encoder1, e1_cache, d_z1)
+        e1_grads, _ = backward(encoder1, e1_cache, d_z1, input_grad=False)
 
-        _, d_x_gen = backward(discriminator, dis_cache, lambda_a * d_p)
-        dec_adv_grads, _ = backward(decoder, dec_adv_cache, d_x_gen)
+        _, d_x_gen = backward(discriminator, dis_cache, lambda_a * d_p, param_grads=False)
+        dec_adv_grads, _ = backward(decoder, dec_adv_cache, d_x_gen, input_grad=False)
         for main, extra in zip(dec_grads, dec_adv_grads):
             main += extra
         return e1_grads, dec_grads, e2_grads
@@ -233,8 +233,8 @@ def discriminator_loss(
     p_real, cache_real = forward(discriminator, real)
     p_fake, cache_fake = forward(discriminator, fake)
     loss, g_real, g_fake = bce_terms(p_real, p_fake)
-    grads_real, _ = backward(discriminator, cache_real, g_real)
-    grads_fake, _ = backward(discriminator, cache_fake, g_fake)
+    grads_real, _ = backward(discriminator, cache_real, g_real, input_grad=False)
+    grads_fake, _ = backward(discriminator, cache_fake, g_fake, input_grad=False)
     return loss, [a + b for a, b in zip(grads_real, grads_fake)]
 
 

@@ -138,12 +138,20 @@ def forward(net: DenseNetwork, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]
 
 
 def backward(
-    net: DenseNetwork, cache: ForwardCache, output_gradient: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+    net: DenseNetwork,
+    cache: ForwardCache,
+    output_gradient: np.ndarray,
+    *,
+    param_grads: bool = True,
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact gradients of a scalar loss given dLoss/dOutput.
 
     Returns (grads, input_gradient). grads mirrors net.parameters(): weight
-    gradient then bias gradient per layer.
+    gradient then bias gradient per layer. A caller that discards the
+    parameter gradients (param_grads=False) gets an empty list, and one that
+    discards the input gradient (input_grad=False) gets None; skipping them
+    leaves the gradients that are computed bit for bit the same.
     """
     if len(cache.inputs) != len(net.layers):
         raise ShapeError("cache does not match network")
@@ -152,15 +160,17 @@ def backward(
         raise ShapeError(
             f"output gradient shape {d.shape} != output shape {cache.activations[-1].shape}"
         )
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(net.layers))
+    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(net.layers)) if param_grads else []
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         dz = d * _activation_grad(layer.activation, layer.alpha, cache.pre_activations[i], cache.activations[i])
-        grads[2 * i] = cache.inputs[i].T @ dz
-        grads[2 * i + 1] = dz.sum(axis=0)
+        if param_grads:
+            grads[2 * i] = cache.inputs[i].T @ dz
+            grads[2 * i + 1] = dz.sum(axis=0)
+        if i == 0 and not input_grad:
+            return grads, None
         d = dz @ layer.weights.T
-    input_grad = d[0] if cache.squeeze else d
-    return grads, input_grad
+    return grads, d[0] if cache.squeeze else d
 
 
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:

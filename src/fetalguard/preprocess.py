@@ -241,7 +241,7 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
 
 
 def read_features_csv(path: str | Path) -> list[FeatureVector]:
-    """Read feature vectors written by write_features_csv."""
+    """Read feature vectors written by write_features_csv; a cell that is not a finite number is a ParseError."""
     path = Path(path)
     out: list[FeatureVector] = []
     rows = read_csv_rows(path)
@@ -262,6 +262,8 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
             x = np.array(row[2:], dtype=float)
         except ValueError:
             raise ParseError(f"{path}: non-numeric feature cell", line=line) from None
+        if not np.isfinite(x).all():
+            raise ParseError(f"{path}: non-finite feature cell {row[2 + np.argmin(np.isfinite(x))]!r}", line=line)
         label = None if row[1] == "" else ClassLabel(int(row[1]))
         out.append(FeatureVector(x=x, record_id=row[0], label=label))
     if not out:

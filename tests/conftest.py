@@ -1,0 +1,18 @@
+"""Checks that hold after every test."""
+
+from __future__ import annotations
+
+import multiprocessing
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_the_test():
+    """Fail a test that leaves a child process running; the child is ended first."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"child processes left running after the test: {left}"

@@ -7,7 +7,9 @@ isolation forests grown by taking every column's min and max at each node,
 isolation-forest scores via one tree walk per sample and tree, plateaus one
 sample at a time, model
 artifacts via one hand-written encoder per model type, with network and
-forest arrays packed one Python number at a time.
+forest arrays packed one Python number at a time, backpropagation that
+computes every gradient, and a signal directory loaded one file at a time in
+this process.
 """
 
 from __future__ import annotations
@@ -17,13 +19,22 @@ import csv
 import dataclasses
 import io
 import struct
+from pathlib import Path
 
 import numpy as np
 
-from fetalguard.errors import ConfigError, EmptyInputError, ParseError, StructureError
+from fetalguard.errors import ConfigError, EmptyInputError, FetalGuardError, ParseError, ShapeError, StructureError
 from fetalguard.iforest import InternalNode, IsolationForestModel, IsolationTree, LeafNode, depth_limit
-from fetalguard.ingest import SignalRecord
-from fetalguard.nn import forward, init_network
+from fetalguard.ingest import (
+    LabeledRecord,
+    LoadResult,
+    SignalRecord,
+    SkippedRecord,
+    assign_label,
+    read_metadata_csv,
+    read_record_csv,
+)
+from fetalguard.nn import _activation_grad, forward, init_network
 from fetalguard.preprocess import as_matrix
 
 
@@ -117,6 +128,54 @@ def random_safe_network(rng, kink_margin=1e-6):
         if safe:
             return net, x
     raise AssertionError("could not build a kink-free network")
+
+
+def reference_backward(net, cache, output_gradient):
+    """nn.backward as it was before it could skip a gradient: every layer's weight,
+    bias and input gradient, always."""
+    if len(cache.inputs) != len(net.layers):
+        raise ShapeError("cache does not match network")
+    d = np.atleast_2d(np.asarray(output_gradient, dtype=float))
+    if d.shape != cache.activations[-1].shape:
+        raise ShapeError(
+            f"output gradient shape {d.shape} != output shape {cache.activations[-1].shape}"
+        )
+    grads = [np.empty(0)] * (2 * len(net.layers))
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        dz = d * _activation_grad(layer.activation, layer.alpha, cache.pre_activations[i], cache.activations[i])
+        grads[2 * i] = cache.inputs[i].T @ dz
+        grads[2 * i + 1] = dz.sum(axis=0)
+        d = dz @ layer.weights.T
+    input_grad = d[0] if cache.squeeze else d
+    return grads, input_grad
+
+
+def reference_load_collection(signal_dir, metadata_file) -> LoadResult:
+    """ingest.load_collection as one loop over the sorted files, in this process."""
+    signal_dir = Path(signal_dir)
+    metadata = read_metadata_csv(metadata_file)
+    signal_files = sorted(signal_dir.glob("*.csv"))
+    if not signal_files:
+        raise EmptyInputError(f"no signal CSV files in {signal_dir}")
+    records, skipped = [], []
+    for path in signal_files:
+        record_id = path.stem
+        meta = metadata.get(record_id)
+        if meta is None:
+            skipped.append(SkippedRecord(record_id, "no metadata row"))
+            continue
+        try:
+            record = read_record_csv(path)
+            record.metadata = meta
+            label = assign_label(meta)
+        except (FetalGuardError, ValueError) as exc:
+            skipped.append(SkippedRecord(record_id, str(exc)))
+            continue
+        records.append(LabeledRecord(record, label))
+    if not records:
+        raise EmptyInputError(f"no records loaded from {signal_dir} ({len(skipped)} skipped)")
+    return LoadResult(records=records, skipped=skipped)
 
 
 def reference_parse_record_csv(text: str, record_id: str) -> SignalRecord:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from oracles import reference_backward
 
 from fetalguard.autoencoder import (
     AeConfig,
@@ -11,6 +15,8 @@ from fetalguard.autoencoder import (
     calibrate_threshold,
     train_ae,
 )
+from fetalguard import autoencoder
+from fetalguard.config import encode
 from fetalguard.errors import ConfigError, ShapeError, TrainingDataError, TrainingError
 from fetalguard.ingest import ClassLabel
 from fetalguard.metrics import classify
@@ -83,6 +89,19 @@ class TestTraining:
         _, trace_b = train_ae(normals, SMALL, seed=3)
         assert trace_a.train_loss == trace_b.train_loss
         assert trace_a.val_loss == trace_b.val_loss
+
+    def test_skipping_discarded_gradients_trains_the_model_the_full_backward_pass_trains(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        data = _vectors(0.5 + 0.05 * rng.normal(size=(44, 12)))
+        config = dataclasses.replace(SMALL, epochs=12)
+
+        def fit():
+            model, trace = train_ae(data[:36], config, seed=4, validation=data[36:])
+            return json.dumps(encode(model)), dataclasses.asdict(trace)
+
+        fitted = fit()
+        monkeypatch.setattr(autoencoder, "backward", lambda net, cache, g, **_: reference_backward(net, cache, g))
+        assert fit() == fitted
 
     def test_validation_within_overfit_band(self):
         rng = np.random.default_rng(5)

@@ -530,6 +530,21 @@ def test_bad_model_artifact_is_a_one_line_config_error(
     assert str(bad) in err and DEFECT_MESSAGES.get(defect, "") in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("model", list(DETECTORS))
+def test_a_non_finite_feature_cell_is_a_one_line_error_before_training(model, value, features_file, tmp_path, capsys):
+    lines = features_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[6].split(",")
+    cells[5] = value
+    lines[6] = ",".join(cells)
+    bad = tmp_path / "features.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "trained"
+    assert main(["train", "--model", model, "--features", str(bad), "--out", str(out)]) == 1
+    assert f"line 7: {bad}: non-finite feature cell '{value}'" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_train_reads_its_config_once(features_file, config_file, tmp_path, monkeypatch):
     from fetalguard import cli
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from oracles import reference_backward
 
+from fetalguard import ganomaly
 from fetalguard.autoencoder import AeModel
+from fetalguard.config import encode
 from fetalguard.errors import ShapeError, TrainingDataError
 from fetalguard.ganomaly import (
     GanomalyConfig,
@@ -226,6 +230,19 @@ class TestGeneratorLoss:
         assert len(trace.val_loss) == 3
         # per iteration: 2 passes per discriminator step, 5 per generator step
         assert len(calls) == cfg.epochs * cfg.iterations_per_epoch * (2 * cfg.k_d + 5 * cfg.k_g)
+
+
+def test_skipping_discarded_gradients_trains_the_model_the_full_backward_pass_trains(monkeypatch):
+    normals = _structured_set(40, seed=6)
+    config = dataclasses.replace(TINY, epochs=3, iterations_per_epoch=20)
+
+    def fit():
+        model, trace = train_ganomaly(normals[:32], config, seed=8, validation=normals[32:])
+        return json.dumps(encode(model)), dataclasses.asdict(trace)
+
+    fitted = fit()
+    monkeypatch.setattr(ganomaly, "backward", lambda net, cache, g, **_: reference_backward(net, cache, g))
+    assert fit() == fitted
 
 
 class TestDiscriminatorLoss:

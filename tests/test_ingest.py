@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
 import warnings
 
 import numpy as np
@@ -16,6 +19,8 @@ from fetalguard.errors import (
     ParseError,
     StructureError,
 )
+from fetalguard import ingest
+from fetalguard.cli import main
 from fetalguard.ingest import (
     ClassLabel,
     ClinicalMetadata,
@@ -25,7 +30,7 @@ from fetalguard.ingest import (
     parse_record_csv,
     read_metadata_csv,
 )
-from oracles import reference_parse_record_csv
+from oracles import reference_load_collection, reference_parse_record_csv
 
 
 def test_parse_record_transcribes_rows_in_order():
@@ -222,20 +227,117 @@ def test_metadata_reader_accepts_full_layout(tmp_path):
     assert meta.bdecf == pytest.approx(3.1)
 
 
-def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path):
+FORK = hasattr(os, "fork")
+# 1 reads the files in this process; more forks min(cores, files) workers
+CORE_COUNTS = (1, 2, 3, 5) if FORK else (1,)
+needs_fork = pytest.mark.skipif(not FORK, reason="signal files are read in forked workers only where fork exists")
+
+
+def _set_cores(monkeypatch, cores: int) -> None:
+    """Make load_collection see this many available cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path, monkeypatch):
     signals = tmp_path / "signals"
     signals.mkdir()
     _write_signal(signals / "a.csv", n=40)
     (signals / "b.csv").write_text('time_s,fhr_bpm\n0.0,"140"\n0.25,141\n', encoding="utf-8")
+    _write_signal(signals / "c.csv", n=4800)  # 20 minutes at 4 Hz
     (tmp_path / "meta.csv").write_text(
-        "record_id,ph,apgar1\na,7.10,5\nb,7.30,9\n", encoding="utf-8"
+        "record_id,ph,apgar1\na,7.10,5\nb,7.30,9\nc,7.30,9\n", encoding="utf-8"
     )
-    result = load_collection(signals, tmp_path / "meta.csv")
-    assert len(result.records) == 2
-    for item in result.records:
-        fhr = item.record.fhr
-        assert fhr.dtype == np.float64 and fhr.ndim == 1
-        assert fhr.base is None  # no view that keeps the time column alive
+    for cores in CORE_COUNTS:
+        _set_cores(monkeypatch, cores)
+        result = load_collection(signals, tmp_path / "meta.csv")
+        assert [item.record.fhr.size for item in result.records] == [40, 2, 4800]
+        for item in result.records:
+            fhr = item.record.fhr
+            assert fhr.dtype == np.float64 and fhr.ndim == 1
+            assert fhr.base is None  # no view that keeps the time column, or a message, alive
+            assert fhr.flags.writeable
+
+
+def _mixed_collection(tmp_path):
+    """(signals dir, metadata file) of good files among one of each kind that load_collection skips."""
+    signals = tmp_path / "signals"
+    signals.mkdir()
+    meta = ["record_id,ph,apgar1"]
+    for i in range(11):
+        _write_signal(signals / f"good{i:02d}.csv", n=30 + i, value=120.0 + i)
+        meta.append(f"good{i:02d},{7.05 if i % 3 == 0 else 7.30},{4 if i % 3 == 0 else 9}")
+    _write_signal(signals / "long.csv", n=4800)
+    _write_signal(signals / "orphan.csv")
+    (signals / "latin1.csv").write_bytes(b"time_s,fhr_bpm\n0.0,140\n0.25,1\xe94\n")
+    (signals / "quoted.csv").write_text('time_s,fhr_bpm\n0.0,"140"\n"0.25",141\n', encoding="utf-8")
+    (signals / "backwards.csv").write_text("time_s,fhr_bpm\n0.0,140\n0.5,141\n0.25,139\n", encoding="utf-8")
+    _write_signal(signals / "unlabelable.csv")
+    meta += ["long,7.30,9", "latin1,7.30,9", "quoted,7.10,3", "backwards,7.30,9", "unlabelable,,9"]
+    (tmp_path / "meta.csv").write_text("\n".join(meta) + "\n", encoding="utf-8")
+    return signals, tmp_path / "meta.csv"
+
+
+def _contents(result):
+    records = [
+        (r.record.record_id, r.label, r.record.fhr.tobytes(), r.record.sample_rate_hz, r.record.metadata)
+        for r in result.records
+    ]
+    return records, result.skipped
+
+
+def test_load_collection_matches_the_serial_loop_on_every_core_count(tmp_path, monkeypatch):
+    signals, meta = _mixed_collection(tmp_path)
+    expected = _contents(reference_load_collection(signals, meta))
+    assert len(expected[0]) == 13 and len(expected[1]) == 4  # quoted and long load; 4 kinds are skipped
+    for cores in CORE_COUNTS:
+        _set_cores(monkeypatch, cores)
+        assert _contents(load_collection(signals, meta)) == expected
+
+
+def test_load_collection_raises_the_first_error_in_file_order(tmp_path, monkeypatch):
+    signals, meta = _mixed_collection(tmp_path)
+    (signals / "good03.csv").unlink()
+    (signals / "good03.csv").mkdir()
+    (signals / "good08.csv").unlink()
+    (signals / "good08.csv").mkdir()
+    for cores in CORE_COUNTS:
+        _set_cores(monkeypatch, cores)
+        with pytest.raises(IsADirectoryError) as exc:
+            load_collection(signals, meta)
+        assert exc.value.filename == str(signals / "good03.csv")
+        assert not multiprocessing.active_children()
+
+
+@needs_fork
+def test_a_worker_that_dies_mid_way_ends_ingest_with_one_line(tmp_path, monkeypatch, capsys):
+    signals, meta = _mixed_collection(tmp_path)
+    read_signal = ingest._read_signal
+
+    def dies_at_good05(path):
+        if path.stem == "good05":
+            os._exit(3)
+        return read_signal(path)
+
+    monkeypatch.setattr(ingest, "_read_signal", dies_at_good05)
+    _set_cores(monkeypatch, 3)
+    assert main(["ingest", "--signals", str(signals), "--metadata", str(meta)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a signal-reading worker exited with code 3 before sending ") and err.count("\n") == 1, err
+    assert not multiprocessing.active_children()
+
+
+@needs_fork
+def test_an_interrupt_while_waiting_for_workers_ends_them(tmp_path, monkeypatch):
+    signals, meta = _mixed_collection(tmp_path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+    _set_cores(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        load_collection(signals, meta)
+    assert not multiprocessing.active_children()
 
 
 def test_parse_record_bare_carriage_return_in_a_row_is_parse_error():

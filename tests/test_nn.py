@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import finite_difference_grads, random_safe_network
+from oracles import finite_difference_grads, random_safe_network, reference_backward
 
 from fetalguard import nn
 from fetalguard.errors import ConfigError, ShapeError
@@ -128,6 +128,25 @@ def test_input_gradient_matches_finite_differences():
         numeric[i] = ((forward(net, up)[0] * v).sum() - (forward(net, down)[0] * v).sum()) / (2 * h)
     denom = max(np.abs(input_grad).max(), np.abs(numeric).max(), 1e-8)
     assert np.abs(input_grad - numeric).max() / denom < 1e-4
+
+
+@pytest.mark.parametrize("param_grads, input_grad", [(True, True), (True, False), (False, True), (False, False)])
+@pytest.mark.parametrize("rows", [None, 1, 32])
+def test_the_gradients_backward_computes_equal_the_full_pass_bit_for_bit(param_grads, input_grad, rows):
+    rng = np.random.default_rng(23)
+    for activation in ("relu", "leaky_relu", "sigmoid", "identity"):
+        net = init_network([(6, 5, activation, 0.2), (5, 4, "leaky_relu", 0.2), (4, 3, "sigmoid")], seed=rows or 0)
+        x = rng.normal(size=6 if rows is None else (rows, 6))
+        _, cache = forward(net, x)
+        g = rng.normal(size=(3,) if rows is None else (rows, 3))
+        full_grads, full_input = reference_backward(net, cache, g)
+        grads, input_gradient = backward(net, cache, g, param_grads=param_grads, input_grad=input_grad)
+        assert [a.tobytes() for a in grads] == ([a.tobytes() for a in full_grads] if param_grads else [])
+        if input_grad:
+            assert input_gradient.shape == full_input.shape
+            assert input_gradient.tobytes() == full_input.tobytes()
+        else:
+            assert input_gradient is None
 
 
 class TestBceTerms:
