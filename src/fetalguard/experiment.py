@@ -9,7 +9,9 @@ mean +/- standard deviation per metric.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +26,7 @@ from .files import read_csv_rows, write_csv, write_json
 from .ingest import ClassLabel, load_collection
 from .preprocess import preprocess_collection
 from .synth import generate_dataset
+from .workers import fork_map
 
 logger = logging.getLogger(__name__)
 
@@ -103,18 +106,31 @@ def _validation_f1(model, validation) -> dict:
     return dataclasses.asdict(metrics.scalar_metrics(counts))
 
 
-def run_single(name, model_config, grid, features, split_config, preprocess, seed):
+def _leg_split(name, features, split_config, seed):
+    """(train, test, train_core, validation) of one (seed, model) leg."""
+    train, test = train_test_split(features, split_config.test_fraction, seed)
+    train_core, validation = validation_split(train, split_config.val_fraction_for(name), seed)
+    return train, test, train_core, validation
+
+
+def run_single(name, model_config, grid, features, split_config, preprocess, seed, fits=None):
     """One (seed, model) leg: split, fit (with optional grid search), test once.
 
+    fits, when given, holds the leg's fit_detector result for each grid
+    candidate, in grid_candidates order; by default the leg fits them itself.
     Returns a dict with the fitted model, reports, traces, and score tables.
     """
-    train, test = train_test_split(features, split_config.test_fraction, seed)
+    train, test, train_core, validation = _leg_split(name, features, split_config, seed)
     guard = TestSetGuard(test)
-    train_core, validation = validation_split(train, split_config.val_fraction_for(name), seed)
 
+    candidates = grid_candidates(model_config, grid)
+    if fits is None:
+        fits = (
+            fit_detector(name, candidate, train_core, validation, len(train), seed)
+            for _, candidate in candidates
+        )
     best = None
-    for combo, candidate_config in grid_candidates(model_config, grid):
-        fitted = fit_detector(name, candidate_config, train_core, validation, len(train), seed)
+    for (combo, _), fitted in zip(candidates, fits, strict=True):
         val_metrics = _validation_f1(fitted.model, validation)
         if best is None or val_metrics["f1"] > best["validation"]["f1"]:
             best = {
@@ -305,9 +321,20 @@ def run_experiment(
 
     write_json(config_to_dict(config), out_dir / "config.resolved.json")
 
+    seeds = range(config.split.seed, config.split.seed + config.eval.seeds)
+    legs = [(seed, name) for seed in seeds for name in models]
+    # the legs' fits are independent, so they run on every core while the legs are tested here, in
+    # order, as their fits arrive; the test partitions stay in this process
+    leg_jobs = []
+    for seed, name in legs:
+        train, _, train_core, validation = _leg_split(name, prep.features, config.split, seed)
+        candidates = grid_candidates(config.models[name], config.grids.get(name, {}))
+        leg_jobs.append([(name, c, train_core, validation, len(train), seed) for _, c in candidates])
+    jobs = [job for leg in leg_jobs for job in leg]
+
     payloads = []
-    for seed in range(config.split.seed, config.split.seed + config.eval.seeds):
-        for name in models:
+    with contextlib.closing(fork_map(lambda job: fit_detector(*job), jobs, "model-fitting")) as fits:
+        for (seed, name), leg in zip(legs, leg_jobs):
             logger.info("run seed=%d model=%s", seed, name)
             result = run_single(
                 name,
@@ -317,6 +344,7 @@ def run_experiment(
                 config.split,
                 config.preprocess,
                 seed,
+                fits=list(itertools.islice(fits, len(leg))),
             )
             run_dir = out_dir / f"seed_{seed:03d}" / name
             payloads.append(write_run_artifacts(result, run_dir))

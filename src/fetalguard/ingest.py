@@ -14,7 +14,6 @@ import csv
 import io
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -29,6 +28,7 @@ from .errors import (
     StructureError,
 )
 from .files import read_csv_rows, utf8_text
+from .workers import fork_map
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +83,17 @@ class SignalRecord:
             raise ValueError("fhr must be non-empty")
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
+
+    def __setstate__(self, state):
+        """Unpickle a record, as a worker sends it, with an fhr that owns its data.
+
+        Unpickled, a long array is a view on the message's bytes. It is copied
+        here, as each message is read, and not after the last one: holding every
+        view until then raised the peak RSS of loading 552 files by 5 MB.
+        """
+        self.__dict__.update(state)
+        if self.fhr.base is not None:
+            self.fhr = self.fhr.copy()
 
 
 @dataclass
@@ -288,8 +299,10 @@ def load_collection(signal_dir: str | Path, metadata_file: str | Path) -> LoadRe
 
     Per-record problems (orphan signal, unparseable file, missing pH/Apgar1) are
     collected into the skip report; the call fails only if zero records load.
-    The signal files are parsed on every available core (_read_signals); the
-    records, skip reasons and their order do not depend on how many.
+    Parsing a 4800-row file is about 2.6 ms of string-to-double conversion
+    that holds the interpreter lock, so the signal files are parsed in one
+    forked worker per available core (workers.fork_map); the records, skip
+    reasons and their order do not depend on how many.
     """
     signal_dir = Path(signal_dir)
     metadata = read_metadata_csv(metadata_file)
@@ -299,7 +312,7 @@ def load_collection(signal_dir: str | Path, metadata_file: str | Path) -> LoadRe
         raise EmptyInputError(f"no signal CSV files in {signal_dir}")
 
     with_metadata = [path for path in signal_files if path.stem in metadata]
-    outcomes = dict(zip(with_metadata, _read_signals(with_metadata)))
+    outcomes = dict(zip(with_metadata, fork_map(_read_signal, with_metadata, "signal-reading"), strict=True))
     records: list[LabeledRecord] = []
     skipped: list[SkippedRecord] = []
     for path in signal_files:
@@ -342,79 +355,3 @@ def _read_signal(path: Path) -> SignalRecord | str:
         return read_record_csv(path)
     except (FetalGuardError, ValueError) as exc:
         return str(exc)
-
-
-def _read_signals(paths: list[Path]) -> list[SignalRecord | str]:
-    """_read_signal of each path, in order, in one forked worker per core.
-
-    Parsing a 4800-row file is about 2.6 ms of string-to-double conversion
-    that holds the interpreter lock, so only processes divide it. Workers are
-    forked, not spawned: they need no fresh import, and they call no BLAS,
-    whose threads a fork does not copy. One core, one file, or no fork reads
-    the files in this process.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_workers = min(cores, len(paths))
-    if n_workers < 2 or not hasattr(os, "fork"):
-        return [_read_signal(path) for path in paths]
-    # imported here: the bedside score reads one file, and these would cost each call 13 ms and 1.2 MB
-    import multiprocessing
-    import multiprocessing.connection
-
-    context = multiprocessing.get_context("fork")
-    outcomes: list = [None] * len(paths)
-    workers, receivers = [], []
-    pending = {}  # receiving end -> (its worker, files the worker has still to send)
-    try:
-        for first in range(n_workers):
-            receiver, sender = context.Pipe(duplex=False)
-            receivers.append(receiver)
-            worker = context.Process(target=_send_signals, args=(sender, paths, first, n_workers))
-            worker.start()
-            workers.append(worker)
-            sender.close()  # so that the worker's exit ends the pipe, and later workers do not inherit it
-            pending[receiver] = (worker, len(range(first, len(paths), n_workers)))
-        while pending:
-            for receiver in multiprocessing.connection.wait(list(pending)):
-                worker, left = pending[receiver]
-                try:
-                    index, outcome = receiver.recv()
-                except EOFError:
-                    worker.join()
-                    raise FetalGuardError(
-                        f"a signal-reading worker exited with code {worker.exitcode} "
-                        f"before sending {left} of its files"
-                    ) from None
-                if isinstance(outcome, SignalRecord) and outcome.fhr.base is not None:
-                    outcome.fhr = outcome.fhr.copy()  # unpickled, a long array is a view on the message
-                outcomes[index] = outcome
-                if left == 1 or isinstance(outcome, BaseException):
-                    del pending[receiver]
-                else:
-                    pending[receiver] = (worker, left - 1)
-    except BaseException:
-        for worker in workers:
-            worker.terminate()
-        raise
-    finally:
-        for worker in workers:
-            worker.join()
-        for receiver in receivers:
-            receiver.close()
-    # a worker stops at its first error, so the first error in file order is the
-    # lowest-indexed one, and each file before it has its outcome
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
-    return outcomes
-
-
-def _send_signals(sender, paths: list[Path], first: int, step: int) -> None:
-    """Worker: send (index, _read_signal outcome or exception) for paths[first::step], stopping at an exception."""
-    for index in range(first, len(paths), step):
-        try:
-            outcome = _read_signal(paths[index])
-        except Exception as exc:  # re-raised by the parent, which reads it in file order
-            sender.send((index, exc))
-            return
-        sender.send((index, outcome))

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import Bound, Checked, ConfigError, NonNegativeFloat, NonNegativeInt, PositiveFloat
 from .files import write_csv
 from .ingest import ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord
+from .workers import fork_map
 
 SAMPLE_RATE_HZ = 4.0
 
@@ -130,16 +131,23 @@ def generate_dataset(
 def write_dataset(records: list[LabeledRecord], out_dir: str | Path) -> tuple[Path, Path]:
     """Write signal CSVs plus metadata.csv in the ingestion schema.
 
+    Formatting the samples holds the interpreter lock, so the signal CSVs are
+    written in one forked worker per available core (workers.fork_map).
     Returns (signals_dir, metadata_file).
     """
     out_dir = Path(out_dir)
     signals_dir = out_dir / "signals"
     signals = [item.record for item in records]
-    for record in signals:
-        times = (i / record.sample_rate_hz for i in range(record.fhr.size))
-        rows = zip(map(repr, times), map(repr, record.fhr.tolist()))
-        write_csv(signals_dir / f"{record.record_id}.csv", ["time_s", "fhr_bpm"], rows)
+    for _ in fork_map(lambda record: _write_signal(record, signals_dir), signals, "signal-writing"):
+        pass
     metadata_file = out_dir / "metadata.csv"
     rows = ((r.record_id, r.metadata.ph, r.metadata.apgar1, "", "", "") for r in signals)
     write_csv(metadata_file, ["record_id", "ph", "apgar1", "pco2", "po2", "bdecf"], rows)
     return signals_dir, metadata_file
+
+
+def _write_signal(record: SignalRecord, signals_dir: Path) -> None:
+    """One record's signal CSV, ``<record_id>.csv`` with a time_s,fhr_bpm row per sample."""
+    times = (i / record.sample_rate_hz for i in range(record.fhr.size))
+    rows = zip(map(repr, times), map(repr, record.fhr.tolist()))
+    write_csv(signals_dir / f"{record.record_id}.csv", ["time_s", "fhr_bpm"], rows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -16,3 +17,13 @@ def no_child_process_outlives_the_test():
         child.terminate()
         child.join()
     assert not left, f"child processes left running after the test: {left}"
+
+
+@pytest.fixture
+def set_cores(monkeypatch):
+    """set_cores(n) makes the package see n available cores, so workers.fork_map forks min(n, items) workers."""
+
+    def set_to(cores: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+    return set_to

@@ -8,8 +8,9 @@ isolation-forest scores via one tree walk per sample and tree, plateaus one
 sample at a time, model
 artifacts via one hand-written encoder per model type, with network and
 forest arrays packed one Python number at a time, backpropagation that
-computes every gradient, and a signal directory loaded one file at a time in
-this process.
+computes every gradient, a signal directory loaded one file at a time in
+this process, and a synthetic dataset written one file at a time in this
+process.
 """
 
 from __future__ import annotations
@@ -176,6 +177,26 @@ def reference_load_collection(signal_dir, metadata_file) -> LoadResult:
     if not records:
         raise EmptyInputError(f"no records loaded from {signal_dir} ({len(skipped)} skipped)")
     return LoadResult(records=records, skipped=skipped)
+
+
+def reference_write_dataset(records, out_dir) -> tuple[Path, Path]:
+    """synth.write_dataset as one loop over the records, in this process, by csv.writer."""
+
+    def write(path: Path, header, rows) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    out_dir = Path(out_dir)
+    signals = [item.record for item in records]
+    for record in signals:
+        rows = [(repr(i / record.sample_rate_hz), repr(v)) for i, v in enumerate(record.fhr.tolist())]
+        write(out_dir / "signals" / f"{record.record_id}.csv", ["time_s", "fhr_bpm"], rows)
+    rows = [(r.record_id, r.metadata.ph, r.metadata.apgar1, "", "", "") for r in signals]
+    write(out_dir / "metadata.csv", ["record_id", "ph", "apgar1", "pco2", "po2", "bdecf"], rows)
+    return out_dir / "signals", out_dir / "metadata.csv"
 
 
 def reference_parse_record_csv(text: str, record_id: str) -> SignalRecord:

@@ -31,8 +31,10 @@ def _tracer_module():
     return module
 
 
-def test_a_traced_run_and_score_complete_and_report_per_layer_metrics(tmp_path):
+def test_a_traced_run_and_score_complete_and_report_per_layer_metrics(tmp_path, set_cores):
     tracing = _tracer_module()
+    # the tracer sees only its own process, so the fits must not run in forked workers
+    set_cores(1)
     data = tmp_path / "data"
     assert cli.main(["synth", "--normal", "40", "--abnormal", "20", "--seed", "7", "--out", str(data)]) == 0
     config = ExperimentConfig(

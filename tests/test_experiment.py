@@ -1,20 +1,26 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fetalguard.autoencoder import AeConfig
+from fetalguard import experiment
+from fetalguard.autoencoder import AeConfig, AeModel
+from fetalguard.cli import main
 from fetalguard.config import (
     DataConfig,
     EvalConfig,
     ExperimentConfig,
     OutputConfig,
     SynthDataConfig,
+    load_config,
 )
 from fetalguard.datasets import SplitConfig
-from fetalguard.errors import ConfigError, TestIsolationError
+from fetalguard.errors import ConfigError, TestIsolationError, TrainingError
 from fetalguard.experiment import (
     TestSetGuard,
     aggregate_runs,
@@ -23,7 +29,7 @@ from fetalguard.experiment import (
     run_experiment,
     run_single,
 )
-from fetalguard.ganomaly import GanomalyConfig
+from fetalguard.ganomaly import GanomalyConfig, GanomalyModel
 from fetalguard.iforest import IforestConfig
 from fetalguard.ingest import ClassLabel
 from fetalguard.preprocess import PreprocessConfig, FeatureVector
@@ -244,6 +250,105 @@ class TestRunExperiment:
         config = _tiny_experiment_config(tmp_path / "out", models=["iforest"])
         with pytest.raises(ConfigError):
             run_experiment(config, models=["ganomaly"])
+
+
+def _tree(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+CORE_COUNTS = (1, 2, 3) if hasattr(os, "fork") else (1,)
+# iforest with a 2-value grid, AE and GANomaly at tiny shapes, over 2 seeds: 8 fits in 6 legs
+RUN_CONFIG = {
+    "data": {"synth": {"n_normal": 30, "n_abnormal": 15, "seed": 3}},
+    "preprocess": {"median_window": 5, "feature_dim": 16},
+    "split": {"test_fraction": 0.15, "seed": 0},
+    "model": {
+        "iforest": {"n_trees": 10, "grid": {"contamination": [0.1, 0.3]}},
+        "ae": {"encoder_units": [8, 4], "decoder_units": [4, 8], "epochs": 3, "patience": 3},
+        "ganomaly": {
+            "encoder_units": [8, 4],
+            "decoder_units": [4, 8],
+            "discriminator_units": [8, 1],
+            "iterations_per_epoch": 5,
+            "epochs": 2,
+        },
+    },
+    "eval": {"seeds": 2},
+}
+RUN_LEGS = [(seed, name) for seed in (0, 1) for name in ("iforest", "ae", "ganomaly")]
+
+
+@pytest.fixture
+def run_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**RUN_CONFIG, "output": {"dir": str(tmp_path / "out")}}), encoding="utf-8")
+    return path
+
+
+class TestFitsOnEveryCore:
+    def test_outputs_do_not_depend_on_the_core_count(self, run_config, tmp_path, set_cores, monkeypatch):
+        config = load_config(run_config)
+        assert config.grids == {"iforest": {"contamination": [0.1, 0.3]}}
+        original = experiment.run_single
+        calls = []
+
+        def spy(name, *args, **kwargs):
+            result = original(name, *args, **kwargs)
+            calls.append((result["seed"], name, os.getpid(), len(kwargs["fits"]), result["guard_reads"]))
+            return result
+
+        monkeypatch.setattr(experiment, "run_single", spy)
+        trees = {}
+        for cores in CORE_COUNTS:
+            set_cores(cores)
+            calls.clear()
+            run_experiment(config, out_dir=tmp_path / f"cores{cores}")
+            trees[cores] = _tree(tmp_path / f"cores{cores}")
+            # once per leg, in leg order, in this process, each with its fits and one test read
+            fits = {"iforest": 2, "ae": 1, "ganomaly": 1}
+            assert calls == [(seed, name, os.getpid(), fits[name], 1) for seed, name in RUN_LEGS]
+        assert len(trees[1]) > 30
+        for cores in CORE_COUNTS:
+            assert trees[cores] == trees[1], cores
+
+    @staticmethod
+    def _fail_legs(monkeypatch, failing: set):
+        """Make the AE and GANomaly fits of the (seed, name) legs in failing raise a TrainingError."""
+        for cls in (AeModel, GanomalyModel):
+            fit = cls.fit
+
+            def failing_fit(cls, config, train_core, validation, pre_validation_size, seed, fit=fit):
+                if (seed, cls.model_type) in failing:
+                    raise TrainingError(
+                        f"{cls.model_type} seed {seed}: loss is not finite", diagnostics={"seed": seed}
+                    )
+                return fit(config, train_core, validation, pre_validation_size, seed)
+
+            monkeypatch.setattr(cls, "fit", classmethod(failing_fit))
+
+    @pytest.mark.parametrize(
+        "failing, first",
+        [({(1, "ae")}, "ae seed 1"), ({(1, "ae"), (1, "ganomaly"), (0, "ganomaly")}, "ganomaly seed 0")],
+    )
+    def test_a_failing_fit_ends_the_run_as_on_one_core(
+        self, failing, first, run_config, tmp_path, set_cores, monkeypatch, capsys
+    ):
+        self._fail_legs(monkeypatch, failing)
+        for cores in CORE_COUNTS:
+            set_cores(cores)
+            capsys.readouterr()
+            assert main(["run", "--config", str(run_config)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {first}: loss is not finite\n", (cores, err)
+            assert not multiprocessing.active_children()
+
+    def test_the_error_keeps_its_type_and_attributes(self, run_config, set_cores, monkeypatch):
+        self._fail_legs(monkeypatch, {(1, "ganomaly")})
+        set_cores(3)
+        with pytest.raises(TrainingError) as exc:
+            run_experiment(load_config(run_config))
+        assert str(exc.value) == "ganomaly seed 1: loss is not finite"
+        assert exc.value.diagnostics == {"seed": 1}
 
 
 def test_aggregate_math_and_table_shape():

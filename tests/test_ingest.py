@@ -233,12 +233,7 @@ CORE_COUNTS = (1, 2, 3, 5) if FORK else (1,)
 needs_fork = pytest.mark.skipif(not FORK, reason="signal files are read in forked workers only where fork exists")
 
 
-def _set_cores(monkeypatch, cores: int) -> None:
-    """Make load_collection see this many available cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-
-
-def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path, monkeypatch):
+def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path, set_cores):
     signals = tmp_path / "signals"
     signals.mkdir()
     _write_signal(signals / "a.csv", n=40)
@@ -248,7 +243,7 @@ def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path, m
         "record_id,ph,apgar1\na,7.10,5\nb,7.30,9\nc,7.30,9\n", encoding="utf-8"
     )
     for cores in CORE_COUNTS:
-        _set_cores(monkeypatch, cores)
+        set_cores(cores)
         result = load_collection(signals, tmp_path / "meta.csv")
         assert [item.record.fhr.size for item in result.records] == [40, 2, 4800]
         for item in result.records:
@@ -285,23 +280,23 @@ def _contents(result):
     return records, result.skipped
 
 
-def test_load_collection_matches_the_serial_loop_on_every_core_count(tmp_path, monkeypatch):
+def test_load_collection_matches_the_serial_loop_on_every_core_count(tmp_path, set_cores):
     signals, meta = _mixed_collection(tmp_path)
     expected = _contents(reference_load_collection(signals, meta))
     assert len(expected[0]) == 13 and len(expected[1]) == 4  # quoted and long load; 4 kinds are skipped
     for cores in CORE_COUNTS:
-        _set_cores(monkeypatch, cores)
+        set_cores(cores)
         assert _contents(load_collection(signals, meta)) == expected
 
 
-def test_load_collection_raises_the_first_error_in_file_order(tmp_path, monkeypatch):
+def test_load_collection_raises_the_first_error_in_file_order(tmp_path, set_cores):
     signals, meta = _mixed_collection(tmp_path)
     (signals / "good03.csv").unlink()
     (signals / "good03.csv").mkdir()
     (signals / "good08.csv").unlink()
     (signals / "good08.csv").mkdir()
     for cores in CORE_COUNTS:
-        _set_cores(monkeypatch, cores)
+        set_cores(cores)
         with pytest.raises(IsADirectoryError) as exc:
             load_collection(signals, meta)
         assert exc.value.filename == str(signals / "good03.csv")
@@ -309,7 +304,7 @@ def test_load_collection_raises_the_first_error_in_file_order(tmp_path, monkeypa
 
 
 @needs_fork
-def test_a_worker_that_dies_mid_way_ends_ingest_with_one_line(tmp_path, monkeypatch, capsys):
+def test_a_worker_that_dies_mid_way_ends_ingest_with_one_line(tmp_path, monkeypatch, capsys, set_cores):
     signals, meta = _mixed_collection(tmp_path)
     read_signal = ingest._read_signal
 
@@ -319,7 +314,7 @@ def test_a_worker_that_dies_mid_way_ends_ingest_with_one_line(tmp_path, monkeypa
         return read_signal(path)
 
     monkeypatch.setattr(ingest, "_read_signal", dies_at_good05)
-    _set_cores(monkeypatch, 3)
+    set_cores(3)
     assert main(["ingest", "--signals", str(signals), "--metadata", str(meta)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a signal-reading worker exited with code 3 before sending ") and err.count("\n") == 1, err
@@ -327,14 +322,14 @@ def test_a_worker_that_dies_mid_way_ends_ingest_with_one_line(tmp_path, monkeypa
 
 
 @needs_fork
-def test_an_interrupt_while_waiting_for_workers_ends_them(tmp_path, monkeypatch):
+def test_an_interrupt_while_waiting_for_workers_ends_them(tmp_path, monkeypatch, set_cores):
     signals, meta = _mixed_collection(tmp_path)
 
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
-    _set_cores(monkeypatch, 3)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", interrupted)
+    set_cores(3)
     with pytest.raises(KeyboardInterrupt):
         load_collection(signals, meta)
     assert not multiprocessing.active_children()

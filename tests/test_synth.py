@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fetalguard import synth
 from fetalguard.errors import ConfigError
 from fetalguard.ingest import ClassLabel, assign_label, load_collection
 from fetalguard.preprocess import PreprocessConfig, preprocess_collection
 from fetalguard.synth import SynthParams, _add_plateau, generate_dataset, generate_record, write_dataset
-from oracles import reference_add_plateau
+from oracles import reference_add_plateau, reference_write_dataset
 
 
 class TestGenerateRecord:
@@ -112,6 +116,44 @@ class TestGenerateDataset:
         records = generate_dataset(20, 10, seed=3)
         ids = [item.record.record_id for item in records]
         assert len(set(ids)) == len(ids)
+
+
+def _tree(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestWriteDataset:
+    def test_the_tree_is_byte_identical_to_the_serial_writer_on_every_core_count(self, tmp_path, set_cores):
+        records = generate_dataset(5, 3, seed=4)
+        reference_write_dataset(records, tmp_path / "reference")
+        expected = _tree(tmp_path / "reference")
+        assert len(expected) == 9  # eight signal files and metadata.csv
+        for cores in (1, 2, 3):
+            set_cores(cores)
+            out = tmp_path / f"cores{cores}"
+            assert write_dataset(records, out) == (out / "signals", out / "metadata.csv")
+            assert _tree(out) == expected
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="signal files are written in forked workers only where fork exists")
+    def test_signal_files_are_written_in_workers_and_metadata_here(self, tmp_path, set_cores, monkeypatch):
+        written_here = []
+        write_csv = synth.write_csv
+
+        def spy(path, *args):
+            written_here.append(Path(path).name)
+            write_csv(path, *args)
+
+        monkeypatch.setattr(synth, "write_csv", spy)
+        set_cores(2)
+        write_dataset(generate_dataset(3, 1, seed=4), tmp_path)
+        assert written_here == ["metadata.csv"]
+        assert len(list((tmp_path / "signals").glob("*.csv"))) == 4
+
+    def test_no_records_write_the_metadata_header_and_no_signals_directory(self, tmp_path, set_cores):
+        set_cores(3)
+        signals_dir, metadata_file = write_dataset([], tmp_path)
+        assert not signals_dir.exists()
+        assert metadata_file.read_bytes() == b"record_id,ph,apgar1,pco2,po2,bdecf\r\n"
 
 
 class TestRoundTripThroughIngest:
