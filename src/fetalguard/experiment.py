@@ -113,24 +113,31 @@ def _leg_split(name, features, split_config, seed):
     return train, test, train_core, validation
 
 
+def _leg_jobs(name, model_config, grid, split, seed) -> list:
+    """(grid combo, fit_detector arguments) of each grid candidate of one leg, in grid_candidates order."""
+    train, _, train_core, validation = split
+    return [
+        (combo, (name, candidate, train_core, validation, len(train), seed))
+        for combo, candidate in grid_candidates(model_config, grid)
+    ]
+
+
 def run_single(name, model_config, grid, features, split_config, preprocess, seed, fits=None):
     """One (seed, model) leg: split, fit (with optional grid search), test once.
 
-    fits, when given, holds the leg's fit_detector result for each grid
-    candidate, in grid_candidates order; by default the leg fits them itself.
+    fits, when given, holds the fit_detector result of each of the leg's
+    _leg_jobs, in order; by default the leg makes those calls itself.
     Returns a dict with the fitted model, reports, traces, and score tables.
     """
-    train, test, train_core, validation = _leg_split(name, features, split_config, seed)
+    split = _leg_split(name, features, split_config, seed)
+    train, test, train_core, validation = split
     guard = TestSetGuard(test)
 
-    candidates = grid_candidates(model_config, grid)
+    jobs = _leg_jobs(name, model_config, grid, split, seed)
     if fits is None:
-        fits = (
-            fit_detector(name, candidate, train_core, validation, len(train), seed)
-            for _, candidate in candidates
-        )
+        fits = (fit_detector(*job) for _, job in jobs)
     best = None
-    for (combo, _), fitted in zip(candidates, fits, strict=True):
+    for (combo, _), fitted in zip(jobs, fits, strict=True):
         val_metrics = _validation_f1(fitted.model, validation)
         if best is None or val_metrics["f1"] > best["validation"]["f1"]:
             best = {
@@ -327,10 +334,9 @@ def run_experiment(
     # order, as their fits arrive; the test partitions stay in this process
     leg_jobs = []
     for seed, name in legs:
-        train, _, train_core, validation = _leg_split(name, prep.features, config.split, seed)
-        candidates = grid_candidates(config.models[name], config.grids.get(name, {}))
-        leg_jobs.append([(name, c, train_core, validation, len(train), seed) for _, c in candidates])
-    jobs = [job for leg in leg_jobs for job in leg]
+        split = _leg_split(name, prep.features, config.split, seed)
+        leg_jobs.append(_leg_jobs(name, config.models[name], config.grids.get(name, {}), split, seed))
+    jobs = [job for leg in leg_jobs for _, job in leg]
 
     payloads = []
     with contextlib.closing(fork_map(lambda job: fit_detector(*job), jobs, "model-fitting")) as fits:

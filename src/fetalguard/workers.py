@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections.abc import Iterator
 
@@ -25,9 +26,10 @@ def fork_map(function, items: list, what: str) -> Iterator:
     Workers are forked, not spawned: they need no fresh import, and function
     and items reach them without pickling, so a closure will do; only results
     and exceptions are pickled. OpenBLAS ends its threads before a fork and
-    starts them again at its next call, so workers may call BLAS; each starts
-    as many threads as this process has. One core, one item, or no fork makes
-    the calls in this process, as the caller takes the results.
+    starts them again at its next call, so workers may call BLAS; each takes
+    its share of this process's BLAS threads (_share_blas_threads). One core,
+    one item, or no fork makes the calls in this process, as the caller takes
+    the results.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_workers = min(cores, len(items))
@@ -76,6 +78,7 @@ def fork_map(function, items: list, what: str) -> Iterator:
 
 def _work(sender, function, items: list, first: int, step: int) -> None:
     """Worker: send (True, function(item)) for items[first::step], or (False, exception) and stop."""
+    _share_blas_threads(step)
     for index in range(first, len(items), step):
         try:
             message = (True, function(items[index]))
@@ -84,3 +87,36 @@ def _work(sender, function, items: list, first: int, step: int) -> None:
         sender.send(message)
         if not message[0]:
             return
+
+
+def _share_blas_threads(n_workers: int) -> None:
+    """Cut this worker's OpenBLAS threads to its share of the parent's: threads // n_workers, at least 1.
+
+    A forked worker inherits the parent's count, which OpenBLAS sets to the
+    cores by default, and n workers of that many threads spin-wait on each
+    other's cores: a 2-leg run_synth on 2 cores took 5-28 s instead of the
+    serial 2.7-3.8 s. Outputs do not depend on the BLAS thread count. A BLAS
+    that is not OpenBLAS, or a system without /proc/self/maps, keeps its count.
+    """
+    blas = openblas_threads()
+    if blas is not None:
+        get, set_ = blas
+        set_(max(1, get() // n_workers))
+
+
+def openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS this process has loaded, or None if it has none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.rpartition("/")[2]}
+        paths = {path for path in paths if path.startswith("/")}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)  # already loaded: this only looks it up
+        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", "64_"), ("scipy_", "")):
+            get = getattr(library, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                return get, set_
+    return None

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from fetalguard.errors import FetalGuardError, ParseError, TrainingError
-from fetalguard.workers import fork_map
+from fetalguard.workers import fork_map, openblas_threads
 
 FORK = hasattr(os, "fork")
 # 1 calls the function in this process; more forks min(cores, items) workers
@@ -44,6 +44,27 @@ def test_one_core_or_one_item_calls_in_this_process_and_more_fork(set_cores):
     pids = list(fork_map(lambda _: os.getpid(), [0, 1, 2, 3], "pid"))
     assert parent not in pids
     assert pids[0] == pids[3] and len(set(pids)) == 3  # dealt round robin to 3 workers
+
+
+
+@needs_fork
+def test_each_worker_takes_its_share_of_the_blas_threads(set_cores):
+    np = pytest.importorskip("numpy")
+    np.ones((2, 2)) @ np.ones((2, 2))
+    blas = openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = blas
+    before = get()
+    set_cores(3)
+    try:
+        for parent_threads, items, share in ((6, 3, 2), (6, 2, 3), (2, 3, 1), (1, 2, 1)):
+            set_(parent_threads)
+            # N workers of the parent's count each would spin-wait on each other's cores
+            assert list(fork_map(lambda _: openblas_threads()[0](), list(range(items)), "blas")) == [share] * items
+            assert get() == parent_threads
+    finally:
+        set_(before)
 
 
 def _fails_at(failing: dict):
