@@ -57,8 +57,7 @@ class AeModel(Checked):
     """A trained autoencoder; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ae"
-    format_version: ClassVar[int] = 2
-    past_formats: ClassVar[dict] = {1: {}}  # version -> renamed keys; 1 wrote arrays as JSON numbers
+    format_version: ClassVar[int] = 3
     config_type: ClassVar[type] = AeConfig
     calibration_param: ClassVar[str] = "k_sigma"
 

@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, field
@@ -22,7 +21,7 @@ from . import iforest, nn
 from .autoencoder import AeModel
 from .datasets import SplitConfig
 from .errors import BoundError, Checked, ConfigError, FetalGuardError, NonNegativeInt, PositiveInt
-from .files import read_json
+from .files import finite_number, read_json
 from .ganomaly import GanomalyModel
 from .iforest import IsolationForestModel
 from .preprocess import PreprocessConfig
@@ -150,10 +149,8 @@ def _decode(hint, value, path, raw_text, outer):
     if origin is types.UnionType:  # X | None
         return None if value is None else _decode(args[0], value, path, raw_text, outer)
     if hint in EXPECTED:
-        if (
-            not isinstance(value, (int, float) if hint is float else hint)
-            or (isinstance(value, bool) and hint is not bool)
-            or (hint is float and not abs(value) <= sys.float_info.max)  # NaN, inf, huge int
+        if (not finite_number(value) if hint is float else not isinstance(value, hint)) or (
+            isinstance(value, bool) and hint is not bool
         ):
             raise ConfigError(f"{path}: expected {EXPECTED[hint]}, got {json.dumps(value)[:60]}")
         return value

@@ -5,7 +5,10 @@ from __future__ import annotations
 import base64
 import contextlib
 import csv
+import hashlib
 import json
+import os
+import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -48,20 +51,12 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
         writer.writerows(rows)
 
 
-def read_json(path: Path, what: str, decode, with_text: bool = False):
-    """decode(value) of a UTF-8 JSON file's value, or decode(value, text) with_text.
-
-    Any failure to read, parse or decode the file, nesting too deeply included, is a
-    one-line ConfigError that names it. Without with_text the text is freed before
-    decode runs: keeping a 3 MB model's text made decoding it 10% slower.
-    """
+@contextlib.contextmanager
+def _one_line_errors(path: Path, what: str):
+    """Any failure to read, parse or decode the file inside the block, nesting too deeply included,
+    as a one-line ConfigError that names it."""
     try:
-        text = path.read_text(encoding="utf-8")
-        if with_text:
-            return decode(json.loads(text), text)
-        value = json.loads(text)
-        del text
-        return decode(value)
+        yield
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -74,6 +69,52 @@ def read_json(path: Path, what: str, decode, with_text: bool = False):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def read_json(path: Path, what: str, decode, with_text: bool = False):
+    """decode(value) of a UTF-8 JSON file's value, or decode(value, text) with_text.
+
+    Failures are one-line ConfigErrors that name the file. Without with_text the text
+    is freed before decode runs: keeping a 3 MB model's text made decoding it 10% slower.
+    """
+    with _one_line_errors(path, what):
+        text = path.read_text(encoding="utf-8")
+        if with_text:
+            return decode(json.loads(text), text)
+        value = json.loads(text)
+        del text
+        return decode(value)
+
+
+# A sealed file is _SEAL, 64 hex digits, '",' and then the text write_json writes
+# unsealed, from after its opening brace; the digits are the SHA-256 of that text.
+_SEAL = b'{\n  "sha256": "'
+_BODY = len(_SEAL) + 66  # where the unsealed text resumes
+
+
+def read_sealed_json(path: Path, what: str, decode):
+    """decode(value, sealed) of a JSON file that write_json may have sealed, its "sha256" key removed.
+
+    The seal is checked on the bytes as read, which are freed before parsing. One that does
+    not match them, or is not where write_json puts it (the file was re-formatted), is a
+    one-line ConfigError, as read_json's failures are.
+    """
+    damaged = ConfigError(f"{what} file is damaged: its sha256 seal does not match its contents")
+    with _one_line_errors(path, what):
+        raw = path.read_bytes()
+        sealed = raw.startswith(_SEAL) and raw[_BODY - 2 : _BODY] == b'",'
+        if sealed:
+            digest = hashlib.sha256(b"{")
+            digest.update(memoryview(raw)[_BODY:])
+            if raw[len(_SEAL) : _BODY - 2] != digest.hexdigest().encode():
+                raise damaged
+        text = raw.decode("utf-8")
+        del raw
+        value = json.loads(text)
+        del text
+        if isinstance(value, dict) and value.pop("sha256", None) is not None and not sealed:
+            raise damaged
+        return decode(value, sealed)
+
+
 def refuse_unknown_keys(data: dict, known, where: str) -> None:
     """A ConfigError naming the first key of data that is not known, if any."""
     unknown = data.keys() - known
@@ -81,11 +122,30 @@ def refuse_unknown_keys(data: dict, known, where: str) -> None:
         raise ConfigError(f"unknown key {min(unknown)!r} in {where}")
 
 
-def write_json(data, path: str | Path) -> None:
-    """data as a UTF-8 JSON file, keys sorted, two-space indents, creating its directory."""
+def finite_number(value) -> bool:
+    """Whether a JSON value is a number a float field takes: an int or a finite float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def write_json(data, path: str | Path, sealed: bool = False) -> None:
+    """data as a UTF-8 JSON file, keys sorted, two-space indents, creating its directory.
+
+    sealed puts the "sha256" key that read_sealed_json checks first. The bytes go to a
+    new file in the same directory that then replaces path, so a write that fails
+    partway leaves path as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+    parts = [_SEAL, hashlib.sha256(text).hexdigest().encode(), b'",', memoryview(text)[1:]] if sealed else [text]
+    temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with temporary.open("xb") as fh:
+            fh.writelines(parts)
+        temporary.replace(path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def encode_array(values, dtype: str) -> str:

@@ -82,8 +82,7 @@ class GanomalyModel(Checked):
     """Trained GANomaly networks; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ganomaly"
-    format_version: ClassVar[int] = 2
-    past_formats: ClassVar[dict] = {1: {}}  # version -> renamed keys; 1 wrote arrays as JSON numbers
+    format_version: ClassVar[int] = 3
     config_type: ClassVar[type] = GanomalyConfig
     calibration_param: ClassVar[str] = "k_sigma"
 

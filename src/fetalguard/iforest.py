@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import normals_only
 from .errors import Bound, Checked, ConfigError, NonNegativeInt, PositiveInt, ShapeError, TrainingError
-from .files import decode_array, encode_array, refuse_unknown_keys
+from .files import decode_array, encode_array
 from .preprocess import PreprocessConfig, as_matrix
 
 DEFAULT_SUBSAMPLE = 256
@@ -67,8 +67,7 @@ class IsolationForestModel(Checked):
     """A fitted forest; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "iforest"
-    format_version: ClassVar[int] = 3
-    past_formats: ClassVar[dict] = {1: {"threshold": "tau"}, 2: {}}  # version -> renamed keys
+    format_version: ClassVar[int] = 4
     config_type: ClassVar[type] = IforestConfig
     calibration_param: ClassVar[str] = "contamination"
 
@@ -81,12 +80,8 @@ class IsolationForestModel(Checked):
     preprocess: PreprocessConfig | None = None
 
     def __post_init__(self):
-        # the trees before the field bounds, so that trees a subsample_size disagrees with are named as such
         if not self.trees:
             raise ConfigError("model has no trees")
-        limit = depth_limit(self.subsample_size)
-        if any(tree.max_depth != limit for tree in self.trees):
-            raise ConfigError(f"max_depth of a tree is not {limit}, the limit for {self.subsample_size} samples")
         super().__post_init__()
 
     @classmethod
@@ -257,7 +252,7 @@ def if_threshold(training_scores, contamination: float) -> float:
     return float(np.quantile(scores, 1.0 - contamination))
 
 
-# A version-3 model file stores its forest as these arrays, each the base64 of
+# A model file stores its forest as these arrays, each the base64 of
 # little-endian fixed-width values: the node count of each tree, then for each
 # node (tree after tree, each in preorder) its split feature (-1 at a leaf),
 # threshold, left and right child as indices within its tree, and leaf size.
@@ -304,13 +299,10 @@ def _preorder(node: TreeNode, rows: list) -> int:
 def _forest_from_json(value, feature_dim: int, subsample_size: int) -> Forest:
     """Trees from a model file; a forest that cannot belong to the model is a ConfigError.
 
-    A version-3 file holds the arrays of _forest_to_json. They are checked in
-    one vectorised pass before any node is built, and a split is refused at
+    The file holds the arrays of _forest_to_json. They are checked in one
+    vectorised pass before any node is built, and a split is refused at
     depth_limit(subsample_size), which bounds the depth of what is built.
-    Versions 1 and 2 hold a list of nested trees.
     """
-    if isinstance(value, list):
-        return [_nested_tree(tree, feature_dim, subsample_size) for tree in value]
     if type(value) is not dict or value.keys() != _FOREST_ARRAYS.keys():
         raise ConfigError(f"forest must be an object of the arrays {', '.join(_FOREST_ARRAYS)}")
     counts, feature, threshold, left, right, size = (
@@ -373,41 +365,3 @@ def _forest_from_json(value, feature_dim: int, subsample_size: int) -> Forest:
             else InternalNode(features[i], thresholds[i], nodes[lefts[i]], nodes[rights[i]])
         )
     return [IsolationTree(nodes[start], limit) for start in starts.tolist()]
-
-
-def _nested_tree(data, feature_dim: int, subsample_size: int) -> IsolationTree:
-    """One tree of a version-1 or version-2 file: an integer max_depth and a nested root."""
-    if type(data) is not dict or data.keys() != {"max_depth", "root"} or type(data["max_depth"]) is not int:
-        raise ConfigError("a tree must be an object of an integer max_depth and a root node")
-    return IsolationTree(tree_from_dict(data["root"], feature_dim, subsample_size), data["max_depth"])
-
-
-# the keys of a nested leaf and split node of a version-1 or version-2 file
-_NODE_KEYS = {True: {"leaf", "size", "depth"}, False: {"leaf", "feature", "threshold", "left", "right"}}
-
-
-def tree_from_dict(data: dict, feature_dim: int, subsample_size: int, depth: int = 0):
-    """A nested node of a version-1 or version-2 file; one that cannot belong to the model is a ConfigError."""
-    leaf = data.get("leaf") if type(data) is dict else None
-    if leaf is not True and leaf is not False:
-        raise ConfigError(f"tree node at depth {depth} is not a leaf or split object")
-    refuse_unknown_keys(data, _NODE_KEYS[leaf], f"a tree node at depth {depth}")
-    if leaf:
-        size = data.get("size")
-        if type(size) is not int or not 0 <= size <= subsample_size or data.get("depth") != depth:
-            raise ConfigError(f"leaf at depth {depth} has size {size!r} and depth {data.get('depth')!r}")
-        return LeafNode(size, depth)
-    limit = depth_limit(subsample_size)
-    if depth >= limit:
-        raise ConfigError(f"split at depth {depth}, where the limit for {subsample_size} samples is {limit}")
-    feature, threshold = data.get("feature"), data.get("threshold")
-    if type(feature) is not int or not 0 <= feature < feature_dim:
-        raise ConfigError(f"split feature {feature!r} at depth {depth} outside [0, {feature_dim})")
-    if type(threshold) is not float or not math.isfinite(threshold):
-        raise ConfigError(f"split threshold {threshold!r} at depth {depth} is not a finite number")
-    return InternalNode(
-        feature,
-        threshold,
-        tree_from_dict(data.get("left"), feature_dim, subsample_size, depth + 1),
-        tree_from_dict(data.get("right"), feature_dim, subsample_size, depth + 1),
-    )

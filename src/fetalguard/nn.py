@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .files import decode_array, encode_array, refuse_unknown_keys
+from .files import decode_array, encode_array, finite_number, refuse_unknown_keys
 
 ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "identity")
 
 PROB_EPS = 1e-7  # probability clamp applied before logarithms
 
-FORMAT_VERSION = 2  # 1: arrays as nested JSON numbers; 2: arrays as base64 of little-endian float64
+FORMAT_VERSION = 2  # arrays as base64 of little-endian float64; version 1 wrote nested JSON numbers
 
 _LAYER_KEYS = {"in_dim", "out_dim", "activation", "alpha", "weights", "biases"}  # of network_to_dict
 
@@ -356,9 +356,9 @@ def network_to_dict(net: DenseNetwork) -> dict:
 
 
 def network_from_dict(data: dict) -> DenseNetwork:
-    """Inverse of network_to_dict, also for version 1; a malformed encoding is a ConfigError or ShapeError."""
+    """Inverse of network_to_dict; a malformed encoding is a ConfigError or ShapeError."""
     version = data.get("format_version") if isinstance(data, dict) else None
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ConfigError(f"unsupported network format version {version!r}")
     layers = data.get("layers")
     if not isinstance(layers, list) or not all(isinstance(l, dict) for l in layers):
@@ -366,21 +366,11 @@ def network_from_dict(data: dict) -> DenseNetwork:
     refuse_unknown_keys(data, {"format_version", "layers"}, "a network")
     for i, layer in enumerate(layers):
         refuse_unknown_keys(layer, _LAYER_KEYS, f"layer {i}")
-    arrays = _v1_arrays if version == 1 else _v2_arrays
-    return DenseNetwork(
-        [
-            Layer(
-                *arrays(l),
-                activation=l.get("activation"),
-                alpha=float(_number_array(l.get("alpha", 0.0), 0)),
-            )
-            for l in layers
-        ]
-    )
+    return DenseNetwork([Layer(*_layer_arrays(l), activation=l.get("activation"), alpha=_alpha(l)) for l in layers])
 
 
-def _v2_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, biases) of a version-2 layer, checked against its in_dim and out_dim."""
+def _layer_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, biases) of a layer, checked against its in_dim and out_dim."""
     in_dim, out_dim = layer.get("in_dim"), layer.get("out_dim")
     if not all(type(d) is int and d > 0 for d in (in_dim, out_dim)):
         raise ConfigError(f"layer dims must be positive integers, got ({in_dim!r}, {out_dim!r})")
@@ -394,28 +384,11 @@ def _v2_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
     return weights.reshape(in_dim, out_dim), biases
 
 
-def _v1_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, biases) of a version-1 layer, checked against its in_dim and out_dim where it has them."""
-    weights, biases = _number_array(layer.get("weights"), 2), _number_array(layer.get("biases"), 1)
-    dims = layer.get("in_dim", weights.shape[0]), layer.get("out_dim", weights.shape[1])
-    if any(type(d) is not int for d in dims) or dims != weights.shape:
-        raise ConfigError(f"layer in_dim and out_dim {dims!r} are not the shape of its weights {weights.shape}")
-    return weights, biases
-
-
-def _number_array(value, ndim: int) -> np.ndarray:
-    """A float array of ndim dimensions from JSON numbers; anything else is a ConfigError."""
-    try:
-        array = np.array(value)
-        # numpy turns a boolean among numbers into 1.0 or 0.0, so look for one
-        rows = value if ndim == 2 else [value] if ndim == 1 else []
-        if array.dtype.kind in "iuf" and array.ndim == ndim and not any(
-            type(x) is bool for row in rows for x in row
-        ):
-            return array.astype(float, copy=False)
-    except (ValueError, OverflowError):  # ragged nesting, or an int beyond the float range
-        pass
-    raise ConfigError(f"layer value is not a {ndim}-dimensional array of numbers")
+def _alpha(layer: dict) -> float:
+    alpha = layer.get("alpha", 0.0)
+    if not finite_number(alpha):
+        raise ConfigError(f"layer alpha {alpha!r} is not a finite number")
+    return float(alpha)
 
 
 def require_dims(name: str, net: DenseNetwork, in_dim: int, out_dim: int) -> None:

@@ -7,7 +7,8 @@ isolation forests grown by taking every column's min and max at each node,
 isolation-forest scores via one tree walk per sample and tree, plateaus one
 sample at a time, model
 artifacts via one hand-written encoder per model type, with network and
-forest arrays packed one Python number at a time, backpropagation that
+forest arrays packed one Python number at a time and the seal computed with
+hashlib on the finished text, backpropagation that
 computes every gradient, a signal directory loaded one file at a time in
 this process, and a synthetic dataset written one file at a time in this
 process.
@@ -18,7 +19,9 @@ from __future__ import annotations
 import base64
 import csv
 import dataclasses
+import hashlib
 import io
+import json
 import struct
 from pathlib import Path
 
@@ -345,16 +348,17 @@ def _preprocess_section(model):
 
 
 # the format version each model type writes today
-CURRENT_FORMAT = {"iforest": 3, "ae": 2, "ganomaly": 2}
+CURRENT_FORMAT = {"iforest": 4, "ae": 3, "ganomaly": 3}
 
 
 def reference_model_to_dict(model, version: int | None = None) -> dict:
     """The model artifact format as three hand-written encoders, one per model type.
 
-    version selects the format, by default the current one. An isolation
-    forest has three: 3 (flat arrays), 2 (one nested object per tree) and 1
-    (as 2, with the threshold under ``threshold``). The AE and GANomaly have
-    2 (network arrays as base64) and 1 (as nested JSON numbers).
+    version selects the format, by default the current one; only the current
+    one is read, and only sealed (reference_seal). An isolation forest has
+    four: 4 and 3 (flat arrays), 2 (one nested object per tree) and 1 (as 2,
+    with the threshold under ``threshold``). The AE and GANomaly have 3 and 2
+    (network arrays as base64) and 1 (as nested JSON numbers).
     """
     version = CURRENT_FORMAT[model.model_type] if version is None else version
     return {
@@ -364,6 +368,18 @@ def reference_model_to_dict(model, version: int | None = None) -> dict:
     }[model.model_type](model, version)
 
 
+def reference_model_text(model) -> str:
+    """A model file as save_model writes it: the current format, sealed."""
+    return reference_seal(json.dumps(reference_model_to_dict(model), indent=2, sort_keys=True) + "\n")
+
+
+def reference_seal(text: str) -> str:
+    """The text of a JSON object sealed: a first key "sha256" holding the SHA-256 of the unsealed text."""
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert text.startswith("{\n")
+    return '{\n  "sha256": "' + digest + '",' + text[1:]
+
+
 def _reference_blob(array) -> str:
     """Base64 of the array's values in row-major order as little-endian IEEE doubles."""
     values = [float(v) for row in np.atleast_2d(array) for v in row]
@@ -371,9 +387,10 @@ def _reference_blob(array) -> str:
 
 
 def _reference_network(net, version: int) -> dict:
-    encode_array = _reference_blob if version == 2 else lambda array: array.tolist()
+    """A network of a version-`version` model file; its own format_version is 2 since model version 2."""
+    encode_array = _reference_blob if version >= 2 else lambda array: array.tolist()
     return {
-        "format_version": version,
+        "format_version": min(version, 2),
         "layers": [
             {
                 "in_dim": len(layer.weights),
@@ -425,7 +442,7 @@ def _reference_ganomaly_to_dict(model, version: int) -> dict:
 
 
 def _reference_iforest_to_dict(model, version: int) -> dict:
-    if version == 3:
+    if version >= 3:
         trees = _reference_forest_arrays(model.trees)
     else:
         trees = [{"max_depth": t.max_depth, "root": _reference_nested_node(t.root, 0)} for t in model.trees]
@@ -456,7 +473,7 @@ def _reference_nested_node(node, depth: int) -> dict:
 
 
 def _reference_forest_arrays(trees) -> dict:
-    """The version-3 forest: per tree its nodes in preorder, found with an explicit stack.
+    """The forest of versions 3 and 4: per tree its nodes in preorder, found with an explicit stack.
 
     Each array is packed with struct as little-endian int32 (``i``) or
     float64 (``d``); children are indices within their tree, and a leaf has

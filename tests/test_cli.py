@@ -15,7 +15,7 @@ from fetalguard.iforest import MAX_SUBSAMPLE, depth_limit
 from fetalguard.ingest import ClassLabel
 from fetalguard.persistence import save_model
 from fetalguard.preprocess import FeatureVector, read_features_csv, write_features_csv
-from oracles import reference_model_to_dict
+from oracles import CURRENT_FORMAT, reference_model_to_dict, reference_seal
 
 TINY_MODELS = {
     "iforest": {"n_trees": 5},
@@ -216,9 +216,7 @@ def test_dimension_mismatch_between_model_and_preprocess(dataset, config_file, t
     out_dir = tmp_path / "run"
     assert main(["run", "--config", str(config_file), "--model", "iforest", "--out", str(out_dir)]) == 0
     model_file = out_dir / "seed_000" / "iforest" / "model.json"
-    data = json.loads(model_file.read_text())
-    data["preprocess"]["feature_dim"] = 999
-    model_file.write_text(json.dumps(data), encoding="utf-8")
+    model_file = _edited_copy(model_file, tmp_path, lambda data: data["preprocess"].update(feature_dim=999))
     capsys.readouterr()
     signal = dataset / "signals" / "syn0000.csv"
     assert main(["score", "--model-file", str(model_file), "--signal", str(signal)]) == 2
@@ -251,18 +249,21 @@ def model_files(features_file, tmp_path_factory):
         fitted = fit_detector(name, config, features, features[:10], len(features), 0)
         files[name] = out / f"{name}.json"
         save_model(fitted.model, files[name])
-        # and in an older format, by the reference encoder: nested trees, or network arrays as JSON numbers
-        old, version = ("iforest_v2", 2) if name == "iforest" else (f"{name}_v1", 1)
-        files[old] = out / f"{old}.json"
-        files[old].write_text(json.dumps(reference_model_to_dict(fitted.model, version=version)))
+        # and unsealed in each older format, as the reference encoder writes it, and in the current one
+        for version in range(1, CURRENT_FORMAT[name] + 1):
+            files[f"{name}_v{version}"] = out / f"{name}_v{version}.json"
+            text = json.dumps(reference_model_to_dict(fitted.model, version), indent=2, sort_keys=True) + "\n"
+            files[f"{name}_v{version}"].write_text(text, encoding="utf-8")
     return files
 
 
 def _edited_copy(path, tmp_path, edit):
+    """A copy of a model file as edit(its fields) leaves them, sealed again as save_model seals."""
     data = json.loads(path.read_text())
+    del data["sha256"]
     edit(data)
     out = tmp_path / path.name
-    out.write_text(json.dumps(data), encoding="utf-8")
+    out.write_text(reference_seal(json.dumps(data, indent=2, sort_keys=True) + "\n"), encoding="utf-8")
     return out
 
 
@@ -282,19 +283,6 @@ def _one_line_error(capsys) -> str:
     return err
 
 
-def _first_split(data):
-    node = data["trees"][0]["root"]
-    assert not node["leaf"]
-    return node
-
-
-def _first_leaf(data):
-    node = data["trees"][0]["root"]
-    while not node["leaf"]:
-        node = node["left"]
-    return node
-
-
 def _first_layer(name, data):
     return data["encoder" if name == "ae" else "encoder1"]["layers"][0]
 
@@ -310,7 +298,7 @@ def _edited_weights(edit):
     return apply
 
 
-# the arrays of a version-3 forest and the little-endian type of their values
+# the arrays of a model file's forest and the little-endian type of their values
 FOREST_DTYPES = {
     "node_counts": "<i4", "feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4", "size": "<i4"
 }
@@ -355,27 +343,6 @@ def _subsample_below_a_split(name, data):
     assert depth_limit(data["subsample_size"]) < depth_limit(45)  # the fitted forest's subsample
 
 
-def _nested_leaf_sizes(node):
-    if node["leaf"]:
-        return [node["size"]]
-    return _nested_leaf_sizes(node["left"]) + _nested_leaf_sizes(node["right"])
-
-
-def _nested_subsample_below_a_split(name, data):
-    """subsample_size as large as the largest leaf, and each tree's max_depth to match; a split is then too deep."""
-    size = max(size for tree in data["trees"] for size in _nested_leaf_sizes(tree["root"]))
-    assert depth_limit(size) < depth_limit(45)  # the fitted forest's subsample
-    data["subsample_size"] = size
-    for tree in data["trees"]:
-        tree["max_depth"] = depth_limit(size)
-
-
-def _subsample_beyond_the_cap(name, data):
-    data["subsample_size"] = MAX_SUBSAMPLE + 1  # and max_depth to match, so that only the cap refuses it
-    for tree in data["trees"]:
-        tree["max_depth"] = depth_limit(MAX_SUBSAMPLE + 1)
-
-
 MISSING_KEY = {"iforest": "subsample_size", "ae": "decoder", "ganomaly": "encoder2"}
 NUMBER_KEY = {"iforest": "subsample_size", "ae": "k_sigma", "ganomaly": "k_sigma"}
 ARTIFACT_DEFECTS = {
@@ -391,15 +358,6 @@ ARTIFACT_DEFECTS = {
     "preprocess value of the wrong type": lambda name, data: data.update(preprocess={"median_window": "5"}),
     "preprocess with an even median_window": lambda name, data: data.update(preprocess={"median_window": 4}),
     "unknown score_mode": lambda name, data: data.update(score_mode="bogus"),
-    "split feature 999": lambda name, data: _first_split(data).update(feature=999),
-    "split feature -1": lambda name, data: _first_split(data).update(feature=-1),
-    "leaf larger than the subsample": lambda name, data: _first_leaf(data).update(size=10**5),
-    "subsample_size off the trees' max_depth": lambda name, data: data.update(subsample_size=10**5),
-    "subsample_size beyond the cap": _subsample_beyond_the_cap,
-    "max_depth not an integer": lambda name, data: data["trees"][0].update(max_depth=6.0),
-    "split at the depth limit": _nested_subsample_below_a_split,
-    "unknown key in a split node": lambda name, data: _first_split(data).update(gain=0.5),
-    "unknown key in a leaf node": lambda name, data: _first_leaf(data).update(mass=3),
     "weight blob not base64": lambda name, data: _first_layer(name, data).update(weights="not base64!"),
     "weight blob one float short": _edited_weights(lambda values: values[:-1]),
     "weight blob holding a NaN": _edited_weights(lambda values: np.concatenate([[np.nan], values[1:]])),
@@ -407,7 +365,8 @@ ARTIFACT_DEFECTS = {
         weights=np.full((16, 8), 0.5).tolist()  # the first layer's shape, as version 1 wrote it
     ),
     "in_dim off its blob": lambda name, data: _first_layer(name, data).update(in_dim=17),
-    "version-1 layer with in_dim off its weights": lambda name, data: _first_layer(name, data).update(in_dim=999),
+    "layer alpha not finite (NaN)": lambda name, data: _first_layer(name, data).update(alpha=float("nan")),
+    "layer alpha not finite (Infinity)": lambda name, data: _first_layer(name, data).update(alpha=float("inf")),
     "unknown key in a network": lambda name, data: data["decoder"].update(dropout=0.5),
     "unknown key in a layer": lambda name, data: _first_layer(name, data).update(dropout=0.5),
     "forest without an array": lambda name, data: data["trees"].pop("size"),
@@ -432,37 +391,11 @@ ARTIFACT_DEFECTS = {
     "forest split at the depth limit": _subsample_below_a_split,
     "forest subsample_size beyond the cap": lambda name, data: data.update(subsample_size=MAX_SUBSAMPLE + 1),
 }
-# the defects above that edit nested trees, and so a version-2 forest file
-NESTED_DEFECTS = (
-    "split feature 999",
-    "split feature -1",
-    "leaf larger than the subsample",
-    "subsample_size off the trees' max_depth",
-    "subsample_size beyond the cap",
-    "max_depth not an integer",
-    "split at the depth limit",
-    "unknown key in a split node",
-    "unknown key in a leaf node",
-)
-# the defects above that edit a version-1 network, whose arrays are JSON numbers
-VERSION_1_DEFECTS = (
-    "version-1 layer with in_dim off its weights",
-    "unknown key in a network",
-    "unknown key in a layer",
-)
 # what the error names, for the defects that only the forest has
 DEFECT_MESSAGES = {
-    "split feature 999": "split feature 999 at depth 0 outside [0, 16)",
-    "split feature -1": "split feature -1 at depth 0 outside [0, 16)",
-    "leaf larger than the subsample": "has size 100000",
-    "subsample_size off the trees' max_depth": "max_depth of a tree is not 17",
-    "subsample_size beyond the cap": "subsample_size must be in [1, 65536], got 65537",
-    "max_depth not an integer": "a tree must be an object of an integer max_depth and a root node",
-    "split at the depth limit": "split at depth",
-    "unknown key in a split node": "unknown key 'gain' in a tree node at depth 0",
-    "unknown key in a leaf node": "unknown key 'mass' in a tree node at depth",
     "preprocess with an even median_window": "median_window must be odd and positive, got 4",
-    "version-1 layer with in_dim off its weights": "layer in_dim and out_dim (999, 8) are not the shape of its weights (16, 8)",
+    "layer alpha not finite (NaN)": "layer alpha nan is not a finite number",
+    "layer alpha not finite (Infinity)": "layer alpha inf is not a finite number",
     "unknown key in a network": "decoder: unknown key 'dropout' in a network",
     "unknown key in a layer": "unknown key 'dropout' in layer 0",
     "forest without an array": "forest must be an object of the arrays",
@@ -488,16 +421,8 @@ DEFECT_MODELS = {
     # an isolation forest has no layer to check feature_dim against
     "feature_dim off the first layer": ("ae", "ganomaly"),
     "unknown score_mode": ("ganomaly",),
-    "split feature 999": ("iforest",),
-    "split feature -1": ("iforest",),
-    "leaf larger than the subsample": ("iforest",),
-    "subsample_size off the trees' max_depth": ("iforest",),
-    "subsample_size beyond the cap": ("iforest",),
-    "max_depth not an integer": ("iforest",),
-    "split at the depth limit": ("iforest",),
-    "unknown key in a split node": ("iforest",),
-    "unknown key in a leaf node": ("iforest",),
-    "version-1 layer with in_dim off its weights": ("ae", "ganomaly"),
+    "layer alpha not finite (NaN)": ("ae", "ganomaly"),
+    "layer alpha not finite (Infinity)": ("ae", "ganomaly"),
     "unknown key in a network": ("ae", "ganomaly"),
     "unknown key in a layer": ("ae", "ganomaly"),
     "weight blob not base64": ("ae", "ganomaly"),
@@ -521,10 +446,7 @@ DEFECT_MODELS = {
 def test_bad_model_artifact_is_a_one_line_config_error(
     name, defect, model_files, features_file, tmp_path, capsys
 ):
-    source = model_files[
-        "iforest_v2" if defect in NESTED_DEFECTS else f"{name}_v1" if defect in VERSION_1_DEFECTS else name
-    ]
-    bad = _edited_copy(source, tmp_path, lambda data: ARTIFACT_DEFECTS[defect](name, data))
+    bad = _edited_copy(model_files[name], tmp_path, lambda data: ARTIFACT_DEFECTS[defect](name, data))
     assert main(["calibrate", "--model-file", str(bad), "--features", str(features_file)]) == 2
     err = _one_line_error(capsys)
     assert str(bad) in err and DEFECT_MESSAGES.get(defect, "") in err
@@ -567,18 +489,73 @@ def test_train_reads_its_config_once(features_file, config_file, tmp_path, monke
     assert len(node_counts) == 4 * 25  # one int32 per tree, as the model section of the same file asks
 
 
-def test_version_1_iforest_artifact_still_loads(model_files, features_file, tmp_path, capsys):
-    def as_version_1(data):  # the nested trees of version 2, with the threshold under its old key
-        data["format_version"] = 1
-        data["threshold"] = data.pop("tau")
+UNSEALED = [(name, version) for name, current in CURRENT_FORMAT.items() for version in range(1, current + 1)]
 
-    old = _edited_copy(model_files["iforest_v2"], tmp_path, as_version_1)
-    tau = json.loads(old.read_text())["threshold"]
-    assert main(["calibrate", "--model-file", str(old), "--features", str(features_file)]) == 0
-    assert capsys.readouterr().out.startswith(f"tau: {tau!r} -> ")
-    rewritten = json.loads(old.read_text())
-    assert rewritten["format_version"] == 3 and "threshold" not in rewritten
-    assert rewritten["trees"].keys() == FOREST_DTYPES.keys()
+
+@pytest.mark.parametrize("name, version", UNSEALED, ids=[f"{name}-{version}" for name, version in UNSEALED])
+def test_an_older_or_unsealed_artifact_is_refused_with_one_line(
+    name, version, model_files, features_file, tmp_path, capsys
+):
+    old = tmp_path / "model.json"
+    shutil.copy(model_files[f"{name}_v{version}"], old)
+    before = old.read_bytes()
+    assert main(["calibrate", "--model-file", str(old), "--features", str(features_file)]) == 2
+    assert _one_line_error(capsys) == (
+        f"error: {old}: unsupported {name} format version {version} without a seal: "
+        f"only sealed version {CURRENT_FORMAT[name]} files are read, so re-train the model\n"
+    )
+    assert old.read_bytes() == before
+
+
+@pytest.fixture(scope="module")
+def trained_by_cli(tmp_path_factory):
+    """(model files by name, features, a signal) of `fetalguard train` on 120 normal and 60 abnormal records, seed 5."""
+    base = tmp_path_factory.mktemp("trained-by-cli")
+    assert main(["synth", "--normal", "120", "--abnormal", "60", "--seed", "5", "--out", str(base)]) == 0
+    config = base / "config.json"
+    models = {"ae": {"epochs": 20}, "ganomaly": {"epochs": 1, "iterations_per_epoch": 10}, "iforest": {}}
+    config.write_text(json.dumps({"model": models}), encoding="utf-8")
+    features = base / "features.csv"
+    signals = ["--signals", str(base / "signals"), "--metadata", str(base / "metadata.csv")]
+    assert main(["preprocess", *signals, "--config", str(config), "--out", str(features)]) == 0
+    files = {}
+    for name in models:
+        out = base / name
+        argv = ["--model", name, "--features", str(features), "--config", str(config), "--seed", "5"]
+        assert main(["train", *argv, "--out", str(out)]) == 0
+        files[name] = out / "model.json"
+    return files, features, base / "signals" / "syn0000.csv"
+
+
+# where a damaged file changes one base64 character: near the start of the array that the key
+# after the network or forest name holds
+DAMAGED_ARRAY = {"ae": ('"decoder": {', '"weights": "'), "ganomaly": ('"encoder1": {', '"weights": "'),
+                 "iforest": ('"trees": {', '"threshold": "')}
+
+
+@pytest.mark.parametrize("damage", ["one base64 character", "truncated to valid JSON", "re-indented"])
+@pytest.mark.parametrize("name", list(DETECTORS))
+def test_score_and_calibrate_refuse_a_damaged_model_file(name, damage, trained_by_cli, tmp_path, capsys):
+    files, features, signal = trained_by_cli
+    text = files[name].read_text(encoding="utf-8")
+    if damage == "re-indented":
+        text = json.dumps(json.loads(text), indent=4)
+    elif damage == "truncated to valid JSON":  # the keys from preprocess on are lost
+        text = text[: text.index(',\n  "preprocess"')] + "\n}\n"
+    else:
+        within, array = DAMAGED_ARRAY[name]
+        i = text.index(array, text.index(within)) + len(array) + 4
+        text = text[:i] + ("B" if text[i] == "A" else "A") + text[i + 1 :]
+    bad = tmp_path / "model.json"
+    bad.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", "--model-file", str(files[name]), "--signal", str(signal)]) == 0
+    assert capsys.readouterr().out.startswith("syn0000,")
+    for command, data in (("score", ["--signal", str(signal)]), ("calibrate", ["--features", str(features)])):
+        assert main([command, "--model-file", str(bad), *data]) == 2
+        message = f"error: {bad}: model file is damaged: its sha256 seal does not match its contents"
+        assert _one_line_error(capsys) == message + "\n"
+    assert bad.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("name", ["ae", "ganomaly", "iforest"])

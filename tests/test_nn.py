@@ -346,36 +346,29 @@ def test_serialization_rejects_unknown_version():
         nn.network_from_dict(data)
 
 
-def _version_1(net: DenseNetwork) -> dict:
-    return {
-        "format_version": 1,
-        "layers": [
-            {
-                "activation": l.activation,
-                "alpha": l.alpha,
-                "weights": l.weights.tolist(),
-                "biases": l.biases.tolist(),
-            }
-            for l in net.layers
-        ],
-    }
-
-
-def test_version_1_networks_still_load_bit_exact():
+def test_a_version_1_network_is_refused():
     net = init_network([(5, 4, "leaky_relu", 0.2), (4, 1, "sigmoid")], seed=13)
-    restored = network_from_dict(json.loads(json.dumps(_version_1(net))))
-    for a, b in zip(net.parameters(), restored.parameters()):
-        assert a.tobytes() == b.tobytes()
+    layers = [
+        {"activation": l.activation, "alpha": l.alpha, "weights": l.weights.tolist(), "biases": l.biases.tolist()}
+        for l in net.layers
+    ]  # arrays as nested JSON numbers
+    with pytest.raises(ConfigError, match="^unsupported network format version 1$"):
+        network_from_dict({"format_version": 1, "layers": layers})
 
 
-@pytest.mark.parametrize("array", ["weights", "biases"])
-@pytest.mark.parametrize("value", [True, False])
-def test_a_boolean_in_a_version_1_array_is_refused(array, value):
-    data = _version_1(init_network([(2, 3, "relu")], seed=0))
-    cells = data["layers"][0][array]
-    (cells[0] if array == "weights" else cells)[0] = value
-    with pytest.raises(ConfigError, match="array of numbers"):
-        network_from_dict(data)
+@pytest.mark.parametrize("alpha", ["NaN", "Infinity", "-Infinity", "1e400", "true", '"0.2"', "[0.2]"])
+def test_a_layer_alpha_that_is_not_a_finite_number_is_refused(alpha):
+    data = network_to_dict(init_network([(2, 3, "leaky_relu", 0.2)], seed=0))
+    text = json.dumps(data).replace('"alpha": 0.2', f'"alpha": {alpha}')
+    with pytest.raises(ConfigError, match="^layer alpha .* is not a finite number$"):
+        network_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 0.2])
+def test_a_finite_layer_alpha_loads_as_a_float(alpha):
+    data = network_to_dict(init_network([(2, 3, "leaky_relu", alpha)], seed=0))
+    restored = network_from_dict(json.loads(json.dumps(data)))
+    assert type(restored.layers[0].alpha) is float and restored.layers[0].alpha == alpha
 
 
 def _set_in_dim(layer, value):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import copy
+import errno
 import json
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from fetalguard.ingest import ClassLabel
 from fetalguard.nn import DenseNetwork
 from fetalguard.persistence import load_model, save_model
 from fetalguard.preprocess import FeatureVector, PreprocessConfig
-from oracles import reference_model_to_dict
+from oracles import reference_model_text, reference_seal
 
 FEATURE_DIM = 16
 TINY_MODELS = {
@@ -62,11 +65,12 @@ def artifacts(models, tmp_path_factory):
     for name, model in models.items():
         save_model(model, out / f"{name}.json")
         data[name] = json.loads((out / f"{name}.json").read_text())
+        del data[name]["sha256"]
     return data
 
 
-def _reference_text(model, version: int | None = None) -> str:
-    return json.dumps(reference_model_to_dict(model, version), indent=2, sort_keys=True) + "\n"
+def _sealed_text(data) -> str:
+    return reference_seal(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _networks(model) -> dict:
@@ -77,7 +81,7 @@ def _networks(model) -> dict:
 def test_save_model_writes_the_reference_format(name, models, tmp_path):
     path = tmp_path / "model.json"
     save_model(models[name], path)
-    assert path.read_text() == _reference_text(models[name])
+    assert path.read_text() == reference_model_text(models[name])
     if name != "iforest":
         assert '"k_sigma": 2,' in path.read_text()
     resaved = tmp_path / "resaved.json"
@@ -85,25 +89,43 @@ def test_save_model_writes_the_reference_format(name, models, tmp_path):
     assert resaved.read_bytes() == path.read_bytes()
 
 
-def _check_an_old_iforest_file(version, model, tmp_path):
-    """A file the oracle writes in an old format loads node for node and re-saves as the current one."""
-    path = tmp_path / f"v{version}.json"
-    path.write_text(_reference_text(model, version), encoding="utf-8")
-    assert isinstance(json.loads(path.read_text())["trees"], list)
-    loaded = load_model(path)
-    assert loaded.trees == model.trees and loaded.tau == model.tau
-    x = np.random.default_rng(1).normal(0.5, 0.05, size=(20, FEATURE_DIM))
-    assert loaded.scores(x).tobytes() == model.scores(x).tobytes()
-    save_model(loaded, path)
-    assert path.read_text() == _reference_text(model)
+def test_a_model_write_that_fails_partway_leaves_the_previous_file(models, tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(models["ae"], path)
+    before = path.read_bytes()
+    real_open = Path.open
 
+    class HalfWritten:
+        """A file that takes half of the first thing written to it, then reports a full disk."""
 
-def test_a_resaved_version_1_iforest_file_is_the_reference_format(models, tmp_path):
-    _check_an_old_iforest_file(1, models["iforest"], tmp_path)
+        def __init__(self, fh):
+            self.fh = fh
 
+        def __enter__(self):
+            return self
 
-def test_a_resaved_version_2_iforest_file_is_the_reference_format(models, tmp_path):
-    _check_an_old_iforest_file(2, models["iforest"], tmp_path)
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    def open_for_half_a_write(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return fh if "r" in mode else HalfWritten(fh)
+
+    monkeypatch.setattr(Path, "open", open_for_half_a_write)
+    with pytest.raises(OSError, match="No space left"):
+        save_model(models["ganomaly"], path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.fixture(scope="module")
@@ -120,40 +142,17 @@ def forest_file(tmp_path_factory):
     n_trees=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_a_forest_saved_in_any_format_loads_node_for_node(
-    forest_file, n, dim, levels, subsample_size, n_trees, seed
-):
+def test_a_saved_forest_loads_node_for_node(forest_file, n, dim, levels, subsample_size, n_trees, seed):
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(n, dim)) if levels is None else rng.integers(0, levels, size=(n, dim)) * 1.0
     model = build_forest(data, n_trees=n_trees, subsample_size=subsample_size, seed=seed)
     model.tau = 0.5
     queries = np.vstack([data, rng.normal(size=(10, dim)) * 3.0])
-    forest_file.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per example
     save_model(model, forest_file)
-    assert forest_file.read_text() == _reference_text(model)
-    for version in (3, 2, 1):
-        if version != 3:
-            forest_file.unlink()
-            forest_file.write_text(_reference_text(model, version), encoding="utf-8")
-        loaded = load_model(forest_file)
-        assert loaded.trees == model.trees, version
-        assert if_scores(loaded, queries).tobytes() == if_scores(model, queries).tobytes(), version
-
-
-@pytest.mark.parametrize("name", ["ae", "ganomaly"])
-def test_a_version_1_network_file_loads_bit_exact_and_resaves_as_the_current_format(name, models, tmp_path):
-    model = models[name]
-    path = tmp_path / "v1.json"
-    path.write_text(_reference_text(model, version=1), encoding="utf-8")
-    assert '"format_version": 1' in path.read_text() and '"weights": [' in path.read_text()
-    loaded = load_model(path)
-    for key, net in _networks(model).items():
-        restored = _networks(loaded)[key]
-        assert [p.tobytes() for p in restored.parameters()] == [p.tobytes() for p in net.parameters()], key
-    x = np.random.default_rng(1).normal(0.5, 0.05, size=(20, FEATURE_DIM))
-    assert loaded.scores(x).tobytes() == model.scores(x).tobytes()
-    save_model(loaded, path)
-    assert path.read_text() == _reference_text(model)
+    assert forest_file.read_text() == reference_model_text(model)
+    loaded = load_model(forest_file)
+    assert loaded.trees == model.trees
+    assert if_scores(loaded, queries).tobytes() == if_scores(model, queries).tobytes()
 
 
 @pytest.mark.parametrize("name", ["ae", "ganomaly"])
@@ -192,13 +191,16 @@ def test_a_value_nested_up_to_the_recursion_limit_is_a_config_error(kind, models
     path = tmp_path / "deep.json"
     if kind == "model":
         save_model(models["iforest"], path)
-        data, load = {**json.loads(path.read_text()), "tau": "@"}, load_model
+        data, load, seal = {**json.loads(path.read_text()), "tau": "@"}, load_model, reference_seal
+        del data["sha256"]
     else:
         data, load = {"data": {"synth": {}}, "model": {"ae": {}}, "eval": {"seeds": "@"}}, load_config
+        seal = str
     limit = sys.getrecursionlimit()
     for depth in range(limit - 150, limit + 10):
         path.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per depth
-        path.write_text(json.dumps(data).replace('"@"', "[" * depth + "]" * depth))
+        text = json.dumps(data, indent=2, sort_keys=True).replace('"@"', "[" * depth + "]" * depth)
+        path.write_text(seal(text + "\n"))
         with pytest.raises(ConfigError, match="deep.json"):
             load(path)
 
@@ -254,7 +256,7 @@ def test_a_corrupted_artifact_is_a_config_error_or_a_model_that_scores(artifacts
     else:
         parent[path[-1]] = edit
     fuzz_file.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per example
-    fuzz_file.write_text(json.dumps(corrupted), encoding="utf-8")
+    fuzz_file.write_text(_sealed_text(corrupted), encoding="utf-8")
     try:
         model = load_model(fuzz_file)
     except ConfigError:
