@@ -356,6 +356,15 @@ def test_a_version_1_network_is_refused():
         network_from_dict({"format_version": 1, "layers": layers})
 
 
+@pytest.mark.parametrize("array", ["weights", "biases"])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_boolean_in_place_of_a_layer_array_is_refused(array, value):
+    data = network_to_dict(init_network([(2, 3, "relu")], seed=0))
+    data["layers"][0][array] = value
+    with pytest.raises(ConfigError, match=f"^layer {array} array is not a base64 string$"):
+        network_from_dict(data)
+
+
 @pytest.mark.parametrize("alpha", ["NaN", "Infinity", "-Infinity", "1e400", "true", '"0.2"', "[0.2]"])
 def test_a_layer_alpha_that_is_not_a_finite_number_is_refused(alpha):
     data = network_to_dict(init_network([(2, 3, "leaky_relu", 0.2)], seed=0))

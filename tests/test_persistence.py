@@ -20,7 +20,7 @@ from fetalguard.ingest import ClassLabel
 from fetalguard.nn import DenseNetwork
 from fetalguard.persistence import load_model, save_model
 from fetalguard.preprocess import FeatureVector, PreprocessConfig
-from oracles import reference_model_text, reference_seal
+from oracles import reference_model_text, reference_model_to_dict, reference_seal
 
 FEATURE_DIM = 16
 TINY_MODELS = {
@@ -126,6 +126,19 @@ def test_a_model_write_that_fails_partway_leaves_the_previous_file(models, tmp_p
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_version_1_iforest_file_is_refused_and_left_as_it_is(models, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(reference_model_to_dict(models["iforest"], 1), indent=2, sort_keys=True) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(ConfigError) as refused:
+        load_model(path)
+    assert str(refused.value) == (
+        f"{path}: unsupported iforest format version 1 without a seal: "
+        "only sealed version 4 files are read, so re-train the model"
+    )
+    assert path.read_bytes() == before
 
 
 @pytest.fixture(scope="module")
