@@ -113,6 +113,23 @@ def _mean_l1(encoder: DenseNetwork, decoder: DenseNetwork, x: np.ndarray) -> flo
     return float(nn.reconstruction_errors(encoder, decoder, x).mean())
 
 
+def training_inputs(
+    normals, validation, seed
+) -> tuple[np.ndarray, np.ndarray, np.random.SeedSequence, np.random.Generator]:
+    """(training matrix, validation matrix, network seed, minibatch generator) of a network trainer.
+
+    With no validation samples the training matrix validates. A validation
+    dimension that differs from the training one is a ShapeError.
+    """
+    x = as_matrix(normals)
+    x_val = as_matrix(validation) if validation else x
+    if x_val.shape[1] != x.shape[1]:
+        raise ShapeError("validation dimension differs from training dimension")
+    net_seed, batch_seed = nn.as_seed_sequence(seed).spawn(2)
+    return x, x_val, net_seed, np.random.default_rng(batch_seed)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss is a TrainingError, not a warning
 def train_ae(
     normals,
     config: AeConfig | None = None,
@@ -125,23 +142,11 @@ def train_ae(
     Raises TrainingError on a non-finite loss.
     """
     config = config or AeConfig()
-    x = as_matrix(normals)
-    x_val = as_matrix(validation) if validation else x
+    x, x_val, net_seed, rng = training_inputs(normals, validation, seed)
     n, d = x.shape
-    if x_val.shape[1] != d:
-        raise ShapeError("validation dimension differs from training dimension")
-
-    net_seed, batch_seed = nn.as_seed_sequence(seed).spawn(2)
     encoder, decoder = build_ae_networks(d, config, net_seed)
     params = encoder.parameters() + decoder.parameters()
-    opt = AdamState.for_params(
-        params,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
-    rng = np.random.default_rng(batch_seed)
+    opt = AdamState.for_config(params, config)
 
     trace = AeTrainingTrace()
     trace.train_loss.append(_mean_l1(encoder, decoder, x))
@@ -167,8 +172,8 @@ def train_ae(
         trace.val_loss.append(val_loss)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingError(
-                "non-finite loss during autoencoder training",
-                diagnostics={"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss},
+                f"autoencoder training stopped at epoch {epoch}: non-finite loss "
+                f"(train_loss={train_loss!r}, val_loss={val_loss!r})"
             )
         if stopper.stop(val_loss):
             logger.info("autoencoder early stop at epoch %d (best val %.6f)", epoch, stopper.best_loss)

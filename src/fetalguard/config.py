@@ -250,7 +250,7 @@ def load_config(
 ) -> ExperimentConfig:
     """Read and validate a config file; errors name the file, and parse errors the line and column."""
     decode = functools.partial(parse_config, required=required)
-    return read_json(Path(path), "config", decode, with_text=True)
+    return read_json(Path(path), "config", decode)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -130,11 +130,7 @@ class TrainingDataError(FetalGuardError):
 
 
 class TrainingError(FetalGuardError):
-    """Training aborted (non-finite loss or inconsistent inputs); carries diagnostics."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        self.diagnostics = diagnostics or {}
-        super().__init__(message)
+    """Training aborted (non-finite loss or inconsistent inputs); the message names where and why."""
 
 
 class ShapeError(FetalGuardError):

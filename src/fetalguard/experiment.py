@@ -179,8 +179,8 @@ def run_single(name, model_config, grid, features, split_config, preprocess, see
 def score_distribution_report(fitted: FittedDetector, test_items, test_scores) -> dict:
     """Per-class score summaries of the fit set and the test set, with the tau line.
 
-    Uses the scores the leg already computed. Partitions with an absent class
-    are omitted with a notice.
+    Uses the score arrays the leg already computed. A class absent from a
+    partition is omitted with a notice.
     """
     report: dict = {
         "tau": fitted.tau,
@@ -193,22 +193,19 @@ def score_distribution_report(fitted: FittedDetector, test_items, test_scores) -
         ("test", test_items, test_scores),
     )
     for name, items, scores in partitions:
-        by_class: dict[str, list[float]] = {}
-        for fv, score in zip(items, scores):
-            label = "unlabeled" if fv.label is None else ClassLabel(fv.label).name.lower()
-            by_class.setdefault(label, []).append(float(score))
+        labels = np.array([fv.label for fv in items])
         summary = {}
-        for cls in ("normal", "abnormal"):
-            values = by_class.get(cls)
-            if not values:
+        for label in ClassLabel:
+            cls = label.name.lower()
+            values = scores[labels == label]
+            if not values.size:
                 report["notices"].append(f"no {cls} samples in {name}")
                 continue
-            arr = np.asarray(values)
             summary[cls] = {
-                "count": int(arr.size),
-                "mean": float(arr.mean()),
-                "std": float(arr.std()),
-                "scores": values,
+                "count": int(values.size),
+                "mean": float(values.mean()),
+                "std": float(values.std()),
+                "scores": values.tolist(),
             }
         report["partitions"][name] = summary
     return report

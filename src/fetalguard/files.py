@@ -41,7 +41,7 @@ def read_csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
             raise ParseError(f"{path}: malformed CSV: {exc}", line=reader.line_num) from None
 
 
-def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable) -> None:
     """header and rows as a UTF-8 CSV file by csv.writer ("\\r\\n" line ends), creating its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -69,19 +69,11 @@ def _one_line_errors(path: Path, what: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def read_json(path: Path, what: str, decode, with_text: bool = False):
-    """decode(value) of a UTF-8 JSON file's value, or decode(value, text) with_text.
-
-    Failures are one-line ConfigErrors that name the file. Without with_text the text
-    is freed before decode runs: keeping a 3 MB model's text made decoding it 10% slower.
-    """
+def read_json(path: Path, what: str, decode):
+    """decode(value, text) of a UTF-8 JSON file; failures are one-line ConfigErrors that name it."""
     with _one_line_errors(path, what):
         text = path.read_text(encoding="utf-8")
-        if with_text:
-            return decode(json.loads(text), text)
-        value = json.loads(text)
-        del text
-        return decode(value)
+        return decode(json.loads(text), text)
 
 
 # A sealed file is _SEAL, 64 hex digits, '",' and then the text write_json writes

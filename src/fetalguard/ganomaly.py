@@ -237,6 +237,7 @@ def discriminator_loss(
     return loss, [a + b for a, b in zip(grads_real, grads_fake)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss is a TrainingError, not a warning
 def train_ganomaly(
     normals,
     config: GanomalyConfig | None = None,
@@ -251,24 +252,13 @@ def train_ganomaly(
     and the discriminator. nn.EarlyStopping watches the generator validation objective.
     """
     config = config or GanomalyConfig()
-    x = as_matrix(normals)
-    x_val = as_matrix(validation) if validation else x
+    x, x_val, net_seed, rng = autoencoder.training_inputs(normals, validation, seed)
     n, d = x.shape
-    if x_val.shape[1] != d:
-        raise ShapeError("validation dimension differs from training dimension")
-
-    seq = np.random.SeedSequence(seed)
-    net_seed, batch_seed = seq.spawn(2)
     e1, dec, e2, dis = build_ganomaly_networks(d, config, net_seed)
     gen_params = e1.parameters() + dec.parameters() + e2.parameters()
     dis_params = dis.parameters()
-    opt_g = AdamState.for_params(
-        gen_params, config.learning_rate, config.beta1, config.beta2, config.epsilon
-    )
-    opt_d = AdamState.for_params(
-        dis_params, config.learning_rate, config.beta1, config.beta2, config.epsilon
-    )
-    rng = np.random.default_rng(batch_seed)
+    opt_g = AdamState.for_config(gen_params, config)
+    opt_d = AdamState.for_config(dis_params, config)
 
     def draw():
         return x[rng.integers(0, n, size=config.batch_size)]
@@ -308,14 +298,8 @@ def train_ganomaly(
             trace.l_g.append(l_g)
             if not (np.isfinite(l_d) and np.isfinite(l_g)):
                 raise TrainingError(
-                    "non-finite loss during adversarial training",
-                    diagnostics={
-                        "iteration": len(trace.l_d) - 1,
-                        "l_d": l_d,
-                        "l_g": l_g,
-                        "trace_l_d": trace.l_d,
-                        "trace_l_g": trace.l_g,
-                    },
+                    f"ganomaly training stopped at iteration {len(trace.l_d) - 1}: non-finite loss "
+                    f"(l_d={l_d!r}, l_g={l_g!r})"
                 )
         trace.epoch_boundaries.append(len(trace.l_d))
 

@@ -35,10 +35,11 @@ logger = logging.getLogger(__name__)
 PH_ABNORMAL_BELOW = 7.20
 APGAR1_ABNORMAL_BELOW = 7
 
-_SIGNAL_HEADER = ("time_s", "fhr_bpm")
+# the headers of the two wire formats, which synth.write_dataset writes
+SIGNAL_HEADER = ("time_s", "fhr_bpm")
+METADATA_COLUMNS = ("record_id", "ph", "apgar1", "pco2", "po2", "bdecf")
 # numpy's number reader strips these separators as whitespace; float() refuses them
 _NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
-_METADATA_COLUMNS = ("record_id", "ph", "apgar1", "pco2", "po2", "bdecf")
 
 
 class ClassLabel(IntEnum):
@@ -116,7 +117,7 @@ class LoadResult:
     skipped: list[SkippedRecord]
 
 
-def parse_record_csv(text: str | io.TextIOBase, record_id: str) -> SignalRecord:
+def parse_record_csv(text: str, record_id: str) -> SignalRecord:
     """Parse one signal CSV into a SignalRecord.
 
     The data rows are read by one call to numpy's C reader; only input it
@@ -126,8 +127,6 @@ def parse_record_csv(text: str | io.TextIOBase, record_id: str) -> SignalRecord:
     StructureError on non-increasing time or a sample rate that is not finite
     and positive, EmptyInputError on a header-only file.
     """
-    if not isinstance(text, str):
-        text = text.read()
     reader = csv.reader(io.StringIO(text))
 
     try:
@@ -136,9 +135,9 @@ def parse_record_csv(text: str | io.TextIOBase, record_id: str) -> SignalRecord:
         raise EmptyInputError(f"record {record_id}: file is empty") from None
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
-    if [c.strip().lower() for c in header] != list(_SIGNAL_HEADER):
+    if [c.strip().lower() for c in header] != list(SIGNAL_HEADER):
         raise ParseError(
-            f"expected header '{','.join(_SIGNAL_HEADER)}', got '{','.join(header)}'", line=1
+            f"expected header '{','.join(SIGNAL_HEADER)}', got '{','.join(header)}'", line=1
         )
 
     columns = _read_columns(text, reader.line_num)
@@ -262,10 +261,10 @@ def read_metadata_csv(path: str | Path) -> dict[str, ClinicalMetadata]:
     if header is None:
         raise EmptyInputError(f"{path}: metadata file is empty")
     header = [c.strip().lower() for c in header]
-    if tuple(header) not in (_METADATA_COLUMNS[:3], _METADATA_COLUMNS):
+    if tuple(header) not in (METADATA_COLUMNS[:3], METADATA_COLUMNS):
         raise ParseError(
-            f"{path}: expected header '{','.join(_METADATA_COLUMNS[:3])}' or "
-            f"'{','.join(_METADATA_COLUMNS)}', got '{','.join(header)}'",
+            f"{path}: expected header '{','.join(METADATA_COLUMNS[:3])}' or "
+            f"'{','.join(METADATA_COLUMNS)}', got '{','.join(header)}'",
             line=1,
         )
     for line_no, row in rows:

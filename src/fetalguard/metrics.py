@@ -58,15 +58,10 @@ class RocPoint:
 
 
 @dataclass
-class EvalReport:
-    """Everything the experiment records about one scored partition."""
+class EvalReport(ScalarMetrics):
+    """Everything the experiment records about one scored partition: the scalars, counts, curves and AUCs."""
 
     counts: ConfusionCounts
-    balanced_accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float
     pr_points: list[PrPoint]
     roc_points: list[RocPoint]
     auc_roc: float
@@ -190,16 +185,11 @@ def evaluate_scores(scores, labels, threshold: float) -> EvalReport:
     s = np.asarray(scores, dtype=float)
     decisions = [classify(v, threshold) for v in s]
     counts = confusion(labels, decisions)
-    scalars = scalar_metrics(counts)
     pr_points = pr_curve(s, labels)
     roc_points, auc_roc = roc_curve_and_auc(s, labels)
     return EvalReport(
+        **asdict(scalar_metrics(counts)),
         counts=counts,
-        balanced_accuracy=scalars.balanced_accuracy,
-        precision=scalars.precision,
-        recall=scalars.recall,
-        f1=scalars.f1,
-        accuracy=scalars.accuracy,
         pr_points=pr_points,
         roc_points=roc_points,
         auc_roc=auc_roc,

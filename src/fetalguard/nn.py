@@ -201,6 +201,9 @@ def adversarial_term(p_fake: np.ndarray) -> tuple[float, np.ndarray]:
     return -float(np.log(p_fake).sum()) / n, -1.0 / (n * p_fake)
 
 
+_ADAM_FIELDS = ("learning_rate", "beta1", "beta2", "epsilon")
+
+
 @dataclass
 class AdamState:
     """Adam accumulators for a fixed list of parameter arrays."""
@@ -225,9 +228,14 @@ class AdamState:
             v=[np.zeros_like(p) for p in params],
         )
 
+    @classmethod
+    def for_config(cls, params, config):
+        """for_params with the four hyperparameters of a trainer's config, named as here."""
+        return cls.for_params(params, **{k: getattr(config, k) for k in _ADAM_FIELDS})
+
     def to_dict(self) -> dict:
         """The hyperparameters, without the accumulators."""
-        return {k: getattr(self, k) for k in ("learning_rate", "beta1", "beta2", "epsilon")}
+        return {k: getattr(self, k) for k in _ADAM_FIELDS}
 
 
 def adam_step(

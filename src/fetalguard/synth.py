@@ -9,7 +9,7 @@ rule agrees with the generator's ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Bound, Checked, ConfigError, NonNegativeFloat, NonNegativeInt, PositiveFloat
 from .files import write_csv
-from .ingest import ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord
+from .ingest import METADATA_COLUMNS, SIGNAL_HEADER, ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord
 from .workers import fork_map
 
 SAMPLE_RATE_HZ = 4.0
@@ -101,27 +101,21 @@ def generate_record(params: SynthParams, seed) -> tuple[SignalRecord, ClassLabel
     return record, label
 
 
-def generate_dataset(
-    n_normal: int,
-    n_abnormal: int,
-    base_params: SynthParams | None = None,
-    seed: int = 0,
-) -> list[LabeledRecord]:
+def generate_dataset(n_normal: int, n_abnormal: int, seed: int = 0) -> list[LabeledRecord]:
     """n_normal + n_abnormal records with per-record derived seeds; exact class counts.
 
-    Baselines are jittered around the base parameter so records differ beyond
+    Baselines are jittered around the default one so records differ beyond
     their noise realizations.
     """
     if n_normal < 0 or n_abnormal < 0:
         raise ConfigError("record counts must be nonnegative")
-    base = base_params or SynthParams()
     out: list[LabeledRecord] = []
     total = n_normal + n_abnormal
     for i in range(total):
         abnormal = i >= n_normal
         rng = np.random.default_rng([seed, i, 0])
-        baseline = float(np.clip(base.baseline_bpm + rng.uniform(-10.0, 10.0), 110.0, 160.0))
-        params = replace(base, baseline_bpm=baseline, abnormal=abnormal)
+        baseline = float(np.clip(SynthParams.baseline_bpm + rng.uniform(-10.0, 10.0), 110.0, 160.0))
+        params = SynthParams(baseline_bpm=baseline, abnormal=abnormal)
         record, label = generate_record(params, seed=[seed, i, 1])
         record.record_id = f"syn{i:04d}"
         out.append(LabeledRecord(record, label))
@@ -142,7 +136,7 @@ def write_dataset(records: list[LabeledRecord], out_dir: str | Path) -> tuple[Pa
         pass
     metadata_file = out_dir / "metadata.csv"
     rows = ((r.record_id, r.metadata.ph, r.metadata.apgar1, "", "", "") for r in signals)
-    write_csv(metadata_file, ["record_id", "ph", "apgar1", "pco2", "po2", "bdecf"], rows)
+    write_csv(metadata_file, METADATA_COLUMNS, rows)
     return signals_dir, metadata_file
 
 
@@ -150,4 +144,4 @@ def _write_signal(record: SignalRecord, signals_dir: Path) -> None:
     """One record's signal CSV, ``<record_id>.csv`` with a time_s,fhr_bpm row per sample."""
     times = (i / record.sample_rate_hz for i in range(record.fhr.size))
     rows = zip(map(repr, times), map(repr, record.fhr.tolist()))
-    write_csv(signals_dir / f"{record.record_id}.csv", ["time_s", "fhr_bpm"], rows)
+    write_csv(signals_dir / f"{record.record_id}.csv", SIGNAL_HEADER, rows)

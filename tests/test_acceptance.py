@@ -70,7 +70,7 @@ def corpus_features():
 @pytest.fixture(scope="module")
 def ae_run(corpus_features):
     return run_single(
-        "ae", AeConfig(), {}, corpus_features, SplitConfig(), {"feature_dim": 480}, seed=RUN_SEED
+        "ae", AeConfig(), {}, corpus_features, SplitConfig(), PreprocessConfig(), seed=RUN_SEED
     )
 
 
@@ -82,7 +82,7 @@ def gan_run(corpus_features):
         {},
         corpus_features,
         SplitConfig(),
-        PreprocessConfig().to_dict(),
+        PreprocessConfig(),
         seed=RUN_SEED,
     )
 
@@ -247,7 +247,7 @@ def test_criterion_08_model_ordering_on_real_data():
         ("ganomaly", GanomalyConfig()),
     ):
         f1s = [
-            run_single(name, config, {}, prep.features, SplitConfig(), {}, seed=s)["report"].f1
+            run_single(name, config, {}, prep.features, SplitConfig(), PreprocessConfig(), seed=s)["report"].f1
             for s in range(5)
         ]
         means[name] = float(np.mean(f1s))
@@ -288,6 +288,7 @@ def test_criterion_10_threshold_semantics(gan_run, tmp_path):
     recomputed_scores = gan_scores(restored, fitted.fit_items)
     recomputed_tau = calibrate_threshold(recomputed_scores, restored.k_sigma)
     tau_drift = abs(recomputed_tau - fitted.tau)
+    assert restored.preprocess == fitted.model.preprocess == PreprocessConfig()
     _check(
         10,
         frac_over <= 0.04 and frac_over <= 0.01 and tau_drift < 1e-12,

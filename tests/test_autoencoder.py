@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +203,19 @@ class TestCalibration:
         assert classify(1.0, tau=1.0) is ClassLabel.NORMAL
         assert classify(1.0 + 1e-12, tau=1.0) is ClassLabel.ABNORMAL
         assert classify(0.0, tau=0.5) is ClassLabel.NORMAL
+
+
+def test_a_non_finite_loss_ends_training_naming_its_epoch_and_both_losses():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow is reported by the error alone
+        with pytest.raises(TrainingError) as exc:
+            train_ae(_constant_normals(n=16, value=1e308), SMALL, seed=0)
+    message = str(exc.value)
+    assert re.fullmatch(
+        r"autoencoder training stopped at epoch 1: non-finite loss \(train_loss=(nan|inf), val_loss=(nan|inf)\)",
+        message,
+    ), message
+    assert exc.value.args == (message,) and not vars(exc.value)
 
 
 def test_model_roundtrip_preserves_scores(tmp_path):

@@ -3,7 +3,10 @@ from __future__ import annotations
 import base64
 import csv
 import json
+import logging
+import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -686,3 +689,118 @@ def test_evaluate_scores_round_trip_through_curves(features_file, model_files, t
     with (evaluated / "scores.csv").open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [row[0] for row in rows] == [fv.record_id for fv in features]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data.update(tau=None), "model is not calibrated; run `calibrate` first"),
+        (lambda data: data.pop("preprocess"), "model artifact carries no preprocessing parameters"),
+    ],
+    ids=["uncalibrated", "no preprocess section"],
+)
+def test_score_refuses_a_model_file_it_cannot_judge_with(edit, message, trained_by_cli, tmp_path, capsys):
+    files, _, signal = trained_by_cli
+    bad = _edited_copy(files["iforest"], tmp_path, edit)
+    capsys.readouterr()
+    assert main(["score", "--model-file", str(bad), "--signal", str(signal)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no verdict
+    assert captured.err == f"error: {message}\n"
+
+
+def test_evaluate_refuses_features_with_an_empty_label(features_file, model_files, tmp_path, capsys):
+    unlabeled = _edited_csv(features_file, tmp_path, line=3, column=1, value="")
+    out = tmp_path / "evaluated"
+    argv = ["evaluate", "--model-file", str(model_files["ae"]), "--features", str(unlabeled), "--out", str(out)]
+    assert main(argv) == 2
+    assert _one_line_error(capsys) == "error: evaluation needs labeled features\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("id,label,score\na,1,0.9\n", 2, "{path}: expected header record_id,label,score"),
+        ("record_id,label,score\na,1,0.9\nb,0\n", 1, "line 3: {path}: expected 3 columns, got 2"),
+        ("record_id,label,score\na,1,high\nb,0,0.1\n", 1, "line 2: {path}: non-numeric score"),
+    ],
+    ids=["wrong header", "two columns", "non-numeric score"],
+)
+def test_curves_refuses_a_malformed_scores_file(text, code, message, tmp_path, capsys):
+    scores, out = tmp_path / "scores.csv", tmp_path / "curves"
+    scores.write_text(text, encoding="utf-8")
+    assert main(["curves", "--scores", str(scores), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message.format(path=scores)}\n")
+    assert not out.exists()
+
+
+def test_run_names_a_record_too_short_to_featurize_and_completes(dataset, tmp_path, caplog):
+    signals = tmp_path / "signals"
+    shutil.copytree(dataset / "signals", signals)
+    rows = (signals / "syn0003.csv").read_text(encoding="utf-8").splitlines()
+    (signals / "syn0003.csv").write_text("\n".join(rows[:11]) + "\n", encoding="utf-8")  # 10 samples
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"signals_dir": str(signals), "metadata_file": str(dataset / "metadata.csv")},
+                "preprocess": {"feature_dim": 32},
+                "model": {"iforest": {"n_trees": 5}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.WARNING, logger="fetalguard.experiment"):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    rejections = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert rejections == [
+        "rejected syn0003: record syn0003: segment of 10 samples is shorter than feature dimension 32"
+    ]
+    sizes = json.loads((out / "seed_000" / "iforest" / "report.json").read_text())["sizes"]
+    assert sizes["train"] + sizes["test"] == 59
+
+
+def test_ingest_out_writes_an_index_and_the_skipped_records(dataset, tmp_path, capsys):
+    signals = tmp_path / "signals"
+    shutil.copytree(dataset / "signals", signals)
+    (signals / "orphan.csv").write_text("time_s,fhr_bpm\n0.0,140\n0.25,141\n", encoding="utf-8")
+    out = tmp_path / "ingested"
+    assert main(["ingest", "--signals", str(signals), "--metadata", str(dataset / "metadata.csv"),
+                 "--out", str(out)]) == 0
+    assert "loaded 60 records: 40 normal, 20 abnormal; 1 skipped" in capsys.readouterr().out
+    with (out / "index.csv").open(newline="", encoding="utf-8") as fh:
+        index = list(csv.reader(fh))
+    assert index[0] == ["record_id", "label", "ph", "apgar1", "n_samples", "sample_rate_hz"]
+    assert [row[0] for row in index[1:]] == [f"syn{i:04d}" for i in range(60)]
+    assert index[1] == ["syn0000", "0", "7.35", "9", "4800", "4.0"]
+    assert index[-1][:4] == ["syn0059", "1", "7.0", "4"]
+    assert json.loads((out / "skipped.json").read_text()) == [{"record_id": "orphan", "reason": "no metadata row"}]
+
+
+def test_an_os_error_is_a_one_line_error_with_exit_code_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    assert main(["synth", "--normal", "4", "--abnormal", "2", "--out", str(blocker / "data")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 20] Not a directory: ") and captured.err.count("\n") == 1
+    assert str(blocker) in captured.err
+
+
+@pytest.mark.parametrize("model, where", [("ae", "epoch 1"), ("ganomaly", "iteration 0")])
+def test_train_on_overflowing_features_ends_in_one_line_naming_where_and_the_losses(model, where, tmp_path, capsys):
+    features = [
+        FeatureVector(x=np.full(16, 1e308), record_id=f"r{i}", label=ClassLabel(int(i >= 15))) for i in range(20)
+    ]
+    path, out = tmp_path / "features.csv", tmp_path / "trained"
+    write_features_csv(features, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow warning would be a second line
+        assert main(["train", "--model", model, "--features", str(path), "--out", str(out)]) == 1
+    losses = r"\(train_loss=\S+, val_loss=\S+\)" if model == "ae" else r"\(l_d=\S+, l_g=\S+\)"
+    name = "autoencoder" if model == "ae" else "ganomaly"
+    err = _one_line_error(capsys)
+    assert re.fullmatch(rf"error: {name} training stopped at {where}: non-finite loss {losses}\n", err), err
+    assert not out.exists()

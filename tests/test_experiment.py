@@ -150,13 +150,13 @@ class TestRunSingle:
             {},
             features,
             SplitConfig(test_fraction=0.2, seed=1),
-            {"median_window": 5},
+            PreprocessConfig(median_window=5),
             seed=1,
         )
         assert result["guard_reads"] == 1
         assert result["sizes"]["test"] == 18
         assert 0.0 <= result["report"].f1 <= 1.0
-        assert result["fitted"].model.preprocess == {"median_window": 5}
+        assert result["fitted"].model.preprocess == PreprocessConfig(median_window=5)
 
     def test_grid_search_picks_best_validation_f1(self):
         features = _features(60, 30, seed=6)
@@ -166,7 +166,7 @@ class TestRunSingle:
             {"contamination": [0.1, 0.33, 0.5]},
             features,
             SplitConfig(test_fraction=0.2, seed=2),
-            {},
+            PreprocessConfig(),
             seed=2,
         )
         assert result["grid_choice"].get("contamination") in (0.1, 0.33, 0.5)
@@ -179,7 +179,7 @@ class TestRunSingle:
                 {},
                 features,
                 SplitConfig(test_fraction=0.2, seed=2),
-                {},
+                PreprocessConfig(),
                 seed=2,
             )
             others.append(single["validation"]["f1"])
@@ -319,9 +319,9 @@ class TestFitsOnEveryCore:
 
             def failing_fit(cls, config, train_core, validation, pre_validation_size, seed, fit=fit):
                 if (seed, cls.model_type) in failing:
-                    raise TrainingError(
-                        f"{cls.model_type} seed {seed}: loss is not finite", diagnostics={"seed": seed}
-                    )
+                    exc = TrainingError(f"{cls.model_type} seed {seed}: loss is not finite")
+                    exc.seed = seed
+                    raise exc
                 return fit(config, train_core, validation, pre_validation_size, seed)
 
             monkeypatch.setattr(cls, "fit", classmethod(failing_fit))
@@ -348,7 +348,7 @@ class TestFitsOnEveryCore:
         with pytest.raises(TrainingError) as exc:
             run_experiment(load_config(run_config))
         assert str(exc.value) == "ganomaly seed 1: loss is not finite"
-        assert exc.value.diagnostics == {"seed": 1}
+        assert exc.value.seed == 1
 
 
 def test_aggregate_math_and_table_shape():

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from oracles import reference_backward
 from fetalguard import ganomaly
 from fetalguard.autoencoder import AeModel
 from fetalguard.config import encode
-from fetalguard.errors import ShapeError, TrainingDataError
+from fetalguard.errors import ShapeError, TrainingDataError, TrainingError
 from fetalguard.ganomaly import (
     GanomalyConfig,
     GanomalyModel,
@@ -338,6 +340,20 @@ class TestTraining:
     def test_empty_input_rejected(self):
         with pytest.raises(TrainingDataError):
             train_ganomaly([], TINY, seed=0)
+
+    def test_a_non_finite_loss_ends_training_naming_its_iteration_and_both_losses(self):
+        overflowing = [FeatureVector(x=np.full(24, 1e308), record_id=f"n{i}") for i in range(24)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the overflow is reported by the error alone
+            with pytest.raises(TrainingError) as exc:
+                train_ganomaly(overflowing, TINY, seed=0)
+        message = str(exc.value)
+        number = r"[-+]?(nan|inf|[0-9.e+-]+)"
+        assert re.fullmatch(
+            rf"ganomaly training stopped at iteration 0: non-finite loss \(l_d={number}, l_g={number}\)", message
+        ), message
+        # the message is all it carries: no loss history travels back from a worker
+        assert exc.value.args == (message,) and not vars(exc.value)
 
     def test_early_stopping_returns_the_best_validation_epoch(self):
         validation = _structured_set(12, seed=2)

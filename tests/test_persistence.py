@@ -177,12 +177,14 @@ def test_loaded_network_weights_are_writable(name, models, tmp_path):
             p += 0.0
 
 
-def test_a_preprocess_dict_saves_as_its_config_does(models, tmp_path):
+def test_a_preprocess_config_round_trips_equal_and_byte_for_byte(models, tmp_path):
     model = copy.copy(models["iforest"])
-    save_model(model, tmp_path / "config.json")
-    model.preprocess = PreprocessConfig(segment_minutes=20, feature_dim=FEATURE_DIM).to_dict()
-    save_model(model, tmp_path / "dict.json")
-    assert (tmp_path / "dict.json").read_bytes() == (tmp_path / "config.json").read_bytes()
+    model.preprocess = PreprocessConfig(median_window=7, segment_minutes=10, feature_dim=FEATURE_DIM)
+    save_model(model, tmp_path / "saved.json")
+    loaded = load_model(tmp_path / "saved.json")
+    assert loaded.preprocess == model.preprocess
+    save_model(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "saved.json").read_bytes()
 
 
 @pytest.mark.parametrize(
