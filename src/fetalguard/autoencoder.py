@@ -191,6 +191,7 @@ def train_ae(
     return model, trace
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite score is judged by its caller, not a warning
 def ae_scores(model: AeModel, samples) -> np.ndarray:
     """Anomaly scores: L1 distance between each sample and its reconstruction."""
     return nn.reconstruction_errors(model.encoder, model.decoder, as_matrix(samples))

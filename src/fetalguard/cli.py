@@ -24,7 +24,7 @@ from .files import write_csv, write_json
 from .ingest import ClassLabel, load_collection, read_record_csv
 from .preprocess import (
     PreprocessConfig,
-    preprocess_collection,
+    preprocess_files,
     preprocess_pipeline,
     read_features_csv,
     write_features_csv,
@@ -82,8 +82,7 @@ def _preprocess_config(args) -> PreprocessConfig:
 
 
 def cmd_preprocess(args) -> int:
-    collection = load_collection(args.signals, args.metadata)
-    report = preprocess_collection(collection.records, _preprocess_config(args))
+    report, _ = preprocess_files(args.signals, args.metadata, _preprocess_config(args))
     write_features_csv(report.features, args.out)
     print(f"wrote {len(report.features)} feature vectors to {args.out}")
     for record_id, reason in report.rejected:
@@ -170,9 +169,7 @@ def _load_calibrated(path):
 def cmd_evaluate(args) -> int:
     model = _load_calibrated(args.model_file)
     tau = model.tau
-    features = read_features_csv(args.features)
-    if any(fv.label is None for fv in features):
-        raise ConfigError("evaluation needs labeled features")
+    features = read_features_csv(args.features, labeled=True)
     scores = model.scores(features)
     labels = [fv.label for fv in features]
     report = metrics.evaluate_scores(scores, labels, tau)

@@ -23,9 +23,9 @@ from .config import ExperimentConfig, config_to_dict, detector, grid_candidates
 from .datasets import train_test_split, validation_split
 from .errors import ConfigError, ParseError, TestIsolationError
 from .files import read_csv_rows, write_csv, write_json
-from .ingest import ClassLabel, load_collection
-from .preprocess import preprocess_collection
-from .synth import generate_dataset
+from .ingest import ClassLabel
+from .preprocess import PreprocessReport, collect_features, preprocess_files, preprocess_item
+from .synth import dataset_record
 from .workers import fork_map
 
 logger = logging.getLogger(__name__)
@@ -79,13 +79,23 @@ class FittedDetector:
     fit_items: list  # the collection the model was fit and calibrated on
 
 
-def load_labeled_records(config: ExperimentConfig):
-    data = config.data
-    if data.synth is not None:
-        return generate_dataset(
-            data.synth.n_normal, data.synth.n_abnormal, seed=data.synth.seed
-        )
-    return load_collection(data.signals_dir, data.metadata_file).records
+def load_features(config: ExperimentConfig) -> PreprocessReport:
+    """The config's corpus, preprocessed.
+
+    Each record is read or synthesized, and preprocessed, in one forked
+    worker per available core (workers.fork_map), so only features and
+    rejection reasons come back to this process, never a raw signal (about
+    ten times their size). The report does not depend on the core count.
+    """
+    data, prep = config.data, config.preprocess
+    if data.synth is None:
+        return preprocess_files(data.signals_dir, data.metadata_file, prep)[0]
+    synth = data.synth
+
+    def featurized(i):
+        return preprocess_item(dataset_record(i, synth.n_normal, synth.seed), prep)
+
+    return collect_features(fork_map(featurized, range(synth.n_normal + synth.n_abnormal), "record-synthesizing"))
 
 
 def fit_detector(name, model_config, train_core, validation, pre_validation_size, seed):
@@ -318,8 +328,7 @@ def run_experiment(
                 f"model {name!r} has no section in the config; configured: "
                 f"{', '.join(sorted(config.models))}"
             )
-    records = load_labeled_records(config)
-    prep = preprocess_collection(records, config.preprocess)
+    prep = load_features(config)
     for record_id, reason in prep.rejected:
         logger.warning("rejected %s: %s", record_id, reason)
 

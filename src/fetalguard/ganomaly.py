@@ -329,6 +329,7 @@ def train_ganomaly(
     return model, trace
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite score is judged by its caller, not a warning
 def gan_scores(model: GanomalyModel, samples) -> np.ndarray:
     """Anomaly scores: reconstruction L1 in data space, or latent L1 in "latent" mode."""
     x = as_matrix(samples)  # forward refuses a dimension other than the encoder's

@@ -10,6 +10,7 @@ the preprocessing stage treats them as missing.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import logging
@@ -298,10 +299,23 @@ def load_collection(signal_dir: str | Path, metadata_file: str | Path) -> LoadRe
 
     Per-record problems (orphan signal, unparseable file, missing pH/Apgar1) are
     collected into the skip report; the call fails only if zero records load.
-    Parsing a 4800-row file is about 2.6 ms of string-to-double conversion
-    that holds the interpreter lock, so the signal files are parsed in one
-    forked worker per available core (workers.fork_map); the records, skip
-    reasons and their order do not depend on how many.
+    """
+    records, skipped = load_each(signal_dir, metadata_file, lambda item: item)
+    return LoadResult(records=records, skipped=skipped)
+
+
+def load_each(signal_dir: str | Path, metadata_file: str | Path, function) -> tuple[list, list[SkippedRecord]]:
+    """function(LabeledRecord) of each recording under signal_dir that loads, and the skip report, in file order.
+
+    A file is skipped for the first of: no metadata row, a parse failure, a
+    labeling failure. Any other exception (an OSError such as a directory
+    named ``x.csv``) propagates, the first in file order. Parsing a 4800-row
+    file is about 2.6 ms of string-to-double conversion that holds the
+    interpreter lock, so each file is read, labeled and given to function in
+    one forked worker per available core (workers.fork_map), and only
+    function's result comes back; the results, the skip reasons and their
+    order do not depend on how many. Raises EmptyInputError when no recording
+    loads.
     """
     signal_dir = Path(signal_dir)
     metadata = read_metadata_csv(metadata_file)
@@ -310,43 +324,46 @@ def load_collection(signal_dir: str | Path, metadata_file: str | Path) -> LoadRe
     if not signal_files:
         raise EmptyInputError(f"no signal CSV files in {signal_dir}")
 
-    with_metadata = [path for path in signal_files if path.stem in metadata]
-    outcomes = dict(zip(with_metadata, fork_map(_read_signal, with_metadata, "signal-reading"), strict=True))
-    records: list[LabeledRecord] = []
+    jobs = [(path, metadata[path.stem]) for path in signal_files if path.stem in metadata]
+    results, labels = [], []
     skipped: list[SkippedRecord] = []
-    for path in signal_files:
-        record_id = path.stem
-        meta = metadata.get(record_id)
-        if meta is None:
-            skipped.append(SkippedRecord(record_id, "no metadata row"))
-            continue
-        record = outcomes[path]
-        if isinstance(record, str):
-            skipped.append(SkippedRecord(record_id, record))
-            continue
-        try:
-            label = assign_label(meta)
-        except LabelingError as exc:
-            skipped.append(SkippedRecord(record_id, str(exc)))
-            continue
-        record.metadata = meta
-        records.append(LabeledRecord(record, label))
+    with contextlib.closing(fork_map(lambda job: _load_one(*job, function), jobs, "signal-reading")) as outcomes:
+        for path in signal_files:
+            outcome = next(outcomes) if path.stem in metadata else "no metadata row"
+            if isinstance(outcome, str):
+                skipped.append(SkippedRecord(path.stem, outcome))
+                continue
+            labels.append(outcome[0])
+            results.append(outcome[1])
 
-    if not records:
+    if not results:
         raise EmptyInputError(
             f"no records loaded from {signal_dir} ({len(skipped)} skipped)"
         )
 
-    n_abnormal = sum(1 for r in records if r.label is ClassLabel.ABNORMAL)
+    n_abnormal = labels.count(ClassLabel.ABNORMAL)
     logger.info(
         "loaded %d records: %d normal, %d abnormal (%d skipped)",
-        len(records), len(records) - n_abnormal, n_abnormal, len(skipped),
+        len(results), len(results) - n_abnormal, n_abnormal, len(skipped),
     )
-    return LoadResult(records=records, skipped=skipped)
+    return results, skipped
+
+
+def _load_one(path: Path, meta: ClinicalMetadata, function):
+    """(label, function(LabeledRecord)) of one signal file, or the reason load_each skips it."""
+    record = _read_signal(path)
+    if isinstance(record, str):
+        return record
+    try:
+        label = assign_label(meta)
+    except LabelingError as exc:
+        return str(exc)
+    record.metadata = meta
+    return label, function(LabeledRecord(record, label))
 
 
 def _read_signal(path: Path) -> SignalRecord | str:
-    """read_record_csv(path), or the reason load_collection skips the file.
+    """read_record_csv(path), or the reason load_each skips the file.
 
     Any other exception (an OSError such as a directory named ``x.csv``) propagates.
     """

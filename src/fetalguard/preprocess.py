@@ -28,7 +28,7 @@ from .errors import (
     TrainingDataError,
 )
 from .files import read_csv_rows, write_csv
-from .ingest import ClassLabel, SignalRecord
+from .ingest import ClassLabel, LabeledRecord, SignalRecord, SkippedRecord, load_each
 
 BPM_MIN = 50.0
 BPM_MAX = 200.0
@@ -213,13 +213,35 @@ class PreprocessReport:
 def preprocess_collection(records, config: PreprocessConfig | None = None) -> PreprocessReport:
     """Preprocess LabeledRecords; rejected records go into the report, not an exception."""
     config = config or PreprocessConfig()
+    return collect_features(preprocess_item(item, config) for item in records)
+
+
+def preprocess_files(
+    signal_dir: str | Path, metadata_file: str | Path, config: PreprocessConfig
+) -> tuple[PreprocessReport, list[SkippedRecord]]:
+    """preprocess_collection of load_collection's records, and its skip report, in one pass.
+
+    Each file is read and preprocessed in the worker that reads it
+    (ingest.load_each), so only its features or its reason come back.
+    """
+    outcomes, skipped = load_each(signal_dir, metadata_file, lambda item: preprocess_item(item, config))
+    return collect_features(outcomes), skipped
+
+
+def preprocess_item(item: LabeledRecord, config: PreprocessConfig) -> FeatureVector | tuple[str, str]:
+    """preprocess_pipeline of one LabeledRecord, or its (record_id, reason) rejection."""
+    try:
+        return preprocess_pipeline(item.record, config, label=item.label)
+    except FetalGuardError as exc:
+        return item.record.record_id, str(exc)
+
+
+def collect_features(outcomes) -> PreprocessReport:
+    """The report of preprocess_item outcomes, in their order; raises PreprocessError if all are rejections."""
     features: list[FeatureVector] = []
     rejected: list[tuple[str, str]] = []
-    for item in records:
-        try:
-            features.append(preprocess_pipeline(item.record, config, label=item.label))
-        except FetalGuardError as exc:
-            rejected.append((item.record.record_id, str(exc)))
+    for outcome in outcomes:
+        (features if isinstance(outcome, FeatureVector) else rejected).append(outcome)
     if not features:
         raise PreprocessError(f"all {len(rejected)} records were rejected by preprocessing")
     return PreprocessReport(features=features, rejected=rejected)
@@ -240,8 +262,11 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
     write_csv(path, ["record_id", "label"] + [f"f{i:03d}" for i in range(d)], rows)
 
 
-def read_features_csv(path: str | Path) -> list[FeatureVector]:
-    """Read feature vectors written by write_features_csv; a cell that is not a finite number is a ParseError."""
+def read_features_csv(path: str | Path, labeled: bool = False) -> list[FeatureVector]:
+    """Read feature vectors written by write_features_csv; a cell that is not a finite number is a ParseError.
+
+    With labeled, so is an empty label.
+    """
     path = Path(path)
     out: list[FeatureVector] = []
     rows = read_csv_rows(path)
@@ -258,6 +283,8 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
             raise ParseError(f"{path}: expected {len(header)} columns, got {len(row)}", line=line)
         if row[1] not in ("", "0", "1"):
             raise ParseError(f"{path}: label must be 0, 1 or empty, got {row[1]!r}", line=line)
+        if labeled and not row[1]:
+            raise ParseError(f"{path}: evaluation needs labeled features; record {row[0]} has no label", line=line)
         try:
             x = np.array(row[2:], dtype=float)
         except ValueError:

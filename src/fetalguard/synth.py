@@ -102,24 +102,25 @@ def generate_record(params: SynthParams, seed) -> tuple[SignalRecord, ClassLabel
 
 
 def generate_dataset(n_normal: int, n_abnormal: int, seed: int = 0) -> list[LabeledRecord]:
-    """n_normal + n_abnormal records with per-record derived seeds; exact class counts.
-
-    Baselines are jittered around the default one so records differ beyond
-    their noise realizations.
-    """
+    """n_normal + n_abnormal records (dataset_record of each index); exact class counts."""
     if n_normal < 0 or n_abnormal < 0:
         raise ConfigError("record counts must be nonnegative")
-    out: list[LabeledRecord] = []
-    total = n_normal + n_abnormal
-    for i in range(total):
-        abnormal = i >= n_normal
-        rng = np.random.default_rng([seed, i, 0])
-        baseline = float(np.clip(SynthParams.baseline_bpm + rng.uniform(-10.0, 10.0), 110.0, 160.0))
-        params = SynthParams(baseline_bpm=baseline, abnormal=abnormal)
-        record, label = generate_record(params, seed=[seed, i, 1])
-        record.record_id = f"syn{i:04d}"
-        out.append(LabeledRecord(record, label))
-    return out
+    return [dataset_record(i, n_normal, seed) for i in range(n_normal + n_abnormal)]
+
+
+def dataset_record(i: int, n_normal: int, seed: int) -> LabeledRecord:
+    """Record ``syn<i>`` of a dataset whose first n_normal records are normal.
+
+    It is drawn from the seeds [seed, i, 0] and [seed, i, 1]. The baseline is
+    jittered around the default one so records differ beyond their noise
+    realizations.
+    """
+    rng = np.random.default_rng([seed, i, 0])
+    baseline = float(np.clip(SynthParams.baseline_bpm + rng.uniform(-10.0, 10.0), 110.0, 160.0))
+    params = SynthParams(baseline_bpm=baseline, abnormal=i >= n_normal)
+    record, label = generate_record(params, seed=[seed, i, 1])
+    record.record_id = f"syn{i:04d}"
+    return LabeledRecord(record, label)
 
 
 def write_dataset(records: list[LabeledRecord], out_dir: str | Path) -> tuple[Path, Path]:

@@ -713,8 +713,11 @@ def test_evaluate_refuses_features_with_an_empty_label(features_file, model_file
     unlabeled = _edited_csv(features_file, tmp_path, line=3, column=1, value="")
     out = tmp_path / "evaluated"
     argv = ["evaluate", "--model-file", str(model_files["ae"]), "--features", str(unlabeled), "--out", str(out)]
-    assert main(argv) == 2
-    assert _one_line_error(capsys) == "error: evaluation needs labeled features\n"
+    assert main(argv) == 1
+    record_id = features_file.read_text().splitlines()[2].split(",")[0]
+    assert _one_line_error(capsys) == (
+        f"error: line 3: {unlabeled}: evaluation needs labeled features; record {record_id} has no label\n"
+    )
     assert not out.exists()
 
 
@@ -804,3 +807,31 @@ def test_train_on_overflowing_features_ends_in_one_line_naming_where_and_the_los
     err = _one_line_error(capsys)
     assert re.fullmatch(rf"error: {name} training stopped at {where}: non-finite loss {losses}\n", err), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["ae", "ganomaly"])
+def test_scoring_rows_that_overflow_the_network_writes_no_warning(name, trained_by_cli, tmp_path, capsys):
+    files, _, signal = trained_by_cli
+    rows = [FeatureVector(x=np.full(480, 1e308), record_id=f"r{i}", label=ClassLabel(i % 2)) for i in range(6)]
+    features = tmp_path / "overflowing.csv"
+    write_features_csv(rows, features)
+    # a model whose first layer overflows on any recording, for `score`, which reads a signal
+    huge_weights = _edited_weights(lambda values: np.full_like(values, 1e308))
+    overflowing = _edited_copy(files[name], tmp_path, lambda data: huge_weights(name, data))
+    model_file = tmp_path / "calibrated.json"
+    shutil.copy(files[name], model_file)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow warning would be a second line
+        assert main(["calibrate", "--model-file", str(model_file), "--features", str(features)]) == 1
+        assert _one_line_error(capsys) == "error: cannot calibrate on a non-finite training score\n"
+        # a non-finite score is judged abnormal, so these two succeed and write nothing to stderr
+        assert main(["evaluate", "--model-file", str(model_file), "--features", str(features),
+                     "--out", str(tmp_path / "evaluated")]) == 0
+        scores = (tmp_path / "evaluated" / "scores.csv").read_text().splitlines()[1:]
+        assert [line.rsplit(",", 1)[1] for line in scores] == ["nan"] * 6
+        assert capsys.readouterr().err == ""
+        assert main(["score", "--model-file", str(overflowing), "--signal", str(signal)]) == 0
+        captured = capsys.readouterr()
+    assert captured.err == ""
+    assert re.fullmatch(r"syn0000,nan,\S+,abnormal\n", captured.out), captured.out

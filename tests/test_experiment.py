@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -26,13 +27,15 @@ from fetalguard.experiment import (
     aggregate_runs,
     fit_detector,
     format_aggregate_table,
+    load_features,
     run_experiment,
     run_single,
 )
 from fetalguard.ganomaly import GanomalyConfig, GanomalyModel
 from fetalguard.iforest import IforestConfig
-from fetalguard.ingest import ClassLabel
-from fetalguard.preprocess import PreprocessConfig, FeatureVector
+from fetalguard.ingest import ClassLabel, SignalRecord
+from fetalguard.preprocess import PreprocessConfig, FeatureVector, preprocess_collection
+from fetalguard.synth import generate_dataset, write_dataset
 
 
 def _features(n_normal, n_abnormal, dim=24, seed=0):
@@ -349,6 +352,55 @@ class TestFitsOnEveryCore:
             run_experiment(load_config(run_config))
         assert str(exc.value) == "ganomaly seed 1: loss is not finite"
         assert exc.value.seed == 1
+
+
+class TestFeaturizedInWorkers:
+    def test_synthetic_features_equal_preprocessing_the_generated_dataset(self, set_cores):
+        config = _tiny_experiment_config("unused")
+        synth = config.data.synth
+        expected = preprocess_collection(generate_dataset(synth.n_normal, synth.n_abnormal, synth.seed), config.preprocess)
+        for cores in CORE_COUNTS:
+            set_cores(cores)
+            report = load_features(config)
+            assert [(fv.record_id, fv.label, fv.x.tobytes()) for fv in report.features] == [
+                (fv.record_id, fv.label, fv.x.tobytes()) for fv in expected.features
+            ]
+            assert report.rejected == expected.rejected == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="without fork every record is made in this process")
+    def test_the_calling_process_makes_no_raw_signal(self, run_config, tmp_path, set_cores, monkeypatch):
+        synth_config = load_config(run_config)
+        corpus = synth_config.data.synth
+        signals_dir, metadata_file = write_dataset(
+            generate_dataset(corpus.n_normal, corpus.n_abnormal, corpus.seed), tmp_path / "data"
+        )
+        files_config = dataclasses.replace(
+            synth_config, data=DataConfig(signals_dir=str(signals_dir), metadata_file=str(metadata_file))
+        )
+        pids = []  # of the calls made in this process; a worker appends to its own copy
+        post_init, setstate = SignalRecord.__post_init__, SignalRecord.__setstate__
+
+        def made(record):
+            pids.append(os.getpid())
+            post_init(record)
+
+        def unpickled(record, state):
+            pids.append(os.getpid())
+            setstate(record, state)
+
+        monkeypatch.setattr(SignalRecord, "__post_init__", made)
+        monkeypatch.setattr(SignalRecord, "__setstate__", unpickled)
+        for kind, config in (("synth", synth_config), ("files", files_config)):
+            trees = {}
+            for cores in (1, 2):
+                set_cores(cores)
+                pids.clear()
+                run_experiment(config, out_dir=tmp_path / f"{kind}{cores}", models=["iforest"])
+                trees[cores] = _tree(tmp_path / f"{kind}{cores}")
+                if cores == 1:
+                    assert set(pids) == {os.getpid()}, kind  # the patches see the serial run
+            assert pids == [], kind
+            assert len(trees[1]) > 10 and trees[2] == trees[1], kind
 
 
 def test_aggregate_math_and_table_shape():

@@ -30,6 +30,7 @@ from fetalguard.ingest import (
     parse_record_csv,
     read_metadata_csv,
 )
+from fetalguard.preprocess import PreprocessConfig, preprocess_collection, preprocess_files
 from oracles import reference_load_collection, reference_parse_record_csv
 
 
@@ -299,6 +300,40 @@ def test_load_collection_raises_the_first_error_in_file_order(tmp_path, set_core
         set_cores(cores)
         with pytest.raises(IsADirectoryError) as exc:
             load_collection(signals, meta)
+        assert exc.value.filename == str(signals / "good03.csv")
+        assert not multiprocessing.active_children()
+
+
+def _preprocessed(report, skipped):
+    features = [(fv.record_id, fv.label, fv.x.tobytes()) for fv in report.features]
+    return features, report.rejected, skipped
+
+
+def test_preprocess_files_matches_loading_then_preprocessing_on_every_core_count(tmp_path, set_cores):
+    signals, meta = _mixed_collection(tmp_path)
+    _write_signal(signals / "dropout.csv", n=40, value=0.0)  # loads, then has no valid sample
+    (signals / "neither.csv").write_text("time_s,fhr_bpm\n0.0,x\n", encoding="utf-8")  # the parse failure is its reason
+    with meta.open("a", encoding="utf-8") as fh:
+        fh.write("dropout,7.30,9\nneither,,9\n")
+    config = PreprocessConfig(median_window=3, feature_dim=16)
+    loaded = reference_load_collection(signals, meta)
+    expected = _preprocessed(preprocess_collection(loaded.records, config), loaded.skipped)
+    assert len(expected[0]) == 12 and [record_id for record_id, _ in expected[1]] == ["dropout", "quoted"]
+    assert len(expected[2]) == 5 and "non-numeric cell" in {s.record_id: s.reason for s in expected[2]}["neither"]
+    for cores in CORE_COUNTS:
+        set_cores(cores)
+        assert _preprocessed(*preprocess_files(signals, meta, config)) == expected
+
+
+def test_preprocess_files_raises_the_first_error_in_file_order(tmp_path, set_cores):
+    signals, meta = _mixed_collection(tmp_path)
+    for name in ("good03", "good08"):
+        (signals / f"{name}.csv").unlink()
+        (signals / f"{name}.csv").mkdir()
+    for cores in CORE_COUNTS:
+        set_cores(cores)
+        with pytest.raises(IsADirectoryError) as exc:
+            preprocess_files(signals, meta, PreprocessConfig(feature_dim=16))
         assert exc.value.filename == str(signals / "good03.csv")
         assert not multiprocessing.active_children()
 
