@@ -21,7 +21,7 @@ from .datasets import SplitConfig, class_counts, train_test_split, validation_sp
 from .errors import ConfigError, FetalGuardError
 from .experiment import fit_detector, read_scores_csv, run_experiment, write_scores_csv
 from .files import write_csv, write_json
-from .ingest import ClassLabel, load_collection, read_record_csv
+from .ingest import ClassLabel, load_each, read_record_csv
 from .preprocess import (
     PreprocessConfig,
     preprocess_files,
@@ -53,24 +53,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _index_row(item) -> tuple:
+    """The index.csv row of one loaded recording; load_each makes it in the worker that reads the file."""
+    record = item.record
+    return (record.record_id, int(item.label), record.metadata.ph, record.metadata.apgar1,
+            record.fhr.size, record.sample_rate_hz)
+
+
 def cmd_ingest(args) -> int:
-    result = load_collection(args.signals, args.metadata)
-    n_abnormal = sum(1 for item in result.records if item.label is ClassLabel.ABNORMAL)
+    rows, skipped = load_each(args.signals, args.metadata, _index_row)
+    n_abnormal = sum(1 for row in rows if row[1] == ClassLabel.ABNORMAL)
     print(
-        f"loaded {len(result.records)} records: "
-        f"{len(result.records) - n_abnormal} normal, {n_abnormal} abnormal; "
-        f"{len(result.skipped)} skipped"
+        f"loaded {len(rows)} records: "
+        f"{len(rows) - n_abnormal} normal, {n_abnormal} abnormal; "
+        f"{len(skipped)} skipped"
     )
     if args.out:
         out = Path(args.out)
-        rows = (
-            (r.record.record_id, int(r.label), r.record.metadata.ph, r.record.metadata.apgar1,
-             r.record.fhr.size, r.record.sample_rate_hz)
-            for r in result.records
-        )
         write_csv(out / "index.csv", ["record_id", "label", "ph", "apgar1", "n_samples", "sample_rate_hz"], rows)
-        skips = [{"record_id": s.record_id, "reason": s.reason} for s in result.skipped]
-        write_json(skips, out / "skipped.json")
+        write_json([{"record_id": s.record_id, "reason": s.reason} for s in skipped], out / "skipped.json")
         print(f"index: {out / 'index.csv'}")
     return 0
 

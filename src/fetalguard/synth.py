@@ -126,14 +126,21 @@ def dataset_record(i: int, n_normal: int, seed: int) -> LabeledRecord:
 def write_dataset(records: list[LabeledRecord], out_dir: str | Path) -> tuple[Path, Path]:
     """Write signal CSVs plus metadata.csv in the ingestion schema.
 
-    Formatting the samples holds the interpreter lock, so the signal CSVs are
-    written in one forked worker per available core (workers.fork_map).
-    Returns (signals_dir, metadata_file).
+    The cost is float formatting: a signal file is one time and one sample
+    per line, each as its shortest round-trip repr, so ingest reads back the
+    exact float64 values. That holds the interpreter lock, so the signal CSVs
+    are written in one forked worker per available core (workers.fork_map).
+    The time cells are formatted once per (sample count, rate) in the process
+    that writes, and are dropped with this call. Returns (signals_dir,
+    metadata_file).
     """
     out_dir = Path(out_dir)
     signals_dir = out_dir / "signals"
     signals = [item.record for item in records]
-    for _ in fork_map(lambda record: _write_signal(record, signals_dir), signals, "signal-writing"):
+    if signals:
+        signals_dir.mkdir(parents=True, exist_ok=True)
+    time_cells: dict[tuple[int, float], list[str]] = {}  # a worker fills its own copy
+    for _ in fork_map(lambda record: _write_signal(record, signals_dir, time_cells), signals, "signal-writing"):
         pass
     metadata_file = out_dir / "metadata.csv"
     rows = ((r.record_id, r.metadata.ph, r.metadata.apgar1, "", "", "") for r in signals)
@@ -141,8 +148,17 @@ def write_dataset(records: list[LabeledRecord], out_dir: str | Path) -> tuple[Pa
     return signals_dir, metadata_file
 
 
-def _write_signal(record: SignalRecord, signals_dir: Path) -> None:
-    """One record's signal CSV, ``<record_id>.csv`` with a time_s,fhr_bpm row per sample."""
-    times = (i / record.sample_rate_hz for i in range(record.fhr.size))
-    rows = zip(map(repr, times), map(repr, record.fhr.tolist()))
-    write_csv(signals_dir / f"{record.record_id}.csv", SIGNAL_HEADER, rows)
+def _write_signal(record: SignalRecord, signals_dir: Path, time_cells: dict[tuple[int, float], list[str]]) -> None:
+    """One record's signal CSV, ``<record_id>.csv``: the bytes csv.writer writes for a
+    time_s,fhr_bpm row per sample, built as one string.
+
+    time_cells maps (sample count, rate) to each sample's time repr and comma;
+    the entry this record needs is made if it is missing.
+    """
+    n, rate = record.fhr.size, record.sample_rate_hz
+    times = time_cells.get((n, rate))
+    if times is None:
+        times = time_cells[n, rate] = [repr(i / rate) + "," for i in range(n)]
+    lines = [f"{time}{value!r}\r\n" for time, value in zip(times, record.fhr.tolist())]
+    text = ",".join(SIGNAL_HEADER) + "\r\n" + "".join(lines)
+    (signals_dir / f"{record.record_id}.csv").write_text(text, encoding="utf-8", newline="")

@@ -4,6 +4,7 @@ import base64
 import csv
 import json
 import logging
+import os
 import re
 import shutil
 import warnings
@@ -15,7 +16,7 @@ from fetalguard.cli import main
 from fetalguard.config import DETECTORS, load_config
 from fetalguard.experiment import fit_detector
 from fetalguard.iforest import MAX_SUBSAMPLE, depth_limit
-from fetalguard.ingest import ClassLabel
+from fetalguard.ingest import ClassLabel, SignalRecord
 from fetalguard.persistence import save_model
 from fetalguard.preprocess import FeatureVector, read_features_csv, write_features_csv
 from oracles import CURRENT_FORMAT, reference_model_to_dict, reference_seal
@@ -780,6 +781,41 @@ def test_ingest_out_writes_an_index_and_the_skipped_records(dataset, tmp_path, c
     assert index[1] == ["syn0000", "0", "7.35", "9", "4800", "4.0"]
     assert index[-1][:4] == ["syn0059", "1", "7.0", "4"]
     assert json.loads((out / "skipped.json").read_text()) == [{"record_id": "orphan", "reason": "no metadata row"}]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="without fork every file is read in this process")
+def test_ingest_reads_the_recordings_in_workers_and_writes_the_same_files_on_any_core_count(
+    dataset, tmp_path, capsys, set_cores, monkeypatch
+):
+    signals = tmp_path / "signals"
+    shutil.copytree(dataset / "signals", signals)
+    (signals / "orphan.csv").write_text("time_s,fhr_bpm\n0.0,140\n0.25,141\n", encoding="utf-8")
+    (signals / "syn0001.csv").write_text("time_s,fhr_bpm\n0.0,x\n", encoding="utf-8")
+    pids = []  # of the records made or unpickled in this process; a worker appends to its own copy
+    post_init, setstate = SignalRecord.__post_init__, SignalRecord.__setstate__
+
+    def made(record):
+        pids.append(os.getpid())
+        post_init(record)
+
+    def unpickled(record, state):
+        pids.append(os.getpid())
+        setstate(record, state)
+
+    monkeypatch.setattr(SignalRecord, "__post_init__", made)
+    monkeypatch.setattr(SignalRecord, "__setstate__", unpickled)
+    outputs = {}
+    for cores in (1, 2):
+        set_cores(cores)
+        pids.clear()
+        out = tmp_path / f"cores{cores}"
+        assert main(["ingest", "--signals", str(signals), "--metadata", str(dataset / "metadata.csv"),
+                     "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs[cores] = stdout, (out / "index.csv").read_bytes(), (out / "skipped.json").read_bytes()
+        assert pids == ([os.getpid()] * 59 if cores == 1 else [])  # at 1 core, the patches see every record
+    assert outputs[2] == outputs[1]
+    assert "loaded 59 records: 39 normal, 20 abnormal; 2 skipped" in outputs[1][0]
 
 
 def test_an_os_error_is_a_one_line_error_with_exit_code_1(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from fetalguard import synth
 from fetalguard.errors import ConfigError
-from fetalguard.ingest import ClassLabel, assign_label, load_collection
+from fetalguard.ingest import ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord, assign_label, load_collection
 from fetalguard.preprocess import PreprocessConfig, preprocess_collection
 from fetalguard.synth import SynthParams, _add_plateau, generate_dataset, generate_record, write_dataset
 from oracles import reference_add_plateau, reference_write_dataset
@@ -134,20 +134,45 @@ class TestWriteDataset:
             assert write_dataset(records, out) == (out / "signals", out / "metadata.csv")
             assert _tree(out) == expected
 
+    def test_records_of_several_rates_and_lengths_are_byte_identical_to_the_serial_writer(self, tmp_path, set_cores):
+        special = [0.0, -0.0, 1e-05, 1e+16, 5e-324, float("nan"), float("inf")]
+        # (samples, rate) per record, dealt so that at 1, 2 and 3 cores some worker writes one length
+        # at two rates, and some worker one rate at a shorter length and then a longer one
+        shapes = [(7, 4.0), (7, 3.0), (1, 4.0), (5, 3.0), (7, 4.0), (5, 4.0)]
+        records = []
+        for i, (n, rate) in enumerate(shapes):
+            fhr = np.roll(special + [140.25, -float("inf")], i)[:n]
+            record = SignalRecord(f"rec{i}", fhr, rate, ClinicalMetadata(ph=7.35, apgar1=9))
+            records.append(LabeledRecord(record, ClassLabel.NORMAL))
+        reference_write_dataset(records, tmp_path / "reference")
+        expected = _tree(tmp_path / "reference")
+        assert b"\r\n0.3333333333333333," in expected["signals/rec3.csv"]
+        written = b"".join(expected.values())
+        assert all(b",%s\r\n" % repr(value).encode() in written for value in special)
+        for cores in (1, 2, 3):
+            set_cores(cores)
+            write_dataset(records, tmp_path / f"cores{cores}")
+            assert _tree(tmp_path / f"cores{cores}") == expected
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="signal files are written in forked workers only where fork exists")
     def test_signal_files_are_written_in_workers_and_metadata_here(self, tmp_path, set_cores, monkeypatch):
-        written_here = []
-        write_csv = synth.write_csv
+        pids = []  # of the signal writes made in this process; a worker appends to its own copy
+        write_signal = synth._write_signal
 
-        def spy(path, *args):
-            written_here.append(Path(path).name)
-            write_csv(path, *args)
+        def spy(record, *args):
+            pids.append(os.getpid())
+            write_signal(record, *args)
 
-        monkeypatch.setattr(synth, "write_csv", spy)
-        set_cores(2)
-        write_dataset(generate_dataset(3, 1, seed=4), tmp_path)
-        assert written_here == ["metadata.csv"]
-        assert len(list((tmp_path / "signals").glob("*.csv"))) == 4
+        monkeypatch.setattr(synth, "_write_signal", spy)
+        records = generate_dataset(3, 1, seed=4)
+        for cores, written_here in ((2, []), (1, [os.getpid()] * 4)):
+            set_cores(cores)
+            pids.clear()
+            out = tmp_path / f"cores{cores}"
+            write_dataset(records, out)
+            assert pids == written_here  # at 1 core, the spy sees every write
+            assert len(list((out / "signals").glob("*.csv"))) == 4
+            assert (out / "metadata.csv").exists()
 
     def test_no_records_write_the_metadata_header_and_no_signals_directory(self, tmp_path, set_cores):
         set_cores(3)
@@ -166,8 +191,10 @@ class TestRoundTripThroughIngest:
         for item in loaded.records:
             assert item.label is expected[item.record.record_id]
         by_id = {item.record.record_id: item.record for item in loaded.records}
-        for item in records:
-            assert np.allclose(by_id[item.record.record_id].fhr, item.record.fhr)
+        for item in records:  # each written repr reads back as the same float64
+            loaded_record = by_id[item.record.record_id]
+            assert loaded_record.fhr.tobytes() == item.record.fhr.tobytes()
+            assert loaded_record.sample_rate_hz == item.record.sample_rate_hz
 
     def test_normal_records_survive_preprocessing_into_unit_interval(self, tmp_path):
         records = generate_dataset(8, 0, seed=11)
