@@ -57,7 +57,7 @@ class AeModel(Checked):
     """A trained autoencoder; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ae"
-    format_version: ClassVar[int] = 3
+    format_version: ClassVar[int] = 4
     config_type: ClassVar[type] = AeConfig
     calibration_param: ClassVar[str] = "k_sigma"
 

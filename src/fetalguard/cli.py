@@ -9,6 +9,7 @@ Subcommands cover the full experiment (`run`) and its individual stages
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import logging
 import os
@@ -29,7 +30,7 @@ from .preprocess import (
     read_features_csv,
     write_features_csv,
 )
-from .synth import generate_dataset, write_dataset
+from .synth import SyntheticDataset, write_dataset
 
 logger = logging.getLogger(__name__)
 
@@ -44,10 +45,9 @@ def _configure_logging() -> None:
 
 def cmd_synth(args) -> int:
     synth = SynthDataConfig(args.normal, args.abnormal, args.seed)
-    records = generate_dataset(synth.n_normal, synth.n_abnormal, seed=synth.seed)
+    records = SyntheticDataset(synth.n_normal, synth.n_abnormal, synth.seed)
     signals_dir, metadata_file = write_dataset(records, args.out)
-    counts = class_counts(records)
-    print(f"wrote {len(records)} records ({counts['NORMAL']} normal, {counts['ABNORMAL']} abnormal)")
+    print(f"wrote {len(records)} records ({synth.n_normal} normal, {synth.n_abnormal} abnormal)")
     print(f"signals: {signals_dir}")
     print(f"metadata: {metadata_file}")
     return 0
@@ -200,7 +200,7 @@ def cmd_score(args) -> int:
     fv = preprocess_pipeline(record, config)
     score = float(model.scores([fv])[0])
     verdict = metrics.classify(score, tau).name.lower()
-    print(f"{record.record_id},{score!r},{tau!r},{verdict}")
+    csv.writer(sys.stdout, lineterminator="\n").writerow([record.record_id, score, tau, verdict])
     return 0
 
 

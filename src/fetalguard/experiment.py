@@ -25,7 +25,7 @@ from .errors import ConfigError, ParseError, TestIsolationError
 from .files import read_csv_rows, write_csv, write_json
 from .ingest import ClassLabel
 from .preprocess import PreprocessReport, collect_features, preprocess_files, preprocess_item
-from .synth import dataset_record
+from .synth import SyntheticDataset
 from .workers import fork_map
 
 logger = logging.getLogger(__name__)
@@ -90,12 +90,8 @@ def load_features(config: ExperimentConfig) -> PreprocessReport:
     data, prep = config.data, config.preprocess
     if data.synth is None:
         return preprocess_files(data.signals_dir, data.metadata_file, prep)[0]
-    synth = data.synth
-
-    def featurized(i):
-        return preprocess_item(dataset_record(i, synth.n_normal, synth.seed), prep)
-
-    return collect_features(fork_map(featurized, range(synth.n_normal + synth.n_abnormal), "record-synthesizing"))
+    records = SyntheticDataset(data.synth.n_normal, data.synth.n_abnormal, data.synth.seed)
+    return collect_features(fork_map(lambda item: preprocess_item(item, prep), records, "record-synthesizing"))
 
 
 def fit_detector(name, model_config, train_core, validation, pre_validation_size, seed):

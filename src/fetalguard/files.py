@@ -1,8 +1,7 @@
-"""The package's file encodings: UTF-8 CSV and JSON files, and arrays as base64 text."""
+"""The package's file encodings: UTF-8 CSV and JSON files, and sealed JSON files whose arrays follow as raw bytes."""
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import csv
 import hashlib
@@ -76,18 +75,32 @@ def read_json(path: Path, what: str, decode):
         return decode(json.loads(text), text)
 
 
-# A sealed file is _SEAL, 64 hex digits, '",' and then the text write_json writes
-# unsealed, from after its opening brace; the digits are the SHA-256 of that text.
+# A sealed file is _SEAL, 64 hex digits, '",', the text write_json writes unsealed from
+# after its opening brace, and then the tail: the bytes of every array, in the order the
+# text names them. The text holds each array as a reference {"length": n, "offset": o} to
+# its bytes in the tail, and ends at its first _END; the digits are the SHA-256 of the
+# unsealed text followed by the tail.
 _SEAL = b'{\n  "sha256": "'
 _BODY = len(_SEAL) + 66  # where the unsealed text resumes
+_END = b"\n}\n"  # json.dumps with indents starts no other line with a brace, and escapes line breaks in strings
+_REFERENCE = {"length", "offset"}
+
+
+class ArrayBytes(dict):
+    """An array reference as read_sealed_json reads it: the JSON object, which is how a
+    message shows it, with the tail bytes it names in data."""
+
+    __slots__ = ("data",)
 
 
 def read_sealed_json(path: Path, what: str, decode):
-    """decode(value, sealed) of a JSON file that write_json may have sealed, its "sha256" key removed.
+    """decode(value, sealed) of a JSON file that write_json may have sealed, its "sha256" key
+    removed and each array reference an ArrayBytes, which decode_array takes.
 
-    The seal is checked on the bytes as read, which are freed before parsing. One that does
-    not match them, or is not where write_json puts it (the file was re-formatted), is a
-    one-line ConfigError, as read_json's failures are.
+    The seal is checked on the bytes as read, before any is decoded; only the text is
+    decoded as text. A seal that does not match them, or is not where write_json puts it
+    (the file was re-formatted), is a one-line ConfigError, as read_json's failures are; so
+    is a reference that runs past the tail, and references that do not tile it exactly.
     """
     damaged = ConfigError(f"{what} file is damaged: its sha256 seal does not match its contents")
     with _one_line_errors(path, what):
@@ -98,13 +111,38 @@ def read_sealed_json(path: Path, what: str, decode):
             digest.update(memoryview(raw)[_BODY:])
             if raw[len(_SEAL) : _BODY - 2] != digest.hexdigest().encode():
                 raise damaged
-        text = raw.decode("utf-8")
-        del raw
-        value = json.loads(text)
-        del text
+        end = raw.find(_END)
+        end = len(raw) if end < 0 else end + len(_END)
+        tail, spans = memoryview(raw)[end:], []
+        value = json.loads(raw[:end].decode("utf-8"), object_hook=lambda obj: _resolved(obj, tail, spans))
+        covered = 0
+        for offset, length in sorted(spans) + [(len(tail), 0)]:
+            if offset != covered:
+                raise ConfigError(
+                    f"arrays overlap at tail byte {offset}" if offset < covered
+                    else f"tail bytes {covered}-{offset} belong to no array"
+                )
+            covered = offset + length
         if isinstance(value, dict) and value.pop("sha256", None) is not None and not sealed:
             raise damaged
         return decode(value, sealed)
+
+
+def _resolved(obj: dict, tail: memoryview, spans: list):
+    """obj, or the ArrayBytes of the tail bytes it names if it is an array reference; spans gets their place."""
+    if obj.keys() != _REFERENCE:
+        return obj
+    offset, length = obj["offset"], obj["length"]
+    if not all(type(v) is int and v >= 0 for v in (offset, length)):
+        raise ConfigError(f"array reference {json.dumps(obj)[:60]} does not hold two non-negative integers")
+    if offset + length > len(tail):
+        raise ConfigError(
+            f"the array at tail bytes {offset}-{offset + length} runs past the end of the {len(tail)}-byte tail"
+        )
+    spans.append((offset, length))
+    array = ArrayBytes(obj)
+    array.data = tail[offset : offset + length]
+    return array
 
 
 def refuse_unknown_keys(data: dict, known, where: str) -> None:
@@ -122,14 +160,29 @@ def finite_number(value) -> bool:
 def write_json(data, path: str | Path, sealed: bool = False) -> None:
     """data as a UTF-8 JSON file, keys sorted, two-space indents, creating its directory.
 
-    sealed puts the "sha256" key that read_sealed_json checks first. The bytes go to a
-    new file in the same directory that then replaces path, so a write that fails
-    partway leaves path as it was.
+    sealed puts the "sha256" key that read_sealed_json checks first, and takes data that
+    holds encode_array's bytes: each becomes a reference to its place in the tail. The
+    bytes go to a new file in the same directory that then replaces path, so a write that
+    fails partway leaves path as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
-    parts = [_SEAL, hashlib.sha256(text).hexdigest().encode(), b'",', memoryview(text)[1:]] if sealed else [text]
+    tail: list[bytes] = []
+
+    def reference(array):
+        if not (sealed and isinstance(array, bytes)):
+            raise TypeError(f"Object of type {type(array).__name__} is not JSON serializable")
+        offset = sum(map(len, tail))
+        tail.append(array)
+        return {"length": len(array), "offset": offset}
+
+    text = (json.dumps(data, indent=2, sort_keys=True, default=reference) + "\n").encode()
+    parts = [text]
+    if sealed:
+        digest = hashlib.sha256(text)
+        for array in tail:
+            digest.update(array)
+        parts = [_SEAL, digest.hexdigest().encode(), b'",', memoryview(text)[1:], *tail]
     temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with temporary.open("xb") as fh:
@@ -140,20 +193,18 @@ def write_json(data, path: str | Path, sealed: bool = False) -> None:
         raise
 
 
-def encode_array(values, dtype: str) -> str:
-    """base64 of values as the little-endian fixed-width dtype, in C order."""
-    return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
+def encode_array(values, dtype: str) -> bytes:
+    """values as the little-endian fixed-width dtype, in C order: what write_json puts in a sealed file's tail."""
+    return np.ascontiguousarray(values, dtype=dtype).tobytes()
 
 
 def decode_array(value, name: str, dtype: str) -> np.ndarray:
-    """encode_array's values as a writable int64 or float64 copy; anything else is a ConfigError naming it."""
-    try:
-        raw = base64.b64decode(value, validate=True) if isinstance(value, str) else None
-    except ValueError:  # not base64, or not ASCII
-        raw = None
-    if raw is None:
-        raise ConfigError(f"{name} is not a base64 string")
+    """The bytes of encode_array, or of a reference that read_sealed_json read, as a writable
+    int64 or float64 copy; anything else is a ConfigError naming it."""
+    data = value.data if isinstance(value, ArrayBytes) else value
+    if not isinstance(data, (bytes, memoryview)):
+        raise ConfigError(f"{name} is not an array reference")
     dtype = np.dtype(dtype)
-    if len(raw) % dtype.itemsize:
-        raise ConfigError(f"{name} holds {len(raw)} bytes, not a multiple of {dtype.itemsize}")
-    return np.frombuffer(raw, dtype=dtype).astype(np.float64 if dtype.kind == "f" else np.int64)
+    if len(data) % dtype.itemsize:
+        raise ConfigError(f"{name} holds {len(data)} bytes, not a multiple of {dtype.itemsize}")
+    return np.frombuffer(data, dtype=dtype).astype(np.float64 if dtype.kind == "f" else np.int64)

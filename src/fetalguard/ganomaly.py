@@ -82,7 +82,7 @@ class GanomalyModel(Checked):
     """Trained GANomaly networks; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ganomaly"
-    format_version: ClassVar[int] = 3
+    format_version: ClassVar[int] = 4
     config_type: ClassVar[type] = GanomalyConfig
     calibration_param: ClassVar[str] = "k_sigma"
 

@@ -67,7 +67,7 @@ class IsolationForestModel(Checked):
     """A fitted forest; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "iforest"
-    format_version: ClassVar[int] = 4
+    format_version: ClassVar[int] = 5
     config_type: ClassVar[type] = IforestConfig
     calibration_param: ClassVar[str] = "contamination"
 
@@ -252,7 +252,7 @@ def if_threshold(training_scores, contamination: float) -> float:
     return float(np.quantile(scores, 1.0 - contamination))
 
 
-# A model file stores its forest as these arrays, each the base64 of
+# A model file stores its forest as these arrays, each the bytes of
 # little-endian fixed-width values: the node count of each tree, then for each
 # node (tree after tree, each in preorder) its split feature (-1 at a leaf),
 # threshold, left and right child as indices within its tree, and leaf size.
@@ -270,7 +270,7 @@ _FOREST_ARRAYS = {
 
 
 def _forest_to_json(trees: Forest) -> dict:
-    """The trees as flat base64 arrays; the inverse of _forest_from_json."""
+    """The trees as the bytes of flat arrays; the inverse of _forest_from_json."""
     counts, rows = [], []
     for tree in trees:
         tree_rows: list = []

@@ -18,7 +18,7 @@ ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "identity")
 
 PROB_EPS = 1e-7  # probability clamp applied before logarithms
 
-FORMAT_VERSION = 2  # arrays as base64 of little-endian float64; version 1 wrote nested JSON numbers
+FORMAT_VERSION = 2  # arrays as files.encode_array's little-endian float64; version 1 wrote nested JSON numbers
 
 _LAYER_KEYS = {"in_dim", "out_dim", "activation", "alpha", "weights", "biases"}  # of network_to_dict
 
@@ -346,7 +346,7 @@ def encoder_decoder_specs(feature_dim: int, config, activation: str, alpha: floa
 
 
 def network_to_dict(net: DenseNetwork) -> dict:
-    """JSON-ready encoding: layer specs with each array as base64 of its C-order float64 bytes."""
+    """JSON-ready encoding for a sealed file: layer specs with each array as its C-order float64 bytes."""
     return {
         "format_version": FORMAT_VERSION,
         "layers": [

@@ -9,6 +9,7 @@ rule agrees with the generator's ground truth.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated
@@ -105,7 +106,22 @@ def generate_dataset(n_normal: int, n_abnormal: int, seed: int = 0) -> list[Labe
     """n_normal + n_abnormal records (dataset_record of each index); exact class counts."""
     if n_normal < 0 or n_abnormal < 0:
         raise ConfigError("record counts must be nonnegative")
-    return [dataset_record(i, n_normal, seed) for i in range(n_normal + n_abnormal)]
+    return list(SyntheticDataset(n_normal, n_abnormal, seed))
+
+
+@dataclass(frozen=True)
+class SyntheticDataset(Sequence):
+    """generate_dataset's records, each synthesized by dataset_record when it is indexed."""
+
+    n_normal: int
+    n_abnormal: int
+    seed: int = 0
+
+    def __len__(self) -> int:
+        return self.n_normal + self.n_abnormal
+
+    def __getitem__(self, i: int) -> LabeledRecord:
+        return dataset_record(range(len(self))[i], self.n_normal, self.seed)
 
 
 def dataset_record(i: int, n_normal: int, seed: int) -> LabeledRecord:
@@ -123,34 +139,33 @@ def dataset_record(i: int, n_normal: int, seed: int) -> LabeledRecord:
     return LabeledRecord(record, label)
 
 
-def write_dataset(records: list[LabeledRecord], out_dir: str | Path) -> tuple[Path, Path]:
+def write_dataset(records: Sequence[LabeledRecord], out_dir: str | Path) -> tuple[Path, Path]:
     """Write signal CSVs plus metadata.csv in the ingestion schema.
 
     The cost is float formatting: a signal file is one time and one sample
     per line, each as its shortest round-trip repr, so ingest reads back the
     exact float64 values. That holds the interpreter lock, so the signal CSVs
     are written in one forked worker per available core (workers.fork_map).
-    The time cells are formatted once per (sample count, rate) in the process
-    that writes, and are dropped with this call. Returns (signals_dir,
+    Each record is read only where it is written, one at a time, so a
+    SyntheticDataset is never held whole. The time
+    cells are formatted once per (sample count, rate) in the process that
+    writes, and are dropped with this call. Returns (signals_dir,
     metadata_file).
     """
     out_dir = Path(out_dir)
     signals_dir = out_dir / "signals"
-    signals = [item.record for item in records]
-    if signals:
+    if records:
         signals_dir.mkdir(parents=True, exist_ok=True)
     time_cells: dict[tuple[int, float], list[str]] = {}  # a worker fills its own copy
-    for _ in fork_map(lambda record: _write_signal(record, signals_dir, time_cells), signals, "signal-writing"):
-        pass
+    rows = list(fork_map(lambda item: _write_signal(item.record, signals_dir, time_cells), records, "signal-writing"))
     metadata_file = out_dir / "metadata.csv"
-    rows = ((r.record_id, r.metadata.ph, r.metadata.apgar1, "", "", "") for r in signals)
     write_csv(metadata_file, METADATA_COLUMNS, rows)
     return signals_dir, metadata_file
 
 
-def _write_signal(record: SignalRecord, signals_dir: Path, time_cells: dict[tuple[int, float], list[str]]) -> None:
+def _write_signal(record: SignalRecord, signals_dir: Path, time_cells: dict[tuple[int, float], list[str]]) -> tuple:
     """One record's signal CSV, ``<record_id>.csv``: the bytes csv.writer writes for a
-    time_s,fhr_bpm row per sample, built as one string.
+    time_s,fhr_bpm row per sample, built as one string -> the record's metadata.csv row.
 
     time_cells maps (sample count, rate) to each sample's time repr and comma;
     the entry this record needs is made if it is missing.
@@ -162,3 +177,4 @@ def _write_signal(record: SignalRecord, signals_dir: Path, time_cells: dict[tupl
     lines = [f"{time}{value!r}\r\n" for time, value in zip(times, record.fhr.tolist())]
     text = ",".join(SIGNAL_HEADER) + "\r\n" + "".join(lines)
     (signals_dir / f"{record.record_id}.csv").write_text(text, encoding="utf-8", newline="")
+    return record.record_id, record.metadata.ph, record.metadata.apgar1, "", "", ""

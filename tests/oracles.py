@@ -348,17 +348,19 @@ def _preprocess_section(model):
 
 
 # the format version each model type writes today
-CURRENT_FORMAT = {"iforest": 4, "ae": 3, "ganomaly": 3}
+CURRENT_FORMAT = {"iforest": 5, "ae": 4, "ganomaly": 4}
 
 
 def reference_model_to_dict(model, version: int | None = None) -> dict:
     """The model artifact format as three hand-written encoders, one per model type.
 
     version selects the format, by default the current one; only the current
-    one is read, and only sealed (reference_seal). An isolation forest has
-    four: 4 and 3 (flat arrays), 2 (one nested object per tree) and 1 (as 2,
-    with the threshold under ``threshold``). The AE and GANomaly have 3 and 2
-    (network arrays as base64) and 1 (as nested JSON numbers).
+    one is read, and only sealed with its arrays in the tail (reference_pack,
+    reference_seal), where the current format holds each array as the bytes of
+    its values. An isolation forest has five: 5 (flat arrays as bytes), 4 and
+    3 (flat arrays as base64), 2 (one nested object per tree) and 1 (as 2, with
+    the threshold under ``threshold``). The AE and GANomaly have 4 (network
+    arrays as bytes), 3 and 2 (as base64) and 1 (as nested JSON numbers).
     """
     version = CURRENT_FORMAT[model.model_type] if version is None else version
     return {
@@ -368,27 +370,78 @@ def reference_model_to_dict(model, version: int | None = None) -> dict:
     }[model.model_type](model, version)
 
 
-def reference_model_text(model) -> str:
-    """A model file as save_model writes it: the current format, sealed."""
-    return reference_seal(json.dumps(reference_model_to_dict(model), indent=2, sort_keys=True) + "\n")
+def reference_model_file(model) -> bytes:
+    """A model file as save_model writes it: the current format, its arrays in the tail, sealed."""
+    return reference_seal(*reference_pack(reference_model_to_dict(model)))
 
 
-def reference_seal(text: str) -> str:
-    """The text of a JSON object sealed: a first key "sha256" holding the SHA-256 of the unsealed text."""
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert text.startswith("{\n")
-    return '{\n  "sha256": "' + digest + '",' + text[1:]
+def reference_pack(data) -> tuple[str, bytes]:
+    """(text, tail) of a file's fields: the JSON text, keys sorted and indented by two, with
+    each bytes value replaced by {"length": n, "offset": o}, and the tail, those bytes in
+    the order the text names them."""
+    tail = bytearray()
+
+    def placed(value):
+        if isinstance(value, bytes):
+            reference = {"length": len(value), "offset": len(tail)}
+            tail.extend(value)
+            return reference
+        if isinstance(value, dict):
+            return {key: placed(value[key]) for key in sorted(value)}
+        if isinstance(value, list):
+            return [placed(item) for item in value]
+        return value
+
+    return json.dumps(placed(data), indent=2, sort_keys=True) + "\n", bytes(tail)
 
 
-def _reference_blob(array) -> str:
-    """Base64 of the array's values in row-major order as little-endian IEEE doubles."""
+def reference_seal(text: str, tail: bytes = b"") -> bytes:
+    """A JSON object's text and tail sealed: a first key "sha256" holding the SHA-256 of the unsealed text and tail."""
+    digest = hashlib.sha256(text.encode("utf-8") + tail).hexdigest()
+    assert text.startswith("{\n") and text.endswith("\n}\n")
+    return ('{\n  "sha256": "' + digest + '",' + text[1:]).encode("utf-8") + tail
+
+
+def reference_open(raw: bytes) -> tuple[dict, bytes]:
+    """(fields, tail) of a sealed file: the JSON text up to the first line that is a lone
+    closing brace, parsed, without its "sha256" key, and the bytes after it."""
+    end = raw.index(b"\n}\n") + 3
+    fields = json.loads(raw[:end].decode("utf-8"))
+    del fields["sha256"]
+    return fields, raw[end:]
+
+
+def reference_resolve(fields, tail: bytes):
+    """fields with each {"length": n, "offset": o} object replaced by the n tail bytes from o.
+
+    This is the input of reference_pack, which makes the same file again."""
+    if isinstance(fields, dict):
+        if fields.keys() == {"length", "offset"}:
+            return tail[fields["offset"] : fields["offset"] + fields["length"]]
+        return {key: reference_resolve(value, tail) for key, value in fields.items()}
+    if isinstance(fields, list):
+        return [reference_resolve(item, tail) for item in fields]
+    return fields
+
+
+def _reference_doubles(array) -> bytes:
+    """The array's values in row-major order as little-endian IEEE doubles."""
     values = [float(v) for row in np.atleast_2d(array) for v in row]
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _reference_base64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
 
 
 def _reference_network(net, version: int) -> dict:
     """A network of a version-`version` model file; its own format_version is 2 since model version 2."""
-    encode_array = _reference_blob if version >= 2 else lambda array: array.tolist()
+
+    def encode_array(array):
+        if version < 2:
+            return array.tolist()
+        return _reference_doubles(array) if version >= 4 else _reference_base64(_reference_doubles(array))
+
     return {
         "format_version": min(version, 2),
         "layers": [
@@ -444,6 +497,8 @@ def _reference_ganomaly_to_dict(model, version: int) -> dict:
 def _reference_iforest_to_dict(model, version: int) -> dict:
     if version >= 3:
         trees = _reference_forest_arrays(model.trees)
+        if version < 5:
+            trees = {name: _reference_base64(data) for name, data in trees.items()}
     else:
         trees = [{"max_depth": t.max_depth, "root": _reference_nested_node(t.root, 0)} for t in model.trees]
     return {
@@ -473,7 +528,7 @@ def _reference_nested_node(node, depth: int) -> dict:
 
 
 def _reference_forest_arrays(trees) -> dict:
-    """The forest of versions 3 and 4: per tree its nodes in preorder, found with an explicit stack.
+    """The forest arrays of versions 3 to 5: per tree its nodes in preorder, found with an explicit stack.
 
     Each array is packed with struct as little-endian int32 (``i``) or
     float64 (``d``); children are indices within their tree, and a leaf has
@@ -497,8 +552,6 @@ def _reference_forest_arrays(trees) -> dict:
             columns["right"].append(position[id(node.right)] if split else -1)
             columns["size"].append(0 if split else node.size)
     return {
-        name: base64.b64encode(
-            struct.pack(f"<{len(values)}{'d' if name == 'threshold' else 'i'}", *values)
-        ).decode("ascii")
+        name: struct.pack(f"<{len(values)}{'d' if name == 'threshold' else 'i'}", *values)
         for name, values in columns.items()
     }

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import re
 import warnings
 
@@ -99,7 +98,7 @@ class TestTraining:
 
         def fit():
             model, trace = train_ae(data[:36], config, seed=4, validation=data[36:])
-            return json.dumps(encode(model)), dataclasses.asdict(trace)
+            return encode(model), dataclasses.asdict(trace)
 
         fitted = fit()
         monkeypatch.setattr(autoencoder, "backward", lambda net, cache, g, **_: reference_backward(net, cache, g))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import base64
 import csv
 import json
 import logging
@@ -13,13 +12,20 @@ import numpy as np
 import pytest
 
 from fetalguard.cli import main
-from fetalguard.config import DETECTORS, load_config
+from fetalguard.config import DETECTORS, encode, load_config
 from fetalguard.experiment import fit_detector
 from fetalguard.iforest import MAX_SUBSAMPLE, depth_limit
 from fetalguard.ingest import ClassLabel, SignalRecord
 from fetalguard.persistence import save_model
 from fetalguard.preprocess import FeatureVector, read_features_csv, write_features_csv
-from oracles import CURRENT_FORMAT, reference_model_to_dict, reference_seal
+from oracles import (
+    CURRENT_FORMAT,
+    reference_model_to_dict,
+    reference_open,
+    reference_pack,
+    reference_resolve,
+    reference_seal,
+)
 
 TINY_MODELS = {
     "iforest": {"n_trees": 5},
@@ -107,7 +113,7 @@ def test_pipeline_subcommands_chain(dataset, config_file, tmp_path, capsys):
             "--out", str(trained),
         ]
     ) == 0
-    model_data = json.loads((trained / "model.json").read_text())
+    model_data = _model_fields(trained / "model.json")
     assert model_data["model_type"] == "iforest"
     assert model_data["tau"] is not None
 
@@ -255,19 +261,23 @@ def model_files(features_file, tmp_path_factory):
         save_model(fitted.model, files[name])
         # and unsealed in each older format, as the reference encoder writes it, and in the current one
         for version in range(1, CURRENT_FORMAT[name] + 1):
+            text, tail = reference_pack(reference_model_to_dict(fitted.model, version))
             files[f"{name}_v{version}"] = out / f"{name}_v{version}.json"
-            text = json.dumps(reference_model_to_dict(fitted.model, version), indent=2, sort_keys=True) + "\n"
-            files[f"{name}_v{version}"].write_text(text, encoding="utf-8")
+            files[f"{name}_v{version}"].write_bytes(text.encode("utf-8") + tail)
     return files
+
+
+def _model_fields(path) -> dict:
+    """A sealed model file's fields, each array as the bytes its reference names."""
+    return reference_resolve(*reference_open(path.read_bytes()))
 
 
 def _edited_copy(path, tmp_path, edit):
     """A copy of a model file as edit(its fields) leaves them, sealed again as save_model seals."""
-    data = json.loads(path.read_text())
-    del data["sha256"]
+    data = _model_fields(path)
     edit(data)
     out = tmp_path / path.name
-    out.write_text(reference_seal(json.dumps(data, indent=2, sort_keys=True) + "\n"), encoding="utf-8")
+    out.write_bytes(reference_seal(*reference_pack(data)))
     return out
 
 
@@ -296,8 +306,7 @@ def _edited_weights(edit):
 
     def apply(name, data):
         layer = _first_layer(name, data)
-        values = np.frombuffer(base64.b64decode(layer["weights"]), dtype="<f8")
-        layer["weights"] = base64.b64encode(edit(values).astype("<f8").tobytes()).decode("ascii")
+        layer["weights"] = edit(np.frombuffer(layer["weights"], dtype="<f8")).astype("<f8").tobytes()
 
     return apply
 
@@ -309,7 +318,7 @@ FOREST_DTYPES = {
 
 
 def _forest_arrays(forest) -> dict:
-    return {key: np.frombuffer(base64.b64decode(blob), dtype=FOREST_DTYPES[key]).copy() for key, blob in forest.items()}
+    return {key: np.frombuffer(blob, dtype=FOREST_DTYPES[key]).copy() for key, blob in forest.items()}
 
 
 def _edited_forest(edit):
@@ -319,10 +328,7 @@ def _edited_forest(edit):
         arrays = _forest_arrays(data["trees"])
         assert arrays["feature"][0] >= 0
         edit(arrays)
-        data["trees"] = {
-            key: base64.b64encode(values.astype(FOREST_DTYPES[key]).tobytes()).decode("ascii")
-            for key, values in arrays.items()
-        }
+        data["trees"] = {key: values.astype(FOREST_DTYPES[key]).tobytes() for key, values in arrays.items()}
 
     return apply
 
@@ -362,7 +368,6 @@ ARTIFACT_DEFECTS = {
     "preprocess value of the wrong type": lambda name, data: data.update(preprocess={"median_window": "5"}),
     "preprocess with an even median_window": lambda name, data: data.update(preprocess={"median_window": 4}),
     "unknown score_mode": lambda name, data: data.update(score_mode="bogus"),
-    "weight blob not base64": lambda name, data: _first_layer(name, data).update(weights="not base64!"),
     "weight blob one float short": _edited_weights(lambda values: values[:-1]),
     "weight blob holding a NaN": _edited_weights(lambda values: np.concatenate([[np.nan], values[1:]])),
     "weight list where a blob belongs": lambda name, data: _first_layer(name, data).update(
@@ -375,12 +380,7 @@ ARTIFACT_DEFECTS = {
     "unknown key in a layer": lambda name, data: _first_layer(name, data).update(dropout=0.5),
     "forest without an array": lambda name, data: data["trees"].pop("size"),
     "forest with an unknown array": lambda name, data: data["trees"].update(depth=data["trees"]["size"]),
-    "forest array not base64": lambda name, data: data["trees"].update(  # a line break inside
-        threshold=data["trees"]["threshold"][:8] + "\n" + data["trees"]["threshold"][8:]
-    ),
-    "forest array of a partial value": lambda name, data: data["trees"].update(
-        feature=base64.b64encode(base64.b64decode(data["trees"]["feature"])[:-1]).decode("ascii")
-    ),
+    "forest array of a partial value": lambda name, data: data["trees"].update(feature=data["trees"]["feature"][:-1]),
     "forest array of the wrong length": _edited_forest(lambda a: a.update(size=a["size"][:-1])),
     "forest node counts off the arrays": _set_in_forest("node_counts", 0, lambda a: a["node_counts"][0] + 1),
     "forest tree of no nodes": _set_in_forest("node_counts", 0, 0),
@@ -404,7 +404,6 @@ DEFECT_MESSAGES = {
     "unknown key in a layer": "unknown key 'dropout' in layer 0",
     "forest without an array": "forest must be an object of the arrays",
     "forest with an unknown array": "forest must be an object of the arrays",
-    "forest array not base64": "forest array threshold is not a base64 string",
     "forest array of a partial value": "forest array feature holds",
     "forest array of the wrong length": "node arrays hold",
     "forest node counts off the arrays": "node arrays hold",
@@ -429,7 +428,6 @@ DEFECT_MODELS = {
     "layer alpha not finite (Infinity)": ("ae", "ganomaly"),
     "unknown key in a network": ("ae", "ganomaly"),
     "unknown key in a layer": ("ae", "ganomaly"),
-    "weight blob not base64": ("ae", "ganomaly"),
     "weight blob one float short": ("ae", "ganomaly"),
     "weight blob holding a NaN": ("ae", "ganomaly"),
     "weight list where a blob belongs": ("ae", "ganomaly"),
@@ -454,6 +452,48 @@ def test_bad_model_artifact_is_a_one_line_config_error(
     assert main(["calibrate", "--model-file", str(bad), "--features", str(features_file)]) == 2
     err = _one_line_error(capsys)
     assert str(bad) in err and DEFECT_MESSAGES.get(defect, "") in err
+
+
+def _references(fields) -> list:
+    """The array references of a model file's fields, in the order of their bytes in the tail."""
+    if isinstance(fields, dict) and fields.keys() == {"length", "offset"}:
+        return [fields]
+    children = fields.values() if isinstance(fields, dict) else fields if isinstance(fields, list) else []
+    return sorted((ref for child in children for ref in _references(child)), key=lambda ref: ref["offset"])
+
+
+def _last_array_past_the_tail(fields, tail):
+    _references(fields)[-1]["length"] += 8
+    return tail
+
+
+def _second_array_over_the_first(fields, tail):
+    first, second = _references(fields)[:2]
+    second["offset"] = first["offset"]
+    return tail
+
+
+# defects of a model file's array references and tail, each sealed again, and what the error names
+TAIL_DEFECTS = {
+    "an array past the end of the tail": (_last_array_past_the_tail, "runs past the end of the"),
+    "tail bytes no array covers": (lambda fields, tail: tail + bytes(8), "belong to no array"),
+    "two arrays over the same bytes": (_second_array_over_the_first, "arrays overlap at tail byte 0"),
+}
+
+
+@pytest.mark.parametrize("defect", list(TAIL_DEFECTS))
+@pytest.mark.parametrize("name", list(DETECTORS))
+def test_a_model_file_whose_arrays_do_not_tile_its_tail_is_a_one_line_config_error(
+    name, defect, model_files, features_file, tmp_path, capsys
+):
+    edit, message = TAIL_DEFECTS[defect]
+    fields, tail = reference_open(model_files[name].read_bytes())
+    tail = edit(fields, tail)
+    bad = tmp_path / "model.json"
+    bad.write_bytes(reference_seal(json.dumps(fields, indent=2, sort_keys=True) + "\n", tail))
+    assert main(["calibrate", "--model-file", str(bad), "--features", str(features_file)]) == 2
+    err = _one_line_error(capsys)
+    assert err.startswith(f"error: {bad}: ") and message in err
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -487,10 +527,9 @@ def test_train_reads_its_config_once(features_file, config_file, tmp_path, monke
          "--config", str(config_file), "--out", str(out)]
     ) == 0
     assert len(reads) == 1
-    model_data = json.loads((out / "model.json").read_text())
-    assert model_data["preprocess"] == load_config(config_file, required=()).preprocess.to_dict()
-    node_counts = base64.b64decode(model_data["trees"]["node_counts"])
-    assert len(node_counts) == 4 * 25  # one int32 per tree, as the model section of the same file asks
+    model_data = _model_fields(out / "model.json")
+    assert model_data["preprocess"] == encode(load_config(config_file, required=()).preprocess)
+    assert len(model_data["trees"]["node_counts"]) == 4 * 25  # one int32 per tree, as the model section asks
 
 
 UNSEALED = [(name, version) for name, current in CURRENT_FORMAT.items() for version in range(1, current + 1)]
@@ -506,6 +545,22 @@ def test_an_older_or_unsealed_artifact_is_refused_with_one_line(
     assert main(["calibrate", "--model-file", str(old), "--features", str(features_file)]) == 2
     assert _one_line_error(capsys) == (
         f"error: {old}: unsupported {name} format version {version} without a seal: "
+        f"only sealed version {CURRENT_FORMAT[name]} files are read, so re-train the model\n"
+    )
+    assert old.read_bytes() == before
+
+
+OLDER = [(name, version) for name, current in CURRENT_FORMAT.items() for version in range(1, current)]
+
+
+@pytest.mark.parametrize("name, version", OLDER, ids=[f"{name}-{version}" for name, version in OLDER])
+def test_an_older_sealed_artifact_is_refused_with_one_line(name, version, model_files, features_file, tmp_path, capsys):
+    old = tmp_path / "model.json"
+    old.write_bytes(reference_seal(model_files[f"{name}_v{version}"].read_text(encoding="utf-8")))
+    before = old.read_bytes()
+    assert main(["calibrate", "--model-file", str(old), "--features", str(features_file)]) == 2
+    assert _one_line_error(capsys) == (
+        f"error: {old}: unsupported {name} format version {version}: "
         f"only sealed version {CURRENT_FORMAT[name]} files are read, so re-train the model\n"
     )
     assert old.read_bytes() == before
@@ -531,27 +586,26 @@ def trained_by_cli(tmp_path_factory):
     return files, features, base / "signals" / "syn0000.csv"
 
 
-# where a damaged file changes one base64 character: near the start of the array that the key
-# after the network or forest name holds
-DAMAGED_ARRAY = {"ae": ('"decoder": {', '"weights": "'), "ganomaly": ('"encoder1": {', '"weights": "'),
-                 "iforest": ('"trees": {', '"threshold": "')}
-
-
-@pytest.mark.parametrize("damage", ["one base64 character", "truncated to valid JSON", "re-indented"])
+@pytest.mark.parametrize(
+    "damage", ["one tail byte", "truncated in the tail", "truncated to valid JSON", "re-indented"]
+)
 @pytest.mark.parametrize("name", list(DETECTORS))
 def test_score_and_calibrate_refuse_a_damaged_model_file(name, damage, trained_by_cli, tmp_path, capsys):
     files, features, signal = trained_by_cli
-    text = files[name].read_text(encoding="utf-8")
+    raw = files[name].read_bytes()
+    tail = reference_open(raw)[1]
+    text = raw[: len(raw) - len(tail)]
     if damage == "re-indented":
-        text = json.dumps(json.loads(text), indent=4)
-    elif damage == "truncated to valid JSON":  # the keys from preprocess on are lost
-        text = text[: text.index(',\n  "preprocess"')] + "\n}\n"
-    else:
-        within, array = DAMAGED_ARRAY[name]
-        i = text.index(array, text.index(within)) + len(array) + 4
-        text = text[:i] + ("B" if text[i] == "A" else "A") + text[i + 1 :]
+        damaged = json.dumps(json.loads(text), indent=4).encode() + b"\n" + tail
+    elif damage == "truncated to valid JSON":  # the keys from preprocess on, and the tail, are lost
+        damaged = text[: text.index(b',\n  "preprocess"')] + b"\n}\n"
+    elif damage == "truncated in the tail":
+        damaged = raw[: len(text) + len(tail) // 2]
+    else:  # one bit of a byte in the middle of the tail
+        i = len(text) + len(tail) // 2
+        damaged = raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1 :]
     bad = tmp_path / "model.json"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_bytes(damaged)
     capsys.readouterr()
     assert main(["score", "--model-file", str(files[name]), "--signal", str(signal)]) == 0
     assert capsys.readouterr().out.startswith("syn0000,")
@@ -559,7 +613,21 @@ def test_score_and_calibrate_refuse_a_damaged_model_file(name, damage, trained_b
         assert main([command, "--model-file", str(bad), *data]) == 2
         message = f"error: {bad}: model file is damaged: its sha256 seal does not match its contents"
         assert _one_line_error(capsys) == message + "\n"
-    assert bad.read_text(encoding="utf-8") == text
+    assert bad.read_bytes() == damaged
+
+
+@pytest.mark.parametrize("record_id", ["a,b", 'say "hi"'])
+def test_score_quotes_a_record_id_that_holds_a_comma_or_a_quote(record_id, trained_by_cli, tmp_path, capsys):
+    files, _, signal = trained_by_cli
+    renamed = tmp_path / f"{record_id}.csv"
+    shutil.copy(signal, renamed)
+    capsys.readouterr()
+    assert main(["score", "--model-file", str(files["ae"]), "--signal", str(signal)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["score", "--model-file", str(files["ae"]), "--signal", str(renamed)]) == 0
+    quoted = capsys.readouterr().out
+    assert quoted == '"' + record_id.replace('"', '""') + '"' + plain[len(signal.stem) :]
+    assert next(csv.reader([quoted])) == [record_id, *plain.rstrip("\n").split(",")[1:]]
 
 
 @pytest.mark.parametrize("name", ["ae", "ganomaly", "iforest"])
@@ -594,7 +662,7 @@ def test_calibrate_applies_an_override(name, flag, field, model_files, features_
     shutil.copy(model_files[name], model_file)
     argv = ["calibrate", "--model-file", str(model_file), "--features", str(features_file)]
     assert main(argv + [flag, "0.2"]) == 0
-    assert json.loads(model_file.read_text())[field] == 0.2
+    assert _model_fields(model_file)[field] == 0.2
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from oracles import reference_backward
+from oracles import reference_backward, reference_open
 
 from fetalguard import ganomaly
 from fetalguard.autoencoder import AeModel
@@ -240,7 +239,7 @@ def test_skipping_discarded_gradients_trains_the_model_the_full_backward_pass_tr
 
     def fit():
         model, trace = train_ganomaly(normals[:32], config, seed=8, validation=normals[32:])
-        return json.dumps(encode(model)), dataclasses.asdict(trace)
+        return encode(model), dataclasses.asdict(trace)
 
     fitted = fit()
     monkeypatch.setattr(ganomaly, "backward", lambda net, cache, g, **_: reference_backward(net, cache, g))
@@ -511,7 +510,7 @@ def test_model_json_roundtrip_fields(tmp_path):
     model, _ = train_ganomaly(normals, TINY, seed=32)
     model.tau = 1.5
     save_model(model, tmp_path / "model.json")
-    data = json.loads((tmp_path / "model.json").read_text())
+    data = reference_open((tmp_path / "model.json").read_bytes())[0]
     assert data["lambda_c"] == 50.0 and data["k_sigma"] == 5.0
     restored = load_model(tmp_path / "model.json")
     assert restored.tau == 1.5

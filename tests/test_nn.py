@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import base64
 import json
 import math
 import struct
@@ -331,8 +330,7 @@ class TestInitNetwork:
 
 def test_serialization_roundtrip_is_exact():
     net = init_network([(5, 4, "leaky_relu", 0.2), (4, 1, "sigmoid")], seed=13)
-    encoded = json.dumps(network_to_dict(net))
-    restored = network_from_dict(json.loads(encoded))
+    restored = network_from_dict(network_to_dict(net))
     for a, b in zip(net.layers, restored.layers):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
@@ -361,22 +359,22 @@ def test_a_version_1_network_is_refused():
 def test_a_boolean_in_place_of_a_layer_array_is_refused(array, value):
     data = network_to_dict(init_network([(2, 3, "relu")], seed=0))
     data["layers"][0][array] = value
-    with pytest.raises(ConfigError, match=f"^layer {array} array is not a base64 string$"):
+    with pytest.raises(ConfigError, match=f"^layer {array} array is not an array reference$"):
         network_from_dict(data)
 
 
 @pytest.mark.parametrize("alpha", ["NaN", "Infinity", "-Infinity", "1e400", "true", '"0.2"', "[0.2]"])
 def test_a_layer_alpha_that_is_not_a_finite_number_is_refused(alpha):
     data = network_to_dict(init_network([(2, 3, "leaky_relu", 0.2)], seed=0))
-    text = json.dumps(data).replace('"alpha": 0.2', f'"alpha": {alpha}')
+    data["layers"][0]["alpha"] = json.loads(alpha)
     with pytest.raises(ConfigError, match="^layer alpha .* is not a finite number$"):
-        network_from_dict(json.loads(text))
+        network_from_dict(data)
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 0.2])
 def test_a_finite_layer_alpha_loads_as_a_float(alpha):
     data = network_to_dict(init_network([(2, 3, "leaky_relu", alpha)], seed=0))
-    restored = network_from_dict(json.loads(json.dumps(data)))
+    restored = network_from_dict(data)
     assert type(restored.layers[0].alpha) is float and restored.layers[0].alpha == alpha
 
 
@@ -391,15 +389,15 @@ def _set_in_dim(layer, value):
         (lambda layer: _set_in_dim(layer, 0), "positive integers"),
         (lambda layer: _set_in_dim(layer, 2.0), "positive integers"),
         (lambda layer: layer.pop("out_dim"), "positive integers"),
-        (lambda layer: layer.update(weights=[[0.5, 0.5, 0.5]] * 2), "not a base64 string"),
-        (lambda layer: layer.update(weights="AAAA*AAA"), "not a base64 string"),
-        (lambda layer: layer.update(weights="AAAAAAAAAAAé"), "not a base64 string"),
-        (lambda layer: layer.update(weights=layer["weights"][:4] + "\n" + layer["weights"][4:]), "not a base64"),
+        (lambda layer: layer.update(weights=[[0.5, 0.5, 0.5]] * 2), "not an array reference"),
+        (lambda layer: layer.update(weights=layer["weights"].hex()), "not an array reference"),
+        (lambda layer: layer.update(weights=bytes(8 * 7)), "56 bytes"),
+        (lambda layer: layer.update(weights=layer["weights"][:4] + b"\n" + layer["weights"][4:]), "49 bytes"),
         (lambda layer: layer.update(biases=layer["weights"]), "bytes"),
-        (lambda layer: layer.update(weights=base64.b64encode(bytes(8 * 5)).decode()), "40 bytes"),
-        (lambda layer: layer.update(biases=base64.b64encode(struct.pack("<3d", 0, math.nan, 0)).decode()), "finite"),
+        (lambda layer: layer.update(weights=bytes(8 * 5)), "40 bytes"),
+        (lambda layer: layer.update(biases=struct.pack("<3d", 0, math.nan, 0)), "finite"),
     ],
-    ids=["in_dim bool", "in_dim 0", "in_dim float", "no out_dim", "a list", "not base64", "not ASCII",
+    ids=["in_dim bool", "in_dim 0", "in_dim float", "no out_dim", "a list", "a string", "one float long",
          "a line break", "weights for biases", "one float short", "a NaN"],
 )
 def test_a_malformed_version_2_layer_is_a_config_error(edit, message):
@@ -411,7 +409,7 @@ def test_a_malformed_version_2_layer_is_a_config_error(edit, message):
 
 def test_loaded_parameters_are_writable_and_train():
     net = init_network([(3, 2, "relu")], seed=0)
-    restored = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+    restored = network_from_dict(network_to_dict(net))
     params = restored.parameters()
     assert all(p.flags.writeable and p.flags.c_contiguous and p.dtype == np.float64 for p in params)
     adam_step(params, [np.ones_like(p) for p in params], AdamState.for_params(params))

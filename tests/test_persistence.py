@@ -20,7 +20,7 @@ from fetalguard.ingest import ClassLabel
 from fetalguard.nn import DenseNetwork
 from fetalguard.persistence import load_model, save_model
 from fetalguard.preprocess import FeatureVector, PreprocessConfig
-from oracles import reference_model_text, reference_model_to_dict, reference_seal
+from oracles import reference_model_file, reference_model_to_dict, reference_open, reference_seal
 
 FEATURE_DIM = 16
 TINY_MODELS = {
@@ -60,17 +60,17 @@ def models():
 
 @pytest.fixture(scope="module")
 def artifacts(models, tmp_path_factory):
+    """(fields, tail) of each model's file: its unsealed fields, arrays as references into the tail."""
     out = tmp_path_factory.mktemp("artifacts")
     data = {}
     for name, model in models.items():
         save_model(model, out / f"{name}.json")
-        data[name] = json.loads((out / f"{name}.json").read_text())
-        del data[name]["sha256"]
+        data[name] = reference_open((out / f"{name}.json").read_bytes())
     return data
 
 
-def _sealed_text(data) -> str:
-    return reference_seal(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _sealed(fields, tail: bytes) -> bytes:
+    return reference_seal(json.dumps(fields, indent=2, sort_keys=True) + "\n", tail)
 
 
 def _networks(model) -> dict:
@@ -81,12 +81,25 @@ def _networks(model) -> dict:
 def test_save_model_writes_the_reference_format(name, models, tmp_path):
     path = tmp_path / "model.json"
     save_model(models[name], path)
-    assert path.read_text() == reference_model_text(models[name])
+    assert path.read_bytes() == reference_model_file(models[name])
     if name != "iforest":
-        assert '"k_sigma": 2,' in path.read_text()
+        assert b'"k_sigma": 2,' in path.read_bytes()
     resaved = tmp_path / "resaved.json"
     save_model(load_model(path), resaved)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(DETECTORS))
+def test_a_change_to_any_tail_byte_is_refused_by_the_seal(name, models, tmp_path):
+    path, damaged = tmp_path / "model.json", tmp_path / "damaged.json"
+    save_model(models[name], path)
+    raw = path.read_bytes()
+    start = len(raw) - len(reference_open(raw)[1])
+    for i in [*range(start, len(raw), max(1, (len(raw) - start) // 40)), len(raw) - 1]:
+        damaged.unlink(missing_ok=True)
+        damaged.write_bytes(raw[:i] + bytes([raw[i] ^ 0x80]) + raw[i + 1 :])
+        with pytest.raises(ConfigError, match="model file is damaged: its sha256 seal does not match its contents$"):
+            load_model(damaged)
 
 
 def test_a_model_write_that_fails_partway_leaves_the_previous_file(models, tmp_path, monkeypatch):
@@ -136,7 +149,7 @@ def test_a_version_1_iforest_file_is_refused_and_left_as_it_is(models, tmp_path)
         load_model(path)
     assert str(refused.value) == (
         f"{path}: unsupported iforest format version 1 without a seal: "
-        "only sealed version 4 files are read, so re-train the model"
+        "only sealed version 5 files are read, so re-train the model"
     )
     assert path.read_bytes() == before
 
@@ -162,7 +175,7 @@ def test_a_saved_forest_loads_node_for_node(forest_file, n, dim, levels, subsamp
     model.tau = 0.5
     queries = np.vstack([data, rng.normal(size=(10, dim)) * 3.0])
     save_model(model, forest_file)
-    assert forest_file.read_text() == reference_model_text(model)
+    assert forest_file.read_bytes() == reference_model_file(model)
     loaded = load_model(forest_file)
     assert loaded.trees == model.trees
     assert if_scores(loaded, queries).tobytes() == if_scores(model, queries).tobytes()
@@ -206,16 +219,21 @@ def test_a_value_nested_up_to_the_recursion_limit_is_a_config_error(kind, models
     path = tmp_path / "deep.json"
     if kind == "model":
         save_model(models["iforest"], path)
-        data, load, seal = {**json.loads(path.read_text()), "tau": "@"}, load_model, reference_seal
-        del data["sha256"]
+        fields, tail = reference_open(path.read_bytes())
+        data, load = {**fields, "tau": "@"}, load_model
+
+        def seal(text):
+            return reference_seal(text, tail)
     else:
         data, load = {"data": {"synth": {}}, "model": {"ae": {}}, "eval": {"seeds": "@"}}, load_config
-        seal = str
+
+        def seal(text):
+            return text.encode("utf-8")
     limit = sys.getrecursionlimit()
     for depth in range(limit - 150, limit + 10):
         path.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per depth
         text = json.dumps(data, indent=2, sort_keys=True).replace('"@"', "[" * depth + "]" * depth)
-        path.write_text(seal(text + "\n"))
+        path.write_bytes(seal(text + "\n"))
         with pytest.raises(ConfigError, match="deep.json"):
             load(path)
 
@@ -256,13 +274,14 @@ def _paths(data, prefix=()):
 @given(st.data())
 def test_a_corrupted_artifact_is_a_config_error_or_a_model_that_scores(artifacts, fuzz_file, data):
     name = data.draw(st.sampled_from(sorted(artifacts)), label="model")
+    fields, tail = artifacts[name]
     by_depth: dict = {}  # shallow keys are few, so a depth is drawn first
-    for path in _paths(artifacts[name]):
+    for path in _paths(fields):
         by_depth.setdefault(len(path), []).append(path)
     depth = data.draw(st.sampled_from(sorted(by_depth)), label="depth")
     path = data.draw(st.sampled_from(by_depth[depth]), label="path")
     edit = data.draw(st.just(DROP) | JSON_VALUES, label="value")
-    corrupted = copy.deepcopy(artifacts[name])
+    corrupted = copy.deepcopy(fields)
     parent = corrupted
     for key in path[:-1]:
         parent = parent[key]
@@ -271,7 +290,7 @@ def test_a_corrupted_artifact_is_a_config_error_or_a_model_that_scores(artifacts
     else:
         parent[path[-1]] = edit
     fuzz_file.unlink(missing_ok=True)  # a new file: truncating one can cost tens of ms per example
-    fuzz_file.write_text(_sealed_text(corrupted), encoding="utf-8")
+    fuzz_file.write_bytes(_sealed(corrupted, tail))
     try:
         model = load_model(fuzz_file)
     except ConfigError:

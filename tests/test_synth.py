@@ -10,7 +10,14 @@ from fetalguard import synth
 from fetalguard.errors import ConfigError
 from fetalguard.ingest import ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord, assign_label, load_collection
 from fetalguard.preprocess import PreprocessConfig, preprocess_collection
-from fetalguard.synth import SynthParams, _add_plateau, generate_dataset, generate_record, write_dataset
+from fetalguard.synth import (
+    SynthParams,
+    SyntheticDataset,
+    _add_plateau,
+    generate_dataset,
+    generate_record,
+    write_dataset,
+)
 from oracles import reference_add_plateau, reference_write_dataset
 
 
@@ -161,7 +168,7 @@ class TestWriteDataset:
 
         def spy(record, *args):
             pids.append(os.getpid())
-            write_signal(record, *args)
+            return write_signal(record, *args)
 
         monkeypatch.setattr(synth, "_write_signal", spy)
         records = generate_dataset(3, 1, seed=4)
@@ -173,6 +180,25 @@ class TestWriteDataset:
             assert pids == written_here  # at 1 core, the spy sees every write
             assert len(list((out / "signals").glob("*.csv"))) == 4
             assert (out / "metadata.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="signal files are written in forked workers only where fork exists")
+    def test_a_synthetic_dataset_is_synthesized_only_in_the_workers(self, tmp_path, set_cores, monkeypatch):
+        pids = []  # of the records synthesized in this process
+        dataset_record = synth.dataset_record
+
+        def spy(*args):
+            pids.append(os.getpid())
+            return dataset_record(*args)
+
+        monkeypatch.setattr(synth, "dataset_record", spy)
+        set_cores(2)
+        records = SyntheticDataset(3, 1, seed=4)
+        assert len(records) == 4 and records[-1].record.record_id == "syn0003"
+        pids.clear()
+        write_dataset(records, tmp_path / "synthesized")
+        assert pids == []
+        write_dataset(generate_dataset(3, 1, seed=4), tmp_path / "held")
+        assert _tree(tmp_path / "synthesized") == _tree(tmp_path / "held")
 
     def test_no_records_write_the_metadata_header_and_no_signals_directory(self, tmp_path, set_cores):
         set_cores(3)
