@@ -200,11 +200,19 @@ def ae_scores(model: AeModel, samples) -> np.ndarray:
 def calibrate_threshold(training_scores, k: float) -> float:
     """tau = mean + k * population standard deviation of the training scores.
 
-    Raises TrainingError on a non-finite training score.
+    Raises TrainingError on a non-finite training score, and when tau
+    overflows, so that no model is calibrated to an infinite threshold.
     """
     scores = np.asarray(training_scores, dtype=float)
     if scores.size < 2:
         raise ConfigError(f"need at least 2 scores to calibrate, got {scores.size}")
     if not np.isfinite(scores).all():
         raise TrainingError("cannot calibrate on a non-finite training score")
-    return float(scores.mean() + k * scores.std())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
+        mean, std = scores.mean(), scores.std()
+        tau = float(mean + k * std)
+    if not np.isfinite(tau):
+        raise TrainingError(
+            f"threshold mean + k * std is not finite (k={k!r}, mean={float(mean)!r}, std={float(std)!r})"
+        )
+    return tau

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -230,7 +231,25 @@ def cmd_run(args) -> int:
     return 0
 
 
+# subcommand -> its handler. main looks the handler up on each call, so a
+# rebinding made after the parser was built (a wrapper put in this table) runs.
+COMMANDS = {
+    "synth": cmd_synth,
+    "ingest": cmd_ingest,
+    "preprocess": cmd_preprocess,
+    "split": cmd_split,
+    "train": cmd_train,
+    "calibrate": cmd_calibrate,
+    "evaluate": cmd_evaluate,
+    "score": cmd_score,
+    "curves": cmd_curves,
+    "run": cmd_run,
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one in the process."""
     parser = argparse.ArgumentParser(
         prog="fetalguard",
         description="Semi-supervised abnormality detection for fetal heart rate recordings.",
@@ -242,27 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abnormal", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="load recordings and report class counts")
     p.add_argument("--signals", required=True, help="directory of per-record signal CSVs")
     p.add_argument("--metadata", required=True, help="metadata CSV")
     p.add_argument("--out", help="optional directory for index.csv and skipped.json")
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("preprocess", help="clean signals and write feature vectors")
     p.add_argument("--signals", required=True)
     p.add_argument("--metadata", required=True)
     p.add_argument("--config", help="experiment config supplying the preprocess section")
     p.add_argument("--out", required=True, help="output features CSV")
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("split", help="stratified train/test split of a features file")
     p.add_argument("--features", required=True)
     p.add_argument("--test-fraction", type=float, default=0.10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one detector on a training features file")
     p.add_argument("--model", required=True, choices=list(DETECTORS))
@@ -270,30 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment config supplying model/split sections")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="recompute a model's threshold from features")
     p.add_argument("--model-file", required=True)
     p.add_argument("--features", required=True, help="calibration (training) features CSV")
     p.add_argument("--k", type=float, help="override k in tau = mean + k*std (ae, ganomaly)")
     p.add_argument("--contamination", type=float, help="override contamination (iforest)")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("evaluate", help="score labeled features and write a report")
     p.add_argument("--model-file", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("score", help="score one raw signal CSV with a trained model")
     p.add_argument("--model-file", required=True)
     p.add_argument("--signal", required=True, help="signal CSV (time_s,fhr_bpm)")
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("curves", help="PR/ROC curves and SVG from a scores CSV")
     p.add_argument("--scores", required=True, help="CSV with record_id,label,score")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("run", help="full experiment from a config file")
     p.add_argument("--config", required=True)
@@ -301,17 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the base seed")
     p.add_argument("--seeds", type=int, help="number of repeated runs")
     p.add_argument("--out", help="override the output directory")
-    p.set_defaults(func=cmd_run)
 
     return parser
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

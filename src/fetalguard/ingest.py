@@ -110,14 +110,6 @@ class SkippedRecord:
     reason: str
 
 
-@dataclass
-class LoadResult:
-    """Outcome of loading a directory of recordings: kept records plus a skip report."""
-
-    records: list[LabeledRecord]
-    skipped: list[SkippedRecord]
-
-
 def parse_record_csv(text: str, record_id: str) -> SignalRecord:
     """Parse one signal CSV into a SignalRecord.
 
@@ -292,16 +284,6 @@ def read_metadata_csv(path: str | Path) -> dict[str, ClinicalMetadata]:
         except ValueError as exc:  # pH or Apgar outside its range
             raise ParseError(f"{path}: {exc}", line=line_no) from None
     return out
-
-
-def load_collection(signal_dir: str | Path, metadata_file: str | Path) -> LoadResult:
-    """Load every ``<record_id>.csv`` under signal_dir, attach metadata, assign labels.
-
-    Per-record problems (orphan signal, unparseable file, missing pH/Apgar1) are
-    collected into the skip report; the call fails only if zero records load.
-    """
-    records, skipped = load_each(signal_dir, metadata_file, lambda item: item)
-    return LoadResult(records=records, skipped=skipped)
 
 
 def load_each(signal_dir: str | Path, metadata_file: str | Path, function) -> tuple[list, list[SkippedRecord]]:

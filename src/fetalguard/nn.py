@@ -86,6 +86,8 @@ def _activate(name: str, alpha: float, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "leaky_relu":
+        if 0.0 < alpha < 1.0:  # the np.where form's values; at alpha 0 they differ at z = +inf
+            return np.maximum(z, alpha * z)
         return np.where(z > 0.0, z, alpha * z)
     if name == "sigmoid":
         # split by sign for numerical stability at large |z|
@@ -99,13 +101,14 @@ def _activate(name: str, alpha: float, z: np.ndarray) -> np.ndarray:
 
 
 def _activation_grad(name: str, alpha: float, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """d activation / dz; not for identity, whose gradient backward passes through unchanged."""
     if name == "relu":
-        return (z > 0.0).astype(float)
+        return z > 0.0
     if name == "leaky_relu":
+        if 0.0 <= alpha < 1.0:  # exactly 1.0 or alpha
+            return alpha + (z > 0.0) * (1.0 - alpha)
         return np.where(z > 0.0, 1.0, alpha)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(z)
+    return a * (1.0 - a)  # sigmoid
 
 
 @dataclass
@@ -128,7 +131,8 @@ def forward(net: DenseNetwork, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     inputs, pres, acts = [], [], []
     for layer in net.layers:
         inputs.append(h)
-        z = h @ layer.weights + layer.biases
+        z = h @ layer.weights
+        z += layer.biases
         a = _activate(layer.activation, layer.alpha, z)
         pres.append(z)
         acts.append(a)
@@ -163,7 +167,9 @@ def backward(
     grads: list[np.ndarray] = [np.empty(0)] * (2 * len(net.layers)) if param_grads else []
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        dz = d * _activation_grad(layer.activation, layer.alpha, cache.pre_activations[i], cache.activations[i])
+        dz = d
+        if layer.activation != "identity":
+            dz = d * _activation_grad(layer.activation, layer.alpha, cache.pre_activations[i], cache.activations[i])
         if param_grads:
             grads[2 * i] = cache.inputs[i].T @ dz
             grads[2 * i + 1] = dz.sum(axis=0)

@@ -219,7 +219,7 @@ def preprocess_collection(records, config: PreprocessConfig | None = None) -> Pr
 def preprocess_files(
     signal_dir: str | Path, metadata_file: str | Path, config: PreprocessConfig
 ) -> tuple[PreprocessReport, list[SkippedRecord]]:
-    """preprocess_collection of load_collection's records, and its skip report, in one pass.
+    """preprocess_collection of the records load_each reads, and its skip report, in one pass.
 
     Each file is read and preprocessed in the worker that reads it
     (ingest.load_each), so only its features or its reason come back.

@@ -8,10 +8,10 @@ isolation-forest scores via one tree walk per sample and tree, plateaus one
 sample at a time, model
 artifacts via one hand-written encoder per model type, with network and
 forest arrays packed one Python number at a time and the seal computed with
-hashlib on the finished text, backpropagation that
-computes every gradient, a signal directory loaded one file at a time in
-this process, and a synthetic dataset written one file at a time in this
-process.
+hashlib on the finished text, the leaky ReLU and the activation gradients
+in their np.where and float-array forms, backpropagation that computes every
+gradient, a signal directory loaded one file at a time in this process, and a
+synthetic dataset written one file at a time in this process.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from fetalguard.errors import ConfigError, EmptyInputError, FetalGuardError, Par
 from fetalguard.iforest import InternalNode, IsolationForestModel, IsolationTree, LeafNode, depth_limit
 from fetalguard.ingest import (
     LabeledRecord,
-    LoadResult,
     SignalRecord,
     SkippedRecord,
     assign_label,
     read_metadata_csv,
     read_record_csv,
 )
-from fetalguard.nn import _activation_grad, forward, init_network
+from fetalguard.nn import forward, init_network
 from fetalguard.preprocess import as_matrix
 
 
@@ -134,6 +133,22 @@ def random_safe_network(rng, kink_margin=1e-6):
     raise AssertionError("could not build a kink-free network")
 
 
+def reference_leaky_relu(alpha, z):
+    """The leaky ReLU as np.where picks between z and alpha * z."""
+    return np.where(z > 0.0, z, alpha * z)
+
+
+def reference_activation_grad(name, alpha, z, a):
+    """d activation / dz as a float array: a relu mask as 0.0 and 1.0, and a multiplier of ones for identity."""
+    if name == "relu":
+        return (z > 0.0).astype(float)
+    if name == "leaky_relu":
+        return np.where(z > 0.0, 1.0, alpha)
+    if name == "sigmoid":
+        return a * (1.0 - a)
+    return np.ones_like(z)
+
+
 def reference_backward(net, cache, output_gradient):
     """nn.backward as it was before it could skip a gradient: every layer's weight,
     bias and input gradient, always."""
@@ -147,7 +162,7 @@ def reference_backward(net, cache, output_gradient):
     grads = [np.empty(0)] * (2 * len(net.layers))
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        dz = d * _activation_grad(layer.activation, layer.alpha, cache.pre_activations[i], cache.activations[i])
+        dz = d * reference_activation_grad(layer.activation, layer.alpha, cache.pre_activations[i], cache.activations[i])
         grads[2 * i] = cache.inputs[i].T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
         d = dz @ layer.weights.T
@@ -155,8 +170,8 @@ def reference_backward(net, cache, output_gradient):
     return grads, input_grad
 
 
-def reference_load_collection(signal_dir, metadata_file) -> LoadResult:
-    """ingest.load_collection as one loop over the sorted files, in this process."""
+def reference_load_collection(signal_dir, metadata_file) -> tuple[list, list]:
+    """(records, skipped) of ingest.load_each with an identity function, as one loop over the sorted files, in this process."""
     signal_dir = Path(signal_dir)
     metadata = read_metadata_csv(metadata_file)
     signal_files = sorted(signal_dir.glob("*.csv"))
@@ -179,7 +194,7 @@ def reference_load_collection(signal_dir, metadata_file) -> LoadResult:
         records.append(LabeledRecord(record, label))
     if not records:
         raise EmptyInputError(f"no records loaded from {signal_dir} ({len(skipped)} skipped)")
-    return LoadResult(records=records, skipped=skipped)
+    return records, skipped
 
 
 def reference_write_dataset(records, out_dir) -> tuple[Path, Path]:

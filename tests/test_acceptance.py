@@ -236,10 +236,10 @@ def test_criterion_07_synthetic_end_to_end_separability(ae_run, gan_run):
     reason="clinical dataset not present (FETALGUARD_CTU_SIGNALS/METADATA unset)",
 )
 def test_criterion_08_model_ordering_on_real_data():
-    from fetalguard.ingest import load_collection
+    from fetalguard.ingest import load_each
 
-    collection = load_collection(CTU_SIGNALS, CTU_METADATA)
-    prep = preprocess_collection(collection.records, PreprocessConfig())
+    records, _ = load_each(CTU_SIGNALS, CTU_METADATA, lambda item: item)
+    prep = preprocess_collection(records, PreprocessConfig())
     means = {}
     for name, config in (
         ("iforest", IforestConfig()),

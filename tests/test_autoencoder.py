@@ -198,6 +198,20 @@ class TestCalibration:
         with pytest.raises(TrainingError):
             calibrate_threshold([1.0, bad, 2.0], k=1.0)
 
+    @pytest.mark.parametrize(
+        "scores, k, named",
+        [
+            ([0.0, 10.0, 5.0], 1e308, "k=1e+308, mean=5.0, std=4.08248290463863"),
+            ([1e300, -1e300, 0.0], 1.0, "k=1.0, mean=0.0, std=inf"),
+            ([1e300, -1e300, 0.0], 0.0, "k=0.0, mean=0.0, std=inf"),
+        ],
+    )
+    def test_an_overflowing_threshold_is_refused_naming_k_mean_and_std(self, scores, k, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingError, match=re.escape(f"threshold mean + k * std is not finite ({named})")):
+                calibrate_threshold(scores, k=k)
+
     def test_classify_is_strict(self):
         assert classify(1.0, tau=1.0) is ClassLabel.NORMAL
         assert classify(1.0 + 1e-12, tau=1.0) is ClassLabel.ABNORMAL

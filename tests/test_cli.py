@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fetalguard import cli
 from fetalguard.cli import main
 from fetalguard.config import DETECTORS, encode, load_config
 from fetalguard.experiment import fit_detector
@@ -641,6 +642,57 @@ def test_calibrate_refuses_a_non_finite_score(name, model_files, features_file, 
     assert model_file.read_bytes() == before
 
 
+OVERFLOW_ERROR = r"error: threshold mean \+ k \* std is not finite \(k=\S+, mean=\S+, std=\S+\)\n"
+
+
+def _refused_without_a_warning(argv, capsys) -> str:
+    """The one stderr line of main(argv), which must exit 1 and warn about nothing."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = _one_line_error(capsys)
+    assert "Warning" not in err
+    return err
+
+
+def test_calibrate_refuses_a_k_whose_threshold_overflows_and_leaves_the_model(trained_by_cli, tmp_path, capsys):
+    files, features, _ = trained_by_cli
+    model_file = tmp_path / "model.json"
+    shutil.copy(files["ae"], model_file)
+    before = model_file.read_bytes()
+    argv = ["calibrate", "--model-file", str(model_file), "--features", str(features), "--k", "1e308"]
+    assert re.fullmatch(OVERFLOW_ERROR, _refused_without_a_warning(argv, capsys))
+    assert model_file.read_bytes() == before
+
+
+@pytest.mark.parametrize("model", ["ae", "ganomaly"])
+def test_train_refuses_features_whose_threshold_overflows_and_writes_no_model(
+    model, features_file, tmp_path, capsys
+):
+    huge = tmp_path / "features.csv"
+    lines = features_file.read_text().splitlines()
+    cells = lines[4].split(",")
+    lines[4] = ",".join(cells[:2] + ["1e300"] * (len(cells) - 2))  # one normal row, every feature 1e300
+    huge.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config, out = tmp_path / "config.json", tmp_path / "trained"
+    config.write_text(json.dumps({"model": {model: TINY_MODELS[model]}}), encoding="utf-8")
+    argv = ["train", "--model", model, "--features", str(huge), "--config", str(config), "--out", str(out)]
+    assert re.fullmatch(OVERFLOW_ERROR, _refused_without_a_warning(argv, capsys))
+    assert not out.exists()
+
+
+def test_run_refuses_a_k_sigma_whose_threshold_overflows_and_writes_no_model(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    out = tmp_path / "out"
+    ae = {"encoder_units": [16, 8], "decoder_units": [8, 16], "epochs": 2, "patience": 2, "k_sigma": 1e308}
+    sections = {"data": {"synth": {"n_normal": 40, "n_abnormal": 20, "seed": 7}}, "model": {"ae": ae}}
+    config.write_text(json.dumps({**sections, "output": {"dir": str(out)}}), encoding="utf-8")
+    argv = ["run", "--config", str(config), "--model", "ae"]
+    assert re.fullmatch(OVERFLOW_ERROR, _refused_without_a_warning(argv, capsys))
+    assert not list(out.rglob("model.json"))
+
+
 @pytest.mark.parametrize(
     "name, flag", [("iforest", "--k"), ("ae", "--contamination"), ("ganomaly", "--contamination")]
 )
@@ -939,3 +991,71 @@ def test_scoring_rows_that_overflow_the_network_writes_no_warning(name, trained_
         captured = capsys.readouterr()
     assert captured.err == ""
     assert re.fullmatch(r"syn0000,nan,\S+,abnormal\n", captured.out), captured.out
+
+
+def _outcome(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of main(argv); a usage error or --help exits through SystemExit."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_in_one_process_share_one_parser_and_match_a_fresh_one(
+    trained_by_cli, tmp_path, capsys, monkeypatch
+):
+    files, features, signal = trained_by_cli
+    scores = tmp_path / "scores.csv"
+    scores.write_text("record_id,label,score\na,0,0.1\nb,1,0.9\nc,0,0.4\nd,1,0.3\n", encoding="utf-8")
+    model_file = tmp_path / "model.json"
+    shutil.copy(files["ae"], model_file)
+    calls = [
+        ["score", "--model-file", str(files["ae"]), "--signal", str(signal)],
+        ["curves", "--scores", str(scores), "--out", str(tmp_path / "curves")],
+        ["score", "--model-file", str(files["iforest"]), "--signal", str(signal)],
+        ["calibrate", "--model-file", str(model_file), "--features", str(features), "--k", "1e308"],
+    ]
+    main(calls[0])  # the parser exists from here on
+    built = cli.build_parser()
+    cached = [_outcome(argv, capsys) for argv in calls]
+    assert cli.build_parser() is built
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser on every call
+    fresh = [_outcome(argv, capsys) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 1]
+    assert cached[0][1].startswith("syn0000,") and cached[2][1].startswith("syn0000,")
+    assert cli.build_parser() is not built
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["score", "--help"], ["frobnicate"], ["score", "--model-file"]])
+def test_help_and_usage_errors_of_the_shared_parser_match_a_fresh_one(argv, capsys):
+    shared = cli.build_parser()
+    cached = _outcome(argv, capsys)
+    fresh_parser = cli.build_parser.__wrapped__()
+    assert fresh_parser is not shared and cli.build_parser() is shared
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        fresh_parser.parse_args(argv)
+    captured = capsys.readouterr()
+    assert cached == (exc.value.code, captured.out, captured.err)
+    assert cached[0] == (0 if "--help" in argv else 2)
+
+
+def test_a_handler_put_in_the_command_table_after_the_first_call_is_the_one_that_runs(
+    trained_by_cli, capsys, monkeypatch
+):
+    files, _, signal = trained_by_cli
+    argv = ["score", "--model-file", str(files["ganomaly"]), "--signal", str(signal)]
+    first = _outcome(argv, capsys)
+    seen = []
+
+    def wrapper(args):  # as the benchmark's tracer rebinds cli.cmd_* while the parser already exists
+        seen.append(args.command)
+        return cli.cmd_score(args)
+
+    monkeypatch.setitem(cli.COMMANDS, "score", wrapper)
+    assert _outcome(argv, capsys) == first
+    assert seen == ["score"] and first[0] == 0

@@ -26,7 +26,7 @@ from fetalguard.ingest import (
     ClinicalMetadata,
     SignalRecord,
     assign_label,
-    load_collection,
+    load_each,
     parse_record_csv,
     read_metadata_csv,
 )
@@ -138,6 +138,11 @@ def _write_signal(path, n=10, value=140.0):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def _load(signal_dir, metadata_file):
+    """(records, skipped) of every recording under signal_dir, each LabeledRecord as load_each reads it."""
+    return load_each(signal_dir, metadata_file, lambda item: item)
+
+
 def test_load_collection_reports_orphan_signal(tmp_path):
     signals = tmp_path / "signals"
     signals.mkdir()
@@ -146,10 +151,10 @@ def test_load_collection_reports_orphan_signal(tmp_path):
     (tmp_path / "meta.csv").write_text(
         "record_id,ph,apgar1\na,7.10,5\n", encoding="utf-8"
     )
-    result = load_collection(signals, tmp_path / "meta.csv")
-    assert [r.record.record_id for r in result.records] == ["a"]
-    assert result.records[0].label is ClassLabel.ABNORMAL
-    assert [s.record_id for s in result.skipped] == ["orphan"]
+    records, skipped = _load(signals, tmp_path / "meta.csv")
+    assert [r.record.record_id for r in records] == ["a"]
+    assert records[0].label is ClassLabel.ABNORMAL
+    assert [s.record_id for s in skipped] == ["orphan"]
 
 
 def test_load_collection_skips_unlabelable_records(tmp_path):
@@ -160,10 +165,10 @@ def test_load_collection_skips_unlabelable_records(tmp_path):
     (tmp_path / "meta.csv").write_text(
         "record_id,ph,apgar1\na,7.10,\nb,7.30,9\n", encoding="utf-8"
     )
-    result = load_collection(signals, tmp_path / "meta.csv")
-    assert [r.record.record_id for r in result.records] == ["b"]
-    assert result.skipped[0].record_id == "a"
-    assert "apgar1" in result.skipped[0].reason
+    records, skipped = _load(signals, tmp_path / "meta.csv")
+    assert [r.record.record_id for r in records] == ["b"]
+    assert skipped[0].record_id == "a"
+    assert "apgar1" in skipped[0].reason
 
 
 def test_load_collection_skips_a_signal_that_is_not_utf8_as_score_refuses_it(tmp_path):
@@ -176,10 +181,10 @@ def test_load_collection_skips_a_signal_that_is_not_utf8_as_score_refuses_it(tmp
     (tmp_path / "meta.csv").write_text(
         "record_id,ph,apgar1\na,7.30,9\nb,7.30,9\nc,7.10,5\n", encoding="utf-8"
     )
-    result = load_collection(signals, tmp_path / "meta.csv")
-    assert [r.record.record_id for r in result.records] == ["a", "c"]
-    assert [s.record_id for s in result.skipped] == ["b"]
-    assert result.skipped[0].reason.startswith(f"{bad}: not UTF-8 text")
+    records, skipped = _load(signals, tmp_path / "meta.csv")
+    assert [r.record.record_id for r in records] == ["a", "c"]
+    assert [s.record_id for s in skipped] == ["b"]
+    assert skipped[0].reason.startswith(f"{bad}: not UTF-8 text")
 
 
 def test_load_collection_empty_directory_fails(tmp_path):
@@ -187,7 +192,7 @@ def test_load_collection_empty_directory_fails(tmp_path):
     signals.mkdir()
     (tmp_path / "meta.csv").write_text("record_id,ph,apgar1\n", encoding="utf-8")
     with pytest.raises(EmptyInputError):
-        load_collection(signals, tmp_path / "meta.csv")
+        _load(signals, tmp_path / "meta.csv")
 
 
 def test_load_collection_is_order_insensitive(tmp_path):
@@ -201,8 +206,8 @@ def test_load_collection_is_order_insensitive(tmp_path):
         for name in creation_order:
             _write_signal(signals / f"{name}.csv")
         (base / "meta.csv").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
-        result = load_collection(signals, base / "meta.csv")
-        loaded = sorted((r.record.record_id, r.label) for r in result.records)
+        records, _ = _load(signals, base / "meta.csv")
+        loaded = sorted((r.record.record_id, r.label) for r in records)
         assert loaded == [
             ("r1", ClassLabel.ABNORMAL),
             ("r2", ClassLabel.NORMAL),
@@ -245,9 +250,9 @@ def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path, s
     )
     for cores in CORE_COUNTS:
         set_cores(cores)
-        result = load_collection(signals, tmp_path / "meta.csv")
-        assert [item.record.fhr.size for item in result.records] == [40, 2, 4800]
-        for item in result.records:
+        records, _ = _load(signals, tmp_path / "meta.csv")
+        assert [item.record.fhr.size for item in records] == [40, 2, 4800]
+        for item in records:
             fhr = item.record.fhr
             assert fhr.dtype == np.float64 and fhr.ndim == 1
             assert fhr.base is None  # no view that keeps the time column, or a message, alive
@@ -255,7 +260,7 @@ def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path, s
 
 
 def _mixed_collection(tmp_path):
-    """(signals dir, metadata file) of good files among one of each kind that load_collection skips."""
+    """(signals dir, metadata file) of good files among one of each kind that load_each skips."""
     signals = tmp_path / "signals"
     signals.mkdir()
     meta = ["record_id,ph,apgar1"]
@@ -273,21 +278,21 @@ def _mixed_collection(tmp_path):
     return signals, tmp_path / "meta.csv"
 
 
-def _contents(result):
+def _contents(records, skipped):
     records = [
         (r.record.record_id, r.label, r.record.fhr.tobytes(), r.record.sample_rate_hz, r.record.metadata)
-        for r in result.records
+        for r in records
     ]
-    return records, result.skipped
+    return records, skipped
 
 
 def test_load_collection_matches_the_serial_loop_on_every_core_count(tmp_path, set_cores):
     signals, meta = _mixed_collection(tmp_path)
-    expected = _contents(reference_load_collection(signals, meta))
+    expected = _contents(*reference_load_collection(signals, meta))
     assert len(expected[0]) == 13 and len(expected[1]) == 4  # quoted and long load; 4 kinds are skipped
     for cores in CORE_COUNTS:
         set_cores(cores)
-        assert _contents(load_collection(signals, meta)) == expected
+        assert _contents(*_load(signals, meta)) == expected
 
 
 def test_load_collection_raises_the_first_error_in_file_order(tmp_path, set_cores):
@@ -299,7 +304,7 @@ def test_load_collection_raises_the_first_error_in_file_order(tmp_path, set_core
     for cores in CORE_COUNTS:
         set_cores(cores)
         with pytest.raises(IsADirectoryError) as exc:
-            load_collection(signals, meta)
+            _load(signals, meta)
         assert exc.value.filename == str(signals / "good03.csv")
         assert not multiprocessing.active_children()
 
@@ -316,8 +321,8 @@ def test_preprocess_files_matches_loading_then_preprocessing_on_every_core_count
     with meta.open("a", encoding="utf-8") as fh:
         fh.write("dropout,7.30,9\nneither,,9\n")
     config = PreprocessConfig(median_window=3, feature_dim=16)
-    loaded = reference_load_collection(signals, meta)
-    expected = _preprocessed(preprocess_collection(loaded.records, config), loaded.skipped)
+    records, skipped = reference_load_collection(signals, meta)
+    expected = _preprocessed(preprocess_collection(records, config), skipped)
     assert len(expected[0]) == 12 and [record_id for record_id, _ in expected[1]] == ["dropout", "quoted"]
     assert len(expected[2]) == 5 and "non-numeric cell" in {s.record_id: s.reason for s in expected[2]}["neither"]
     for cores in CORE_COUNTS:
@@ -366,7 +371,7 @@ def test_an_interrupt_while_waiting_for_workers_ends_them(tmp_path, monkeypatch,
     monkeypatch.setattr(multiprocessing.connection.Connection, "recv", interrupted)
     set_cores(3)
     with pytest.raises(KeyboardInterrupt):
-        load_collection(signals, meta)
+        _load(signals, meta)
     assert not multiprocessing.active_children()
 
 

@@ -6,7 +6,13 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import finite_difference_grads, random_safe_network, reference_backward
+from oracles import (
+    finite_difference_grads,
+    random_safe_network,
+    reference_activation_grad,
+    reference_backward,
+    reference_leaky_relu,
+)
 
 from fetalguard import nn
 from fetalguard.errors import ConfigError, ShapeError
@@ -23,6 +29,8 @@ from fetalguard.nn import (
     network_from_dict,
     network_to_dict,
 )
+
+EDGE_VALUES = np.array([1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e308, -1e308])
 
 
 def _single_layer(w, b, activation, alpha=0.0):
@@ -146,6 +154,31 @@ def test_the_gradients_backward_computes_equal_the_full_pass_bit_for_bit(param_g
             assert input_gradient.tobytes() == full_input.tobytes()
         else:
             assert input_gradient is None
+
+
+def _edge_and_random_values(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.concatenate([EDGE_VALUES, rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200)])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 0.99])
+def test_leaky_relu_and_its_gradient_equal_the_where_forms_bit_for_bit(alpha):
+    z = _edge_and_random_values(int(alpha * 100))
+    with np.errstate(invalid="ignore"):  # 0 * inf at alpha 0, in both forms
+        assert nn._activate("leaky_relu", alpha, z).tobytes() == reference_leaky_relu(alpha, z).tobytes()
+    grad = nn._activation_grad("leaky_relu", alpha, z, None)
+    assert grad.dtype == np.float64
+    assert grad.tobytes() == reference_activation_grad("leaky_relu", alpha, z, None).tobytes()
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_a_gradient_times_the_activation_mask_equals_the_float_form_bit_for_bit(activation):
+    z = _edge_and_random_values(1)
+    d = _edge_and_random_values(2)[::-1].copy()
+    with np.errstate(invalid="ignore"):  # inf * 0
+        fast = d * nn._activation_grad(activation, 0.2, z, None)
+        reference = d * reference_activation_grad(activation, 0.2, z, None)
+    assert fast.tobytes() == reference.tobytes()
 
 
 class TestBceTerms:

@@ -8,7 +8,7 @@ import pytest
 
 from fetalguard import synth
 from fetalguard.errors import ConfigError
-from fetalguard.ingest import ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord, assign_label, load_collection
+from fetalguard.ingest import ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord, assign_label, load_each
 from fetalguard.preprocess import PreprocessConfig, preprocess_collection
 from fetalguard.synth import (
     SynthParams,
@@ -211,12 +211,12 @@ class TestRoundTripThroughIngest:
     def test_written_dataset_reloads_with_same_labels(self, tmp_path):
         records = generate_dataset(6, 4, seed=7)
         signals_dir, metadata_file = write_dataset(records, tmp_path)
-        loaded = load_collection(signals_dir, metadata_file)
-        assert not loaded.skipped
+        loaded, skipped = load_each(signals_dir, metadata_file, lambda item: item)
+        assert not skipped
         expected = {item.record.record_id: item.label for item in records}
-        for item in loaded.records:
+        for item in loaded:
             assert item.label is expected[item.record.record_id]
-        by_id = {item.record.record_id: item.record for item in loaded.records}
+        by_id = {item.record.record_id: item.record for item in loaded}
         for item in records:  # each written repr reads back as the same float64
             loaded_record = by_id[item.record.record_id]
             assert loaded_record.fhr.tobytes() == item.record.fhr.tobytes()
