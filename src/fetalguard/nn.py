@@ -105,9 +105,7 @@ def _activation_grad(name: str, alpha: float, z: np.ndarray, a: np.ndarray) -> n
     if name == "relu":
         return z > 0.0
     if name == "leaky_relu":
-        if 0.0 <= alpha < 1.0:  # exactly 1.0 or alpha
-            return alpha + (z > 0.0) * (1.0 - alpha)
-        return np.where(z > 0.0, 1.0, alpha)
+        return alpha + (z > 0.0) * (1.0 - alpha)  # exactly 1.0 or alpha, for alpha in [0, 1)
     return a * (1.0 - a)  # sigmoid
 
 
