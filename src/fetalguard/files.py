@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, FetalGuardError, ParseError
 
 
 @contextlib.contextmanager
@@ -161,12 +161,12 @@ def write_json(data, path: str | Path, sealed: bool = False) -> None:
     """data as a UTF-8 JSON file, keys sorted, two-space indents, creating its directory.
 
     sealed puts the "sha256" key that read_sealed_json checks first, and takes data that
-    holds encode_array's bytes: each becomes a reference to its place in the tail. The
-    bytes go to a new file in the same directory that then replaces path, so a write that
-    fails partway leaves path as it was.
+    holds encode_array's bytes: each becomes a reference to its place in the tail. A NaN
+    or infinity, which strict JSON has no number for, is a FetalGuardError, and nothing
+    is written. The bytes go to a new file in the same directory that then replaces path,
+    so a write that fails partway leaves path as it was.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tail: list[bytes] = []
 
     def reference(array):
@@ -176,7 +176,11 @@ def write_json(data, path: str | Path, sealed: bool = False) -> None:
         tail.append(array)
         return {"length": len(array), "offset": offset}
 
-    text = (json.dumps(data, indent=2, sort_keys=True, default=reference) + "\n").encode()
+    try:
+        text = (json.dumps(data, indent=2, sort_keys=True, default=reference, allow_nan=False) + "\n").encode()
+    except ValueError as exc:
+        raise FetalGuardError(f"cannot write {path}: {exc}") from None
+    path.parent.mkdir(parents=True, exist_ok=True)
     parts = [text]
     if sealed:
         digest = hashlib.sha256(text)

@@ -3,6 +3,10 @@
 Each tree is grown on an independent subsample by recursive random splits:
 uniformly random feature, uniform threshold between that feature's min and max
 within the node. Samples that isolate on short paths score as anomalies.
+
+A grown forest is kept as flat preorder arrays (``Forest``), the arrays a
+model file stores, so a load checks them and builds no node, and scoring walks
+a whole batch down every tree at once.
 """
 
 from __future__ import annotations
@@ -59,9 +63,6 @@ class IsolationTree:
     max_depth: int
 
 
-Forest = list[IsolationTree]  # model files hold it as flat arrays: see _forest_to_json
-
-
 @dataclass
 class IsolationForestModel(Checked):
     """A fitted forest; scores and calibrate form the shared detector interface."""
@@ -75,7 +76,7 @@ class IsolationForestModel(Checked):
     contamination: Contamination
     feature_dim: PositiveInt
     seed: NonNegativeInt
-    trees: Forest  # after the fields that _forest_from_json checks the nodes against
+    trees: Forest  # after the fields that _forest_from_json checks the arrays against
     tau: float | None = None
     preprocess: PreprocessConfig | None = None
 
@@ -107,7 +108,7 @@ def harmonic_number(k: int) -> float:
     return float(sum(1.0 / i for i in range(1, k + 1)))
 
 
-@functools.cache  # scoring asks for it at every leaf reached; m is at most the subsample size
+@functools.cache  # scoring asks for it at each leaf size a batch reaches; m is at most the subsample size
 def average_path_correction(m: int) -> float:
     """Expected extra path length c(m) for an unresolved leaf holding m samples."""
     if m <= 1:
@@ -193,13 +194,13 @@ def build_forest(
     limit = depth_limit(psi)
     most_tied = _most_tied(x)
     streams = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
+    roots = []
     for stream in streams:
         rng = np.random.default_rng(stream)
         rows = rng.choice(n, size=psi, replace=False)
-        trees.append(IsolationTree(root=_grow(x, most_tied, rows, 0, limit, rng), max_depth=limit))
+        roots.append(_grow(x, most_tied, rows, 0, limit, rng))
     return IsolationForestModel(
-        trees=trees,
+        trees=_flattened(roots, x.shape[1], psi),
         subsample_size=psi,
         contamination=contamination,
         feature_dim=x.shape[1],
@@ -207,33 +208,33 @@ def build_forest(
     )
 
 
-def path_length(tree: IsolationTree, x: np.ndarray) -> float:
-    """Depth at which x lands, plus the unresolved-leaf correction c(leaf size)."""
-    node = tree.root
-    while isinstance(node, InternalNode):
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node.depth + average_path_correction(node.size)
-
-
-def if_score(model: IsolationForestModel, x) -> float:
-    """Anomaly score 2^(-mean path length / c(psi)) in (0, 1); higher = more anomalous.
-
-    A vector with a non-finite feature scores NaN, which ``classify`` judges abnormal.
-    """
-    x = np.asarray(x.x if hasattr(x, "x") else x, dtype=float)
-    if x.ndim != 1 or x.size != model.feature_dim:
-        raise ShapeError(f"expected vector of dim {model.feature_dim}, got shape {x.shape}")
-    if not np.isfinite(x).all():  # a NaN fails every split test and would walk right
-        return float("nan")
-    mean_path = sum(path_length(t, x) for t in model.trees) / len(model.trees)
-    denom = average_path_correction(model.subsample_size)
-    if denom == 0.0:  # single-sample forest carries no isolating information
-        return 0.5
-    return float(2.0 ** (-mean_path / denom))
-
-
 def if_scores(model: IsolationForestModel, data) -> np.ndarray:
-    return np.array([if_score(model, x) for x in as_matrix(data)])
+    """Anomaly scores 2^(-mean path length / c(psi)) in (0, 1); higher = more anomalous.
+
+    A path is the depth of the leaf a row reaches plus c(leaf size). The paths
+    are added tree by tree, in tree order, so a row's score does not depend on
+    the batch it is in. A row with a non-finite feature scores NaN, which
+    ``classify`` judges abnormal.
+    """
+    x = as_matrix(data)
+    if x.shape[1] != model.feature_dim:
+        raise ShapeError(f"expected vector of dim {model.feature_dim}, got shape {x.shape[1:]}")
+    forest = model.trees
+    leaves = forest.leaves(x)
+    sizes = forest.size[leaves]
+    correction = np.zeros(sizes.max() + 1)
+    for m in np.flatnonzero(np.bincount(sizes.ravel())).tolist():  # only the sizes reached
+        correction[m] = average_path_correction(m)
+    paths = forest.depth[leaves] + correction[sizes]
+    total = np.cumsum(paths, axis=0)[-1]  # one tree after another, as a loop adds them
+    denom = average_path_correction(model.subsample_size)
+    n_trees = len(forest)
+    return np.array([
+        float("nan") if not finite  # a NaN fails every split test and would walk right
+        else 0.5 if denom == 0.0  # single-sample forest carries no isolating information
+        else 2.0 ** (-(path / n_trees) / denom)
+        for path, finite in zip(total.tolist(), np.isfinite(x).all(axis=1).tolist())
+    ])
 
 
 def if_threshold(training_scores, contamination: float) -> float:
@@ -269,19 +270,119 @@ _FOREST_ARRAYS = {
 }
 
 
-def _forest_to_json(trees: Forest) -> dict:
-    """The trees as the bytes of flat arrays; the inverse of _forest_from_json."""
+class Forest:
+    """A forest as the arrays of _FOREST_ARRAYS, int64 and float64, and what scoring reads.
+
+    That is each tree's root, as an index into the forest; every node's depth;
+    and the node a walk goes to from each node when the row's value is below
+    its threshold (to_left) or not (to_right), a leaf going to itself. Making
+    one checks the arrays in one vectorised pass: arrays that cannot be the
+    trees of a model of feature_dim features fit on subsample_size samples are
+    a ConfigError naming the first bad node. A split is refused at
+    depth_limit(subsample_size), max_depth, which bounds every walk.
+    """
+
+    def __init__(self, node_counts, feature, threshold, left, right, size, feature_dim: int, subsample_size: int):
+        counts = node_counts  # one per tree
+        if (counts < 1).any():
+            raise ConfigError(f"a tree has {counts.min()} nodes")
+        n = int(counts.sum())
+        lengths = sorted({a.size for a in (feature, threshold, left, right, size)})
+        if lengths != [n]:
+            raise ConfigError(f"node counts add up to {n}, but the node arrays hold {lengths} values")
+        starts = np.cumsum(counts) - counts  # the root of each tree
+        tree_of = np.repeat(np.arange(counts.size), counts)
+        index = np.arange(n) - starts[tree_of]  # within its tree
+        end = counts[tree_of]
+        leaf = feature == -1
+        split = ~leaf
+
+        def refuse(bad, message):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ConfigError(f"node {index[i]} of tree {tree_of[i]}: {message(i)}")
+
+        refuse(
+            split & ((feature < 0) | (feature >= feature_dim)),
+            lambda i: f"split feature {feature[i]} outside [0, {feature_dim})",
+        )
+        refuse(split & ~np.isfinite(threshold), lambda i: f"split threshold {threshold[i]} is not finite")
+        refuse(
+            leaf & ((size < 0) | (size > subsample_size)),
+            lambda i: f"leaf size {size[i]} outside [0, {subsample_size}]",
+        )
+        refuse(
+            split & ((left <= index) | (right <= index) | (left >= end) | (right >= end)),
+            lambda i: f"children {left[i]} and {right[i]} are not after the node and inside its {end[i]}-node tree",
+        )
+        to_left, to_right = left + starts[tree_of], right + starts[tree_of]  # forest-wide
+        parents = np.bincount(np.concatenate([to_left[split], to_right[split]]), minlength=n)
+        refuse(parents != (index > 0), lambda i: f"{parents[i]} parents, where a root has none and other nodes one")
+
+        # now each tree is a tree, so a walk down from the roots reaches every node once
+        limit = depth_limit(subsample_size)
+        depth = np.full(n, -1)
+        level = starts
+        for d in range(limit + 1):
+            if not level.size:
+                break
+            depth[level] = d
+            inner = level[split[level]]
+            level = np.concatenate([to_left[inner], to_right[inner]])
+        refuse(split & (depth == limit), lambda i: f"split at depth {limit}, the limit for {subsample_size} samples")
+
+        self.node_counts, self.feature, self.threshold = node_counts, feature, threshold
+        self.left, self.right, self.size = left, right, size
+        self.max_depth, self.roots, self.depth = limit, starts, depth
+        self.to_left = np.where(leaf, np.arange(n), to_left)
+        self.to_right = np.where(leaf, np.arange(n), to_right)
+
+    def __len__(self) -> int:
+        return self.node_counts.size
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Forest) and self.max_depth == other.max_depth and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _FOREST_ARRAYS
+        )
+
+    def __iter__(self):
+        """Each tree as an IsolationTree of LeafNode and InternalNode objects, built on demand."""
+        features, thresholds, sizes = self.feature.tolist(), self.threshold.tolist(), self.size.tolist()
+        lefts, rights, depths = self.to_left.tolist(), self.to_right.tolist(), self.depth.tolist()
+        nodes: list = [None] * len(features)
+        for i in reversed(range(len(features))):  # children come after their parents
+            nodes[i] = (
+                LeafNode(sizes[i], depths[i])
+                if features[i] < 0
+                else InternalNode(features[i], thresholds[i], nodes[lefts[i]], nodes[rights[i]])
+            )
+        return (IsolationTree(nodes[start], self.max_depth) for start in self.roots.tolist())
+
+    def leaves(self, x: np.ndarray) -> np.ndarray:
+        """The leaf each row of x reaches in each tree: a (trees, rows) array of forest indices.
+
+        The whole batch goes down every tree at once, one level a step, and a
+        walk that has reached its leaf stays there, so max_depth steps end them all.
+        """
+        node = np.repeat(self.roots[:, None], x.shape[0], axis=1)
+        row = np.arange(x.shape[0])
+        for _ in range(self.max_depth):
+            below = x[row, self.feature[node]] < self.threshold[node]  # a leaf's feature -1 reads a column it ignores
+            node = np.where(below, self.to_left[node], self.to_right[node])
+        return node
+
+
+def _flattened(roots: list, feature_dim: int, subsample_size: int) -> Forest:
+    """The Forest of trees given by their roots: each tree's _preorder rows, tree after tree."""
     counts, rows = [], []
-    for tree in trees:
+    for root in roots:
         tree_rows: list = []
-        _preorder(tree.root, tree_rows)
+        _preorder(root, tree_rows)
         counts.append(len(tree_rows))
         rows += tree_rows
-    columns = [counts, *zip(*rows)]
-    return {
-        name: encode_array(values, dtype)
-        for (name, dtype), values in zip(_FOREST_ARRAYS.items(), columns)
-    }
+    columns = zip(_FOREST_ARRAYS, [counts, *zip(*rows)])
+    arrays = (np.array(values, dtype=float if name == "threshold" else np.int64) for name, values in columns)
+    return Forest(*arrays, feature_dim=feature_dim, subsample_size=subsample_size)
 
 
 def _preorder(node: TreeNode, rows: list) -> int:
@@ -296,72 +397,14 @@ def _preorder(node: TreeNode, rows: list) -> int:
     return index
 
 
-def _forest_from_json(value, feature_dim: int, subsample_size: int) -> Forest:
-    """Trees from a model file; a forest that cannot belong to the model is a ConfigError.
+def _forest_to_json(forest: Forest) -> dict:
+    """The forest's arrays as bytes; the inverse of _forest_from_json."""
+    return {name: encode_array(getattr(forest, name), dtype) for name, dtype in _FOREST_ARRAYS.items()}
 
-    The file holds the arrays of _forest_to_json. They are checked in one
-    vectorised pass before any node is built, and a split is refused at
-    depth_limit(subsample_size), which bounds the depth of what is built.
-    """
+
+def _forest_from_json(value, feature_dim: int, subsample_size: int) -> Forest:
+    """The Forest of a model file's arrays; Forest refuses arrays that cannot belong to the model."""
     if type(value) is not dict or value.keys() != _FOREST_ARRAYS.keys():
         raise ConfigError(f"forest must be an object of the arrays {', '.join(_FOREST_ARRAYS)}")
-    counts, feature, threshold, left, right, size = (
-        decode_array(value[name], f"forest array {name}", dtype) for name, dtype in _FOREST_ARRAYS.items()
-    )
-    if (counts < 1).any():
-        raise ConfigError(f"a tree has {counts.min()} nodes")
-    n = int(counts.sum())
-    lengths = sorted({a.size for a in (feature, threshold, left, right, size)})
-    if lengths != [n]:
-        raise ConfigError(f"node counts add up to {n}, but the node arrays hold {lengths} values")
-    starts = np.cumsum(counts) - counts  # the root of each tree
-    tree_of = np.repeat(np.arange(counts.size), counts)
-    index = np.arange(n) - starts[tree_of]  # within its tree
-    end = counts[tree_of]
-    leaf = feature == -1
-    split = ~leaf
-
-    def refuse(bad, message):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConfigError(f"node {index[i]} of tree {tree_of[i]}: {message(i)}")
-
-    refuse(
-        split & ((feature < 0) | (feature >= feature_dim)),
-        lambda i: f"split feature {feature[i]} outside [0, {feature_dim})",
-    )
-    refuse(split & ~np.isfinite(threshold), lambda i: f"split threshold {threshold[i]} is not finite")
-    refuse(
-        leaf & ((size < 0) | (size > subsample_size)),
-        lambda i: f"leaf size {size[i]} outside [0, {subsample_size}]",
-    )
-    refuse(
-        split & ((left <= index) | (right <= index) | (left >= end) | (right >= end)),
-        lambda i: f"children {left[i]} and {right[i]} are not after the node and inside its {end[i]}-node tree",
-    )
-    left, right = left + starts[tree_of], right + starts[tree_of]  # forest-wide
-    parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
-    refuse(parents != (index > 0), lambda i: f"{parents[i]} parents, where a root has none and other nodes one")
-
-    # now each tree is a tree, so a walk down from the roots reaches every node once
-    limit = depth_limit(subsample_size)
-    depth = np.full(n, -1)
-    level = starts
-    for d in range(limit + 1):
-        if not level.size:
-            break
-        depth[level] = d
-        inner = level[split[level]]
-        level = np.concatenate([left[inner], right[inner]])
-    refuse(split & (depth == limit), lambda i: f"split at depth {limit}, the limit for {subsample_size} samples")
-
-    features, thresholds, lefts, rights = feature.tolist(), threshold.tolist(), left.tolist(), right.tolist()
-    sizes, depths = size.tolist(), depth.tolist()
-    nodes: list = [None] * n
-    for i in reversed(range(n)):  # children come after their parents
-        nodes[i] = (
-            LeafNode(sizes[i], depths[i])
-            if features[i] < 0
-            else InternalNode(features[i], thresholds[i], nodes[lefts[i]], nodes[rights[i]])
-        )
-    return [IsolationTree(nodes[start], limit) for start in starts.tolist()]
+    arrays = (decode_array(value[name], f"forest array {name}", dtype) for name, dtype in _FOREST_ARRAYS.items())
+    return Forest(*arrays, feature_dim=feature_dim, subsample_size=subsample_size)

@@ -1,28 +1,34 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fetalguard.errors import ConfigError, TrainingError
 from fetalguard.iforest import (
+    Forest,
     InternalNode,
-    IsolationTree,
+    IsolationForestModel,
     LeafNode,
+    _flattened,
     _forest_to_json,
     _most_tied,
     average_path_correction,
     build_forest,
-    depth_limit,
     harmonic_number,
-    if_score,
     if_scores,
     if_threshold,
-    path_length,
 )
 from fetalguard.persistence import load_model, save_model
 from fetalguard.preprocess import as_matrix, preprocess_collection
 from fetalguard.synth import generate_dataset
 from oracles import reference_build_forest, reference_if_scores
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _toy_cloud(seed, n_inliers=99, distance=10.0):
@@ -44,64 +50,79 @@ class TestPathCorrection:
         assert harmonic_number(4) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25)
 
 
+def _leaf(size):
+    return (-1, 0.0, -1, -1, size)
+
+
+def _forest_model(trees, psi, dim=2):
+    """A model of hand-made trees, each a list of (feature, threshold, left, right, size) rows in preorder."""
+    rows = [row for tree in trees for row in tree]
+    columns = [[len(tree) for tree in trees], *zip(*rows)]
+    arrays = [np.array(c, dtype=float if i == 2 else np.int64) for i, c in enumerate(columns)]
+    return IsolationForestModel(
+        trees=Forest(*arrays, feature_dim=dim, subsample_size=psi),
+        subsample_size=psi,
+        contamination=0.33,
+        feature_dim=dim,
+        seed=0,
+    )
+
+
+def _mean_path(model, x) -> float:
+    """The mean path length behind a row's score, 2^(-mean path / c(psi))."""
+    return float(-np.log2(if_scores(model, [x])[0]) * average_path_correction(model.subsample_size))
+
+
+def _right_chain(last_leaf_size):
+    """A tree whose row of value 0.9 goes right at three splits, to a leaf at depth 3."""
+    return [
+        (0, 0.5, 1, 2, 0), _leaf(1),
+        (0, 0.6, 3, 4, 0), _leaf(1),
+        (0, 0.7, 5, 6, 0), _leaf(1), _leaf(last_leaf_size),
+    ]
+
+
 class TestPathLength:
     def test_singleton_leaf_contributes_depth_only(self):
-        tree = IsolationTree(root=LeafNode(size=1, depth=3), max_depth=5)
-        assert path_length(tree, np.zeros(2)) == pytest.approx(3.0)
+        model = _forest_model([_right_chain(1)], psi=32)
+        assert _mean_path(model, [0.9, 0.0]) == pytest.approx(3.0)
 
     def test_unresolved_leaf_adds_correction(self):
-        tree = IsolationTree(root=LeafNode(size=2, depth=3), max_depth=5)
-        assert path_length(tree, np.zeros(2)) == pytest.approx(4.0)
+        model = _forest_model([_right_chain(2)], psi=32)
+        assert _mean_path(model, [0.9, 0.0]) == pytest.approx(4.0)
 
     def test_root_only_tree(self):
-        tree = IsolationTree(root=LeafNode(size=64, depth=0), max_depth=6)
-        assert path_length(tree, np.zeros(2)) == pytest.approx(average_path_correction(64))
+        model = _forest_model([[_leaf(64)]], psi=64)
+        assert _mean_path(model, [0.0, 0.0]) == pytest.approx(average_path_correction(64))
 
     def test_routing_follows_split(self):
-        tree = IsolationTree(
-            root=InternalNode(
-                feature=0,
-                threshold=0.5,
-                left=LeafNode(size=1, depth=1),
-                right=LeafNode(size=1, depth=1),
-            ),
-            max_depth=3,
-        )
-        assert path_length(tree, np.array([0.2])) == 1.0
-        assert path_length(tree, np.array([0.9])) == 1.0
+        model = _forest_model([[(0, 0.5, 1, 2, 0), _leaf(1), _leaf(2)]], psi=8, dim=1)
+        c = average_path_correction(8)
+        assert if_scores(model, [[0.2]])[0] == 2.0 ** (-1.0 / c)  # the size-1 leaf at depth 1: path 1
+        assert if_scores(model, [[0.9]])[0] == 2.0 ** (-2.0 / c)  # the size-2 leaf: path 1 + c(2) = 2
 
 
 class TestScore:
-    def _leaf_model(self, leaf_size, leaf_depth, psi):
-        from fetalguard.iforest import IsolationForestModel
-
-        return IsolationForestModel(
-            trees=[IsolationTree(root=LeafNode(size=leaf_size, depth=leaf_depth), max_depth=depth_limit(psi))],
-            subsample_size=psi,
-            contamination=0.33,
-            feature_dim=2,
-            seed=0,
-        )
-
     def test_mean_path_equal_to_c_gives_half(self):
         # a size-psi leaf at depth 0 has path length exactly c(psi)
         psi = 128
-        model = self._leaf_model(leaf_size=psi, leaf_depth=0, psi=psi)
-        assert if_score(model, np.zeros(2)) == pytest.approx(0.5)
+        model = _forest_model([[_leaf(psi)]], psi=psi)
+        assert if_scores(model, [np.zeros(2)])[0] == pytest.approx(0.5)
 
     def test_mean_path_of_twice_c_gives_quarter(self):
-        psi = 128
+        # the deepest leaf of a valid tree is shallower than c(psi) for psi above 2, so psi is 2
+        psi = 2
         c = average_path_correction(psi)
         depth = int(round(c))
-        model = self._leaf_model(leaf_size=psi, leaf_depth=depth, psi=psi)
+        model = _forest_model([[(0, 0.5, 1, 2, 0), _leaf(psi), _leaf(1)]], psi=psi)
         expected = 2.0 ** (-(depth + c) / c)
-        assert if_score(model, np.zeros(2)) == pytest.approx(expected)
+        assert if_scores(model, [np.zeros(2)])[0] == pytest.approx(expected)
         assert expected == pytest.approx(0.25, abs=0.02)
 
     def test_score_approaches_one_as_path_shrinks(self):
         psi = 128
-        model = self._leaf_model(leaf_size=1, leaf_depth=0, psi=psi)
-        assert if_score(model, np.zeros(2)) == pytest.approx(1.0)
+        model = _forest_model([[_leaf(1)]], psi=psi)
+        assert if_scores(model, [np.zeros(2)])[0] == pytest.approx(1.0)
 
     def test_scores_lie_in_unit_interval(self):
         data = _toy_cloud(0)
@@ -130,6 +151,102 @@ class TestScore:
         assert scores.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 80),
+    dim=st.integers(1, 4),
+    levels=st.sampled_from([None, 1, 2, 5]),  # one level: duplicate points, so single-leaf trees
+    subsample_size=st.integers(1, 64),
+    n_trees=st.integers(1, 8),
+    n_queries=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=40, dim=3, levels=None, subsample_size=1, n_trees=4, n_queries=6, seed=0)  # psi = 1
+@example(n=30, dim=2, levels=1, subsample_size=16, n_trees=3, n_queries=1, seed=1)  # one row, one leaf a tree
+def test_scores_equal_the_reference_walk_bit_for_bit_in_any_batch(
+    n, dim, levels, subsample_size, n_trees, n_queries, seed
+):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, dim)) if levels is None else rng.integers(0, levels, size=(n, dim)) * 1.0
+    model = build_forest(data, n_trees=n_trees, subsample_size=subsample_size, seed=seed)
+    queries = np.vstack([rng.normal(size=(n_queries, dim)) * 2.0, data[:n_queries]])
+    poisoned = rng.random(queries.shape) < 0.05
+    queries[poisoned] = rng.choice([np.nan, np.inf, -np.inf], size=int(poisoned.sum()))
+    scores = if_scores(model, queries)
+    assert scores.tobytes() == reference_if_scores(model, queries).tobytes()
+    for i, row in enumerate(queries):  # as `score` scores a recording: a batch of one
+        assert if_scores(model, row[None, :]).tobytes() == scores[i : i + 1].tobytes()
+
+
+def _count_nodes_made(monkeypatch) -> list:
+    """A list that gets one item per LeafNode or InternalNode made from now on."""
+    made = []
+    for cls in (LeafNode, InternalNode):
+
+        def counted(node, *args, original=cls.__init__, **kwargs):
+            made.append(type(node))
+            original(node, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+class TestArrays:
+    """A forest is its arrays: a load and a score build no node, and the node view is exact."""
+
+    def test_load_and_score_make_no_node(self, tmp_path, monkeypatch):
+        data = _toy_cloud(5)
+        model = build_forest(data, n_trees=30, seed=5)
+        model.tau = 0.6
+        save_model(model, tmp_path / "model.json")
+        made = _count_nodes_made(monkeypatch)
+        loaded = load_model(tmp_path / "model.json")
+        scores = if_scores(loaded, data)
+        assert made == []
+        assert scores.tobytes() == if_scores(model, data).tobytes()
+        list(loaded.trees)  # the view does make nodes, so the count would see them
+        assert len(made) == loaded.trees.node_counts.sum()
+
+    def test_leaves_of_many_sizes_are_corrected_only_where_a_row_lands(self, tmp_path):
+        """A file may claim a leaf of each size up to 2**16; c(m) is O(m), so a load must look none up."""
+        psi, depth = 2**16, 8
+        sizes = iter(np.random.default_rng(0).choice(np.arange(2, psi), size=3 * 2**depth, replace=False).tolist())
+
+        def shifted(rows, by):
+            return [(f, t, l + by, r + by, m) if f >= 0 else (f, t, l, r, m) for f, t, l, r, m in rows]
+
+        def complete(levels):  # preorder rows of a complete tree of that many split levels
+            if levels == 0:
+                return [_leaf(next(sizes))]
+            left, right = complete(levels - 1), complete(levels - 1)
+            return [(0, 0.0, 1, 1 + len(left), 0), *shifted(left, 1), *shifted(right, 1 + len(left))]
+
+        trees = [[_leaf(psi)], *(complete(depth) for _ in range(3))]  # a root leaf of the whole subsample first
+        model = _forest_model(trees, psi=psi, dim=1)
+        model.tau = 0.5
+        save_model(model, tmp_path / "model.json")
+        average_path_correction.cache_clear()  # making the model above ran the same checks: count from here
+        loaded = load_model(tmp_path / "model.json")
+        scores = if_scores(loaded, [[0.25]])
+        assert average_path_correction.cache_info().currsize <= len(trees)
+        assert np.unique(loaded.trees.size).size > 3 * 2**depth
+        assert scores.tobytes() == reference_if_scores(loaded, [[0.25]]).tobytes()
+
+    def test_the_node_view_of_a_loaded_forest_is_the_grown_forest(self, tmp_path):
+        rng = np.random.default_rng(9)
+        data = np.vstack([rng.normal(size=(150, 5)), np.repeat(rng.normal(size=(3, 5)), 20, axis=0)])
+        model = build_forest(data, n_trees=25, subsample_size=64, seed=9)
+        model.tau = 0.5
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        grown = reference_build_forest(data, n_trees=25, subsample_size=64, seed=9).trees
+        assert list(loaded.trees) == list(model.trees) == grown
+        spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing._forest_nodes(loaded) == loaded.trees.node_counts.sum() == model.trees.node_counts.sum()
+
+
 class TestBuildForest:
     def test_tree_count_matches_request(self):
         model = build_forest(_toy_cloud(1), n_trees=100, seed=1)
@@ -138,7 +255,7 @@ class TestBuildForest:
     def test_single_point_dataset_gives_leaf_trees(self):
         model = build_forest(np.array([[1.0, 2.0]]), n_trees=5, seed=0)
         assert all(isinstance(t.root, LeafNode) for t in model.trees)
-        assert if_score(model, np.array([1.0, 2.0])) == 0.5
+        assert if_scores(model, [np.array([1.0, 2.0])])[0] == 0.5
 
     def test_constant_dataset_terminates_at_duplicates(self):
         data = np.ones((32, 3))
@@ -165,8 +282,8 @@ class TestBuildForest:
         data = _toy_cloud(7)
         a = build_forest(data, n_trees=10, seed=3)
         b = build_forest(data, n_trees=10, seed=3)
-        x = np.array([0.4, 0.6])
-        assert if_score(a, x) == if_score(b, x)
+        x = np.array([[0.4, 0.6]])
+        assert if_scores(a, x).tobytes() == if_scores(b, x).tobytes()
 
     def test_nonpositive_tree_count_rejected(self):
         with pytest.raises(ConfigError):
@@ -186,9 +303,13 @@ def features():
 def _outcome(build, data, **kwargs):
     """A forest's file arrays, or the error its build ends in."""
     try:
-        return _forest_to_json(build(data, **kwargs).trees)
+        model = build(data, **kwargs)
     except Exception as exc:  # the oracle's errors are numpy's and the library's alike
         return type(exc), str(exc)
+    trees = model.trees  # the oracle's are a list of node trees
+    if not isinstance(trees, Forest):
+        trees = _flattened([tree.root for tree in trees], model.feature_dim, model.subsample_size)
+    return _forest_to_json(trees)
 
 
 class TestBuildMatchesReference:
@@ -309,7 +430,7 @@ def test_model_roundtrip_preserves_scores(tmp_path):
     model.tau = 0.61
     save_model(model, tmp_path / "model.json")
     restored = load_model(tmp_path / "model.json")
-    x = np.array([0.3, 0.3])
+    x = np.array([[0.3, 0.3]])
     assert restored.tau == 0.61
-    assert if_score(restored, x) == if_score(model, x)
+    assert if_scores(restored, x).tobytes() == if_scores(model, x).tobytes()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import errno
 import json
 import os
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fetalguard.config import DETECTORS, load_config
-from fetalguard.errors import ConfigError, ShapeError
+from fetalguard.errors import ConfigError, FetalGuardError, ShapeError
 from fetalguard.experiment import fit_detector
+from fetalguard.files import write_json
 from fetalguard.iforest import build_forest, if_scores
 from fetalguard.ingest import ClassLabel
 from fetalguard.nn import DenseNetwork
@@ -141,6 +143,31 @@ def test_a_model_write_that_fails_partway_leaves_the_previous_file(models, tmp_p
     assert list(tmp_path.iterdir()) == [path]
 
 
+def _assert_refused_and_left(path: Path, write) -> None:
+    """write() fails with one line that exits 1 (a FetalGuardError, not a ConfigError), and path is as it was."""
+    before = path.read_bytes()
+    with pytest.raises(FetalGuardError) as refused:
+        write()
+    assert not isinstance(refused.value, ConfigError)
+    assert str(refused.value).startswith(f"cannot write {path}: ") and "\n" not in str(refused.value)
+    assert path.read_bytes() == before
+    assert list(path.parent.iterdir()) == [path]  # no temporary file is left
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_number_in_a_json_artifact_is_refused_and_the_file_left(tmp_path, bad):
+    path = tmp_path / "report.json"
+    write_json({"auc_roc": 0.5, "tau": 0.25}, path)
+    _assert_refused_and_left(path, lambda: write_json({"auc_roc": 0.5, "tau": [0.25, bad]}, path))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_number_in_a_model_is_refused_and_the_saved_model_left(models, tmp_path, bad):
+    path = tmp_path / "model.json"
+    save_model(models["ae"], path)
+    _assert_refused_and_left(path, lambda: save_model(dataclasses.replace(models["ae"], tau=bad), path))
+
+
 def test_a_version_1_iforest_file_is_refused_and_left_as_it_is(models, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(reference_model_to_dict(models["iforest"], 1), indent=2, sort_keys=True) + "\n")
@@ -178,6 +205,7 @@ def test_a_saved_forest_loads_node_for_node(forest_file, n, dim, levels, subsamp
     assert forest_file.read_bytes() == reference_model_file(model)
     loaded = load_model(forest_file)
     assert loaded.trees == model.trees
+    assert list(loaded.trees) == list(model.trees)
     assert if_scores(loaded, queries).tobytes() == if_scores(model, queries).tobytes()
 
 
