@@ -3,7 +3,8 @@
 Subcommands cover the full experiment (`run`) and its individual stages
 (`ingest`, `synth`, `preprocess`, `split`, `train`, `calibrate`, `evaluate`,
 `score`, `curves`). The FETALGUARD_LOG environment variable sets verbosity
-(DEBUG, INFO, WARNING, ERROR; default INFO).
+(DEBUG, INFO, WARNING, ERROR; default WARNING, so a failing command writes only
+its one-line error; INFO shows progress).
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ logger = logging.getLogger(__name__)
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("FETALGUARD_LOG", "INFO").upper()
+    level_name = os.environ.get("FETALGUARD_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
-        level = logging.INFO
+        level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 

@@ -106,22 +106,16 @@ def _fields(cls) -> dict:
 
 def encode(value):
     """JSON-ready form of a config or model: the inverse of ``decode``."""
-    return _encode(value, None)
-
-
-def _encode(value, hint):
-    """Encode one value; hint is the type hint of the field that holds it, if any."""
     if isinstance(value, nn.DenseNetwork):
         return nn.network_to_dict(value)
-    if hint == iforest.Forest:
+    if isinstance(value, iforest.Forest):
         return iforest._forest_to_json(value)
     if dataclasses.is_dataclass(value):
-        fields = _fields(type(value))
-        return {name: _encode(getattr(value, name), field_hint) for name, (field_hint, _) in fields.items()}
+        return {name: encode(getattr(value, name)) for name in _fields(type(value))}
     if isinstance(value, (list, tuple)):
-        return [_encode(v, None) for v in value]
+        return [encode(v) for v in value]
     if isinstance(value, dict):
-        return {k: _encode(v, None) for k, v in value.items()}
+        return {k: encode(v) for k, v in value.items()}
     return value
 
 

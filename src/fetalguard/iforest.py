@@ -4,9 +4,9 @@ Each tree is grown on an independent subsample by recursive random splits:
 uniformly random feature, uniform threshold between that feature's min and max
 within the node. Samples that isolate on short paths score as anomalies.
 
-A grown forest is kept as flat preorder arrays (``Forest``), the arrays a
-model file stores, so a load checks them and builds no node, and scoring walks
-a whole batch down every tree at once.
+Each tree grows straight into flat preorder arrays (``Forest``), the arrays a
+model file stores, so neither a build nor a load makes a node object, and
+scoring walks a whole batch down every tree at once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class IforestConfig(Checked):
     train_on: Annotated[str, Bound(choices=("all", "normals"))] = "all"  # "all" is fully unsupervised
 
 
+# Only Forest.__iter__ builds these, for bench/tracer.py and the test oracles; ROADMAP item 1 frees their removal.
 @dataclass
 class LeafNode:
     size: int
@@ -50,16 +51,13 @@ class LeafNode:
 class InternalNode:
     feature: int
     threshold: float
-    left: "InternalNode | LeafNode"
-    right: "InternalNode | LeafNode"
-
-
-TreeNode = InternalNode | LeafNode
+    left: InternalNode | LeafNode
+    right: InternalNode | LeafNode
 
 
 @dataclass
 class IsolationTree:
-    root: TreeNode
+    root: InternalNode | LeafNode
     max_depth: int
 
 
@@ -140,12 +138,19 @@ def _most_tied(x: np.ndarray) -> int:
     return int((index - last_step).max()) + 1
 
 
-def _grow(x: np.ndarray, most_tied: int, rows: np.ndarray, depth: int, limit: int, rng: np.random.Generator):
-    """The subtree of x[rows]: each split draws its feature among those whose max exceeds their min."""
-    n = rows.size
-    if n <= 1 or depth >= limit:
-        return LeafNode(size=n, depth=depth)
-    if n > most_tied:  # every feature splits, so splittable is arange(d)
+def _grow(
+    x: np.ndarray, most_tied: int, rows: np.ndarray, depth: int, limit: int, rng: np.random.Generator, nodes: list
+) -> int:
+    """Append the subtree of x[rows] to nodes in preorder -> the index of its root.
+
+    Each node is a (feature, threshold, left, right, size) row, as _FOREST_ARRAYS
+    stores it; each split draws its feature among those whose max exceeds their min.
+    """
+    index = len(nodes)
+    nodes.append((-1, 0.0, -1, -1, rows.size))  # a leaf, unless the node splits below
+    if rows.size <= 1 or depth >= limit:
+        return index
+    if rows.size > most_tied:  # every feature splits, so splittable is arange(d)
         feature = int(rng.integers(0, x.shape[1]))
         column = x[rows, feature]
         lo, hi = column.min(), column.max()
@@ -155,7 +160,7 @@ def _grow(x: np.ndarray, most_tied: int, rows: np.ndarray, depth: int, limit: in
         maxs = values.max(axis=0)
         splittable = np.nonzero(maxs > mins)[0]
         if splittable.size == 0:  # duplicate points
-            return LeafNode(size=n, depth=depth)
+            return index
         feature = int(splittable[rng.integers(0, splittable.size)])
         column, lo, hi = values[:, feature], mins[feature], maxs[feature]
     while True:  # open interval keeps both children non-empty
@@ -163,12 +168,10 @@ def _grow(x: np.ndarray, most_tied: int, rows: np.ndarray, depth: int, limit: in
         if lo < threshold < hi:
             break
     goes_left = column < threshold
-    return InternalNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow(x, most_tied, rows[goes_left], depth + 1, limit, rng),
-        right=_grow(x, most_tied, rows[~goes_left], depth + 1, limit, rng),
-    )
+    left = _grow(x, most_tied, rows[goes_left], depth + 1, limit, rng, nodes)
+    right = _grow(x, most_tied, rows[~goes_left], depth + 1, limit, rng, nodes)
+    nodes[index] = (feature, threshold, left, right, 0)
+    return index
 
 
 def build_forest(
@@ -194,13 +197,18 @@ def build_forest(
     limit = depth_limit(psi)
     most_tied = _most_tied(x)
     streams = np.random.SeedSequence(seed).spawn(n_trees)
-    roots = []
+    counts, nodes = [], []
     for stream in streams:
         rng = np.random.default_rng(stream)
         rows = rng.choice(n, size=psi, replace=False)
-        roots.append(_grow(x, most_tied, rows, 0, limit, rng))
+        tree: list = []  # children are indices within their tree
+        _grow(x, most_tied, rows, 0, limit, rng, tree)
+        counts.append(len(tree))
+        nodes += tree
+    columns = zip(_FOREST_ARRAYS, [counts, *zip(*nodes)])
+    arrays = (np.array(values, dtype=float if name == "threshold" else np.int64) for name, values in columns)
     return IsolationForestModel(
-        trees=_flattened(roots, x.shape[1], psi),
+        trees=Forest(*arrays, feature_dim=x.shape[1], subsample_size=psi),
         subsample_size=psi,
         contamination=contamination,
         feature_dim=x.shape[1],
@@ -370,31 +378,6 @@ class Forest:
             below = x[row, self.feature[node]] < self.threshold[node]  # a leaf's feature -1 reads a column it ignores
             node = np.where(below, self.to_left[node], self.to_right[node])
         return node
-
-
-def _flattened(roots: list, feature_dim: int, subsample_size: int) -> Forest:
-    """The Forest of trees given by their roots: each tree's _preorder rows, tree after tree."""
-    counts, rows = [], []
-    for root in roots:
-        tree_rows: list = []
-        _preorder(root, tree_rows)
-        counts.append(len(tree_rows))
-        rows += tree_rows
-    columns = zip(_FOREST_ARRAYS, [counts, *zip(*rows)])
-    arrays = (np.array(values, dtype=float if name == "threshold" else np.int64) for name, values in columns)
-    return Forest(*arrays, feature_dim=feature_dim, subsample_size=subsample_size)
-
-
-def _preorder(node: TreeNode, rows: list) -> int:
-    """Append a (feature, threshold, left, right, size) row per node in preorder -> the node's index."""
-    index = len(rows)
-    if isinstance(node, LeafNode):
-        rows.append((-1, 0.0, -1, -1, node.size))
-    else:
-        rows.append(None)  # filled in once the children have their indices
-        left = _preorder(node.left, rows)
-        rows[index] = (node.feature, node.threshold, left, _preorder(node.right, rows), 0)
-    return index
 
 
 def _forest_to_json(forest: Forest) -> dict:

@@ -6,11 +6,15 @@ import logging
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fetalguard
 from fetalguard import cli
 from fetalguard.cli import main
 from fetalguard.config import DETECTORS, encode, load_config
@@ -912,7 +916,7 @@ def test_ingest_reads_the_recordings_in_workers_and_writes_the_same_files_on_any
     (signals / "orphan.csv").write_text("time_s,fhr_bpm\n0.0,140\n0.25,141\n", encoding="utf-8")
     (signals / "syn0001.csv").write_text("time_s,fhr_bpm\n0.0,x\n", encoding="utf-8")
     pids = []  # of the records made or unpickled in this process; a worker appends to its own copy
-    post_init, setstate = SignalRecord.__post_init__, SignalRecord.__setstate__
+    post_init = SignalRecord.__post_init__
 
     def made(record):
         pids.append(os.getpid())
@@ -920,10 +924,10 @@ def test_ingest_reads_the_recordings_in_workers_and_writes_the_same_files_on_any
 
     def unpickled(record, state):
         pids.append(os.getpid())
-        setstate(record, state)
+        record.__dict__.update(state)
 
     monkeypatch.setattr(SignalRecord, "__post_init__", made)
-    monkeypatch.setattr(SignalRecord, "__setstate__", unpickled)
+    monkeypatch.setattr(SignalRecord, "__setstate__", unpickled, raising=False)
     outputs = {}
     for cores in (1, 2):
         set_cores(cores)
@@ -936,6 +940,24 @@ def test_ingest_reads_the_recordings_in_workers_and_writes_the_same_files_on_any
         assert pids == ([os.getpid()] * 59 if cores == 1 else [])  # at 1 core, the patches see every record
     assert outputs[2] == outputs[1]
     assert "loaded 59 records: 39 normal, 20 abnormal; 2 skipped" in outputs[1][0]
+
+
+def test_a_failing_run_writes_only_its_error_line_at_the_default_log_level(tmp_path):
+    """In a child process, as a user runs it: in this one, pytest's log handlers would hide an INFO line."""
+    data = tmp_path / "data"
+    assert main(["synth", "--normal", "30", "--abnormal", "0", "--out", str(data)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"signals_dir": str(data / "signals"), "metadata_file": str(data / "metadata.csv")},
+        "model": {"iforest": {"n_trees": 10}},
+        "output": {"dir": str(tmp_path / "out")},
+    }), encoding="utf-8")
+    env = {name: value for name, value in os.environ.items() if name != "FETALGUARD_LOG"}
+    source = str(Path(fetalguard.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "fetalguard.cli", "run", "--config", str(config), "--model", "iforest"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (1, "error: class ABNORMAL has zero samples\n")
 
 
 def test_an_os_error_is_a_one_line_error_with_exit_code_1(tmp_path, capsys):

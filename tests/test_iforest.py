@@ -14,7 +14,6 @@ from fetalguard.iforest import (
     InternalNode,
     IsolationForestModel,
     LeafNode,
-    _flattened,
     _forest_to_json,
     _most_tied,
     average_path_correction,
@@ -26,7 +25,7 @@ from fetalguard.iforest import (
 from fetalguard.persistence import load_model, save_model
 from fetalguard.preprocess import as_matrix, preprocess_collection
 from fetalguard.synth import generate_dataset
-from oracles import reference_build_forest, reference_if_scores
+from oracles import _reference_forest_arrays, reference_build_forest, reference_if_scores
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -192,14 +191,14 @@ def _count_nodes_made(monkeypatch) -> list:
 
 
 class TestArrays:
-    """A forest is its arrays: a load and a score build no node, and the node view is exact."""
+    """A forest is its arrays: a build, a load and a score make no node, and the node view is exact."""
 
     def test_load_and_score_make_no_node(self, tmp_path, monkeypatch):
         data = _toy_cloud(5)
+        made = _count_nodes_made(monkeypatch)
         model = build_forest(data, n_trees=30, seed=5)
         model.tau = 0.6
         save_model(model, tmp_path / "model.json")
-        made = _count_nodes_made(monkeypatch)
         loaded = load_model(tmp_path / "model.json")
         scores = if_scores(loaded, data)
         assert made == []
@@ -307,9 +306,7 @@ def _outcome(build, data, **kwargs):
     except Exception as exc:  # the oracle's errors are numpy's and the library's alike
         return type(exc), str(exc)
     trees = model.trees  # the oracle's are a list of node trees
-    if not isinstance(trees, Forest):
-        trees = _flattened([tree.root for tree in trees], model.feature_dim, model.subsample_size)
-    return _forest_to_json(trees)
+    return _forest_to_json(trees) if isinstance(trees, Forest) else _reference_forest_arrays(trees)
 
 
 class TestBuildMatchesReference:

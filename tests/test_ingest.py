@@ -248,15 +248,19 @@ def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path, s
     (tmp_path / "meta.csv").write_text(
         "record_id,ph,apgar1\na,7.10,5\nb,7.30,9\nc,7.30,9\n", encoding="utf-8"
     )
+
+    def seen(item):  # in the worker that read the file, where every caller's function reads the record
+        fhr = item.record.fhr
+        return fhr.size, fhr.dtype == np.float64 and fhr.ndim == 1, fhr.base is None, fhr.flags.writeable
+
     for cores in CORE_COUNTS:
         set_cores(cores)
-        records, _ = _load(signals, tmp_path / "meta.csv")
-        assert [item.record.fhr.size for item in records] == [40, 2, 4800]
-        for item in records:
-            fhr = item.record.fhr
-            assert fhr.dtype == np.float64 and fhr.ndim == 1
-            assert fhr.base is None  # no view that keeps the time column, or a message, alive
-            assert fhr.flags.writeable
+        records, _ = load_each(signals, tmp_path / "meta.csv", seen)
+        assert [size for size, *_ in records] == [40, 2, 4800]
+        for _, float64_vector, owns_data, writeable in records:
+            assert float64_vector
+            assert owns_data  # no view that keeps the time column alive
+            assert writeable
 
 
 def _mixed_collection(tmp_path):
