@@ -112,36 +112,41 @@ def _validation_f1(model, validation) -> dict:
     return dataclasses.asdict(metrics.scalar_metrics(counts))
 
 
-def _leg_split(name, features, split_config, seed):
-    """(train, test, train_core, validation) of one (seed, model) leg."""
-    train, test = train_test_split(features, split_config.test_fraction, seed)
-    train_core, validation = validation_split(train, split_config.val_fraction_for(name), seed)
-    return train, test, train_core, validation
+def run_legs(features, legs, split_config, preprocess):
+    """Yield run_single's result for each (seed, name, model_config, grid) leg, in leg order.
+
+    Each leg's split and grid jobs are made once, here. Every job's
+    fit_detector call runs in forked workers (workers.fork_map), one per
+    available core, while this process tests each leg as its fits arrive,
+    so the test partitions never reach a worker.
+    """
+    prepared = []
+    for seed, name, model_config, grid in legs:
+        train, test = train_test_split(features, split_config.test_fraction, seed)
+        train_core, validation = validation_split(train, split_config.val_fraction_for(name), seed)
+        jobs = [
+            (combo, (name, candidate, train_core, validation, len(train), seed))
+            for combo, candidate in grid_candidates(model_config, grid)
+        ]
+        prepared.append((seed, name, (train, test, train_core, validation), jobs))
+    all_jobs = [job for *_, jobs in prepared for _, job in jobs]
+    with contextlib.closing(fork_map(lambda job: fit_detector(*job), all_jobs, "model-fitting")) as fits:
+        for seed, name, split, jobs in prepared:
+            logger.info("run seed=%d model=%s", seed, name)
+            yield run_single(name, split, jobs, preprocess, seed, fits=list(itertools.islice(fits, len(jobs))))
 
 
-def _leg_jobs(name, model_config, grid, split, seed) -> list:
-    """(grid combo, fit_detector arguments) of each grid candidate of one leg, in grid_candidates order."""
-    train, _, train_core, validation = split
-    return [
-        (combo, (name, candidate, train_core, validation, len(train), seed))
-        for combo, candidate in grid_candidates(model_config, grid)
-    ]
+def run_single(name, split, jobs, preprocess, seed, *, fits):
+    """One (seed, model) leg of run_legs: keep the grid candidate of best validation F1, test it once.
 
-
-def run_single(name, model_config, grid, features, split_config, preprocess, seed, fits=None):
-    """One (seed, model) leg: split, fit (with optional grid search), test once.
-
-    fits, when given, holds the fit_detector result of each of the leg's
-    _leg_jobs, in order; by default the leg makes those calls itself.
+    split is the leg's (train, test, train_core, validation), jobs its (grid
+    combo, fit_detector arguments) pairs in grid_candidates order, and fits
+    the fit_detector result of each job, in the same order.
     Returns a dict with the fitted model, reports, traces, and score tables.
     """
-    split = _leg_split(name, features, split_config, seed)
     train, test, train_core, validation = split
     guard = TestSetGuard(test)
 
-    jobs = _leg_jobs(name, model_config, grid, split, seed)
-    if fits is None:
-        fits = (fit_detector(*job) for _, job in jobs)
     best = None
     for (combo, _), fitted in zip(jobs, fits, strict=True):
         val_metrics = _validation_f1(fitted.model, validation)
@@ -328,36 +333,17 @@ def run_experiment(
     for record_id, reason in prep.rejected:
         logger.warning("rejected %s: %s", record_id, reason)
 
-    write_json(config_to_dict(config), out_dir / "config.resolved.json")
-
     seeds = range(config.split.seed, config.split.seed + config.eval.seeds)
-    legs = [(seed, name) for seed in seeds for name in models]
-    # the legs' fits are independent, so they run on every core while the legs are tested here, in
-    # order, as their fits arrive; the test partitions stay in this process
-    leg_jobs = []
-    for seed, name in legs:
-        split = _leg_split(name, prep.features, config.split, seed)
-        leg_jobs.append(_leg_jobs(name, config.models[name], config.grids.get(name, {}), split, seed))
-    jobs = [job for leg in leg_jobs for _, job in leg]
-
+    legs = [(seed, name, config.models[name], config.grids.get(name, {})) for seed in seeds for name in models]
     payloads = []
-    with contextlib.closing(fork_map(lambda job: fit_detector(*job), jobs, "model-fitting")) as fits:
-        for (seed, name), leg in zip(legs, leg_jobs):
-            logger.info("run seed=%d model=%s", seed, name)
-            result = run_single(
-                name,
-                config.models[name],
-                config.grids.get(name, {}),
-                prep.features,
-                config.split,
-                config.preprocess,
-                seed,
-                fits=list(itertools.islice(fits, len(leg))),
-            )
-            run_dir = out_dir / f"seed_{seed:03d}" / name
+    with contextlib.closing(run_legs(prep.features, legs, config.split, config.preprocess)) as results:
+        for result in results:
+            run_dir = out_dir / f"seed_{result['seed']:03d}" / result["model_name"]
             payloads.append(write_run_artifacts(result, run_dir))
 
     aggregate = aggregate_runs(payloads)
     write_json(aggregate, out_dir / "aggregate.json")
     (out_dir / "aggregate.txt").write_text(format_aggregate_table(aggregate), encoding="utf-8")
+    # last, so that a directory that holds it is a finished run
+    write_json(config_to_dict(config), out_dir / "config.resolved.json")
     return aggregate

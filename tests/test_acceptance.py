@@ -31,7 +31,7 @@ from fetalguard.config import (
 )
 from fetalguard.datasets import SplitConfig, train_test_split
 from fetalguard.errors import TestIsolationError
-from fetalguard.experiment import TestSetGuard, run_experiment, run_single
+from fetalguard.experiment import TestSetGuard, run_experiment, run_legs
 from fetalguard.ganomaly import GanomalyConfig, gan_scores
 from fetalguard.iforest import IforestConfig, build_forest, if_scores
 from fetalguard.ingest import ClassLabel, assign_label, read_metadata_csv
@@ -68,23 +68,11 @@ def corpus_features():
 
 
 @pytest.fixture(scope="module")
-def ae_run(corpus_features):
-    return run_single(
-        "ae", AeConfig(), {}, corpus_features, SplitConfig(), PreprocessConfig(), seed=RUN_SEED
-    )
-
-
-@pytest.fixture(scope="module")
-def gan_run(corpus_features):
-    return run_single(
-        "ganomaly",
-        GanomalyConfig(),
-        {},
-        corpus_features,
-        SplitConfig(),
-        PreprocessConfig(),
-        seed=RUN_SEED,
-    )
+def network_runs(corpus_features):
+    """The AE and GANomaly legs of seed RUN_SEED, keyed by model name, fitted as `fetalguard run` fits them."""
+    legs = [(RUN_SEED, "ae", AeConfig(), {}), (RUN_SEED, "ganomaly", GanomalyConfig(), {})]
+    results = run_legs(corpus_features, legs, SplitConfig(), PreprocessConfig())
+    return {result["model_name"]: result for result in results}
 
 
 class TestCriterion01Labeling:
@@ -220,9 +208,9 @@ def test_criterion_06_isolation_forest_sanity():
     )
 
 
-def test_criterion_07_synthetic_end_to_end_separability(ae_run, gan_run):
-    ae_f1 = ae_run["report"].f1
-    gan_f1 = gan_run["report"].f1
+def test_criterion_07_synthetic_end_to_end_separability(network_runs):
+    ae_f1 = network_runs["ae"]["report"].f1
+    gan_f1 = network_runs["ganomaly"]["report"].f1
     _check(
         7,
         ae_f1 >= 0.80 and gan_f1 >= 0.80,
@@ -240,17 +228,12 @@ def test_criterion_08_model_ordering_on_real_data():
 
     records, _ = load_each(CTU_SIGNALS, CTU_METADATA, lambda item: item)
     prep = preprocess_collection(records, PreprocessConfig())
-    means = {}
-    for name, config in (
-        ("iforest", IforestConfig()),
-        ("ae", AeConfig()),
-        ("ganomaly", GanomalyConfig()),
-    ):
-        f1s = [
-            run_single(name, config, {}, prep.features, SplitConfig(), PreprocessConfig(), seed=s)["report"].f1
-            for s in range(5)
-        ]
-        means[name] = float(np.mean(f1s))
+    configs = {"iforest": IforestConfig(), "ae": AeConfig(), "ganomaly": GanomalyConfig()}
+    legs = [(s, name, config, {}) for name, config in configs.items() for s in range(5)]
+    f1s = {name: [] for name in configs}
+    for result in run_legs(prep.features, legs, SplitConfig(), PreprocessConfig()):
+        f1s[result["model_name"]].append(result["report"].f1)
+    means = {name: float(np.mean(values)) for name, values in f1s.items()}
     ordered = means["ganomaly"] > means["ae"] > means["iforest"]
     in_band = 0.65 <= means["ganomaly"] <= 0.85
     _check(
@@ -261,8 +244,8 @@ def test_criterion_08_model_ordering_on_real_data():
     )
 
 
-def test_criterion_09_gan_stability(gan_run):
-    trace = gan_run["fitted"].trace
+def test_criterion_09_gan_stability(network_runs):
+    trace = network_runs["ganomaly"]["fitted"].trace
     l_d = np.array(trace.l_d)
     l_g = np.array(trace.l_g)
     finite = bool(np.isfinite(l_d).all() and np.isfinite(l_g).all())
@@ -276,8 +259,8 @@ def test_criterion_09_gan_stability(gan_run):
     )
 
 
-def test_criterion_10_threshold_semantics(gan_run, tmp_path):
-    fitted = gan_run["fitted"]
+def test_criterion_10_threshold_semantics(network_runs, tmp_path):
+    fitted = network_runs["ganomaly"]["fitted"]
     scores = fitted.train_scores
     mu, sigma = scores.mean(), scores.std()
     frac_over = float((scores > mu + 5.0 * sigma).mean())

@@ -695,6 +695,7 @@ def test_run_refuses_a_k_sigma_whose_threshold_overflows_and_writes_no_model(tmp
     argv = ["run", "--config", str(config), "--model", "ae"]
     assert re.fullmatch(OVERFLOW_ERROR, _refused_without_a_warning(argv, capsys))
     assert not list(out.rglob("model.json"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

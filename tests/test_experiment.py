@@ -29,7 +29,7 @@ from fetalguard.experiment import (
     format_aggregate_table,
     load_features,
     run_experiment,
-    run_single,
+    run_legs,
 )
 from fetalguard.ganomaly import GanomalyConfig, GanomalyModel
 from fetalguard.iforest import IforestConfig
@@ -147,15 +147,8 @@ class TestFitDetector:
 class TestRunSingle:
     def test_single_run_produces_report_and_respects_guard(self):
         features = _features(60, 30, seed=5)
-        result = run_single(
-            "iforest",
-            IforestConfig(n_trees=25),
-            {},
-            features,
-            SplitConfig(test_fraction=0.2, seed=1),
-            PreprocessConfig(median_window=5),
-            seed=1,
-        )
+        legs = [(1, "iforest", IforestConfig(n_trees=25), {})]
+        [result] = run_legs(features, legs, SplitConfig(test_fraction=0.2, seed=1), PreprocessConfig(median_window=5))
         assert result["guard_reads"] == 1
         assert result["sizes"]["test"] == 18
         assert 0.0 <= result["report"].f1 <= 1.0
@@ -163,30 +156,13 @@ class TestRunSingle:
 
     def test_grid_search_picks_best_validation_f1(self):
         features = _features(60, 30, seed=6)
-        result = run_single(
-            "iforest",
-            IforestConfig(n_trees=25),
-            {"contamination": [0.1, 0.33, 0.5]},
-            features,
-            SplitConfig(test_fraction=0.2, seed=2),
-            PreprocessConfig(),
-            seed=2,
-        )
+        # the grid leg, then each of its combos as a leg of its own to compare against
+        legs = [(2, "iforest", IforestConfig(n_trees=25), {"contamination": [0.1, 0.33, 0.5]})]
+        legs += [(2, "iforest", IforestConfig(n_trees=25, contamination=c), {}) for c in (0.1, 0.33, 0.5)]
+        result, *singles = run_legs(features, legs, SplitConfig(test_fraction=0.2, seed=2), PreprocessConfig())
         assert result["grid_choice"].get("contamination") in (0.1, 0.33, 0.5)
-        # the winner's validation f1 is >= every other combo's (re-run to compare)
-        others = []
-        for c in (0.1, 0.33, 0.5):
-            single = run_single(
-                "iforest",
-                IforestConfig(n_trees=25, contamination=c),
-                {},
-                features,
-                SplitConfig(test_fraction=0.2, seed=2),
-                PreprocessConfig(),
-                seed=2,
-            )
-            others.append(single["validation"]["f1"])
-        assert result["validation"]["f1"] == pytest.approx(max(others))
+        # the winner's validation f1 is >= every other combo's
+        assert result["validation"]["f1"] == pytest.approx(max(single["validation"]["f1"] for single in singles))
 
 
 class TestRunExperiment:
