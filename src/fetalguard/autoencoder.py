@@ -11,14 +11,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Annotated, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 from . import nn
 from .datasets import normals_only, validation_normals
 from .errors import (
-    Bound,
     Checked,
     ConfigError,
     NonNegativeFloat,
@@ -28,12 +27,11 @@ from .errors import (
     TrainingError,
 )
 from .files import write_csv
-from .nn import AdamState, DenseNetwork, adam_step, backward, forward, init_network
+from .nn import AdamHyperparameters, AdamState, Beta, DenseNetwork, adam_step, backward, forward, init_network
 from .preprocess import PreprocessConfig, as_matrix
 
 logger = logging.getLogger(__name__)
 
-Beta = Annotated[float, Bound(ge=0, lt=1)]  # Adam's moment decay; 1 divides by zero in its bias correction
 Units = tuple[PositiveInt, ...]  # the widths of a stack of layers
 
 
@@ -57,7 +55,7 @@ class AeModel(Checked):
     """A trained autoencoder; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ae"
-    format_version: ClassVar[int] = 4
+    format_version: ClassVar[int] = 5
     config_type: ClassVar[type] = AeConfig
     calibration_param: ClassVar[str] = "k_sigma"
 
@@ -67,7 +65,7 @@ class AeModel(Checked):
     latent_dim: int
     k_sigma: NonNegativeFloat
     tau: float | None = None
-    optimizer: dict | None = None  # hyperparameters the model was trained with
+    optimizer: AdamHyperparameters | None = None  # hyperparameters the model was trained with
     preprocess: PreprocessConfig | None = None
 
     def __post_init__(self):
@@ -186,7 +184,7 @@ def train_ae(
         feature_dim=d,
         latent_dim=encoder.out_dim,
         k_sigma=config.k_sigma,
-        optimizer=opt.to_dict(),
+        optimizer=AdamHyperparameters.of(config),
     )
     return model, trace
 

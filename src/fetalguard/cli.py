@@ -124,6 +124,11 @@ def cmd_train(args) -> int:
     model_config, grid, split_config, config = _model_config_from(args, args.model)
     split_config = dataclasses.replace(split_config, seed=args.seed)
     features = read_features_csv(args.features)
+    if config is not None and config.preprocess.feature_dim != features[0].x.size:
+        raise ConfigError(  # the model would carry a preprocess section that `score` refuses
+            f"{args.config}: preprocess.feature_dim {config.preprocess.feature_dim} differs from the "
+            f"{features[0].x.size} feature columns of {args.features}"
+        )
     train_core, validation = validation_split(
         features, split_config.val_fraction_for(args.model), split_config.seed
     )

@@ -17,11 +17,13 @@ import typing
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
-from . import iforest, nn
+import numpy as np
+
+from . import iforest
 from .autoencoder import AeModel
 from .datasets import SplitConfig
 from .errors import BoundError, Checked, ConfigError, FetalGuardError, NonNegativeInt, PositiveInt
-from .files import finite_number, read_json
+from .files import decode_array, encode_array, finite_number, read_json
 from .ganomaly import GanomalyModel
 from .iforest import IsolationForestModel
 from .preprocess import PreprocessConfig
@@ -54,11 +56,9 @@ class DataConfig:
     def __post_init__(self):
         real = self.signals_dir is not None or self.metadata_file is not None
         if real and (self.signals_dir is None or self.metadata_file is None):
-            raise ConfigError("data: signals_dir and metadata_file must be given together")
+            raise ConfigError("signals_dir and metadata_file must be given together")
         if real == (self.synth is not None):
-            raise ConfigError(
-                "data: configure exactly one of synth or signals_dir+metadata_file"
-            )
+            raise ConfigError("configure exactly one of synth or signals_dir+metadata_file")
 
 
 @dataclass
@@ -91,7 +91,7 @@ def _key_line(raw_text: str | None, key: str) -> str:
 
 
 # the JSON value each scalar field type takes, as messages name it; a float field takes an int too
-EXPECTED = {bool: "a boolean", str: "a string", int: "an integer", float: "a finite number", dict: "an object"}
+EXPECTED = {bool: "a boolean", str: "a string", int: "an integer", float: "a finite number"}
 
 
 @functools.cache
@@ -105,9 +105,9 @@ def _fields(cls) -> dict:
 
 
 def encode(value):
-    """JSON-ready form of a config or model: the inverse of ``decode``."""
-    if isinstance(value, nn.DenseNetwork):
-        return nn.network_to_dict(value)
+    """JSON-ready form of a config or model: the inverse of ``decode``; an array is its float64 bytes."""
+    if isinstance(value, np.ndarray):
+        return encode_array(value, "<f8")
     if isinstance(value, iforest.Forest):
         return iforest._forest_to_json(value)
     if dataclasses.is_dataclass(value):
@@ -122,23 +122,24 @@ def encode(value):
 def decode(cls, data, path: str, raw_text: str | None = None):
     """Dataclass cls from parsed JSON, checked against its fields' type hints.
 
-    An unknown key, a missing required key, a value of the wrong type and a
-    value outside its field's Bound are each a one-line ConfigError naming the
-    key path; an absent key takes the field's default. An int is accepted for
-    a float field and kept as an int.
+    An unknown key, a missing required key, a value of the wrong type, a
+    value outside its field's Bound and any other value its class refuses are
+    each a one-line ConfigError naming the key path; an absent key takes the
+    field's default. An int is accepted for a float field and kept as an int,
+    and an ``np.ndarray`` field is read from encode's float64 bytes.
     """
     return _decode(cls, data, path, raw_text, None)
 
 
 def _decode(hint, value, path, raw_text, outer):
     """Decode one value; outer holds the outermost object's fields decoded so far."""
-    try:
-        if hint is nn.DenseNetwork:
-            return nn.network_from_dict(value)
-        if hint == iforest.Forest:
+    if hint is np.ndarray:
+        return decode_array(value, path, "<f8")
+    if hint == iforest.Forest:
+        try:
             return iforest._forest_from_json(value, outer["feature_dim"], outer["subsample_size"])
-    except FetalGuardError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        except FetalGuardError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:  # X | None
         return None if value is None else _decode(args[0], value, path, raw_text, outer)
@@ -172,8 +173,8 @@ def _decode(hint, value, path, raw_text, outer):
             raise ConfigError(f"{path}: missing key {name!r}")
     try:
         return hint(**kwargs)
-    except BoundError as exc:  # it names the field; the path names the object
-        raise ConfigError(f"{prefix}{exc}") from None
+    except FetalGuardError as exc:  # a BoundError names the field; the path names the object
+        raise ConfigError(f"{prefix}{exc}" if isinstance(exc, BoundError) else f"{path}: {exc}") from None
 
 
 def _build_models(section: dict, raw_text: str | None) -> tuple[dict, dict]:

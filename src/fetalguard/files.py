@@ -145,13 +145,6 @@ def _resolved(obj: dict, tail: memoryview, spans: list):
     return array
 
 
-def refuse_unknown_keys(data: dict, known, where: str) -> None:
-    """A ConfigError naming the first key of data that is not known, if any."""
-    unknown = data.keys() - known
-    if unknown:
-        raise ConfigError(f"unknown key {min(unknown)!r} in {where}")
-
-
 def finite_number(value) -> bool:
     """Whether a JSON value is a number a float field takes: an int or a finite float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max

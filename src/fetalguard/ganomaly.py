@@ -17,7 +17,7 @@ from typing import Annotated, Callable, ClassVar
 import numpy as np
 
 from . import autoencoder, nn
-from .autoencoder import Beta, Units
+from .autoencoder import Units
 from .datasets import bootstrap_resample, normals_only, validation_normals
 from .errors import (
     Bound,
@@ -32,7 +32,9 @@ from .errors import (
 )
 from .files import write_csv
 from .nn import (
+    AdamHyperparameters,
     AdamState,
+    Beta,
     DenseNetwork,
     adam_step,
     adversarial_term,
@@ -82,7 +84,7 @@ class GanomalyModel(Checked):
     """Trained GANomaly networks; scores and calibrate form the shared detector interface."""
 
     model_type: ClassVar[str] = "ganomaly"
-    format_version: ClassVar[int] = 4
+    format_version: ClassVar[int] = 5
     config_type: ClassVar[type] = GanomalyConfig
     calibration_param: ClassVar[str] = "k_sigma"
 
@@ -98,7 +100,7 @@ class GanomalyModel(Checked):
     k_sigma: NonNegativeFloat
     score_mode: ScoreMode = "data"
     tau: float | None = None
-    optimizer: dict | None = None  # hyperparameters the model was trained with
+    optimizer: AdamHyperparameters | None = None  # hyperparameters the model was trained with
     preprocess: PreprocessConfig | None = None
 
     def __post_init__(self):
@@ -324,7 +326,7 @@ def train_ganomaly(
         latent_dim=e1.out_dim,
         k_sigma=config.k_sigma,
         score_mode=config.score_mode,
-        optimizer=opt_g.to_dict(),
+        optimizer=AdamHyperparameters.of(config),
     )
     return model, trace
 

@@ -7,25 +7,21 @@ implemented (no convolutions, no general autodiff).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .files import decode_array, encode_array, finite_number, refuse_unknown_keys
+from .errors import Bound, Checked, ConfigError, PositiveFloat, ShapeError
 
 ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "identity")
 
 PROB_EPS = 1e-7  # probability clamp applied before logarithms
 
-FORMAT_VERSION = 2  # arrays as files.encode_array's little-endian float64; version 1 wrote nested JSON numbers
-
-_LAYER_KEYS = {"in_dim", "out_dim", "activation", "alpha", "weights", "biases"}  # of network_to_dict
-
 
 @dataclass
 class Layer:
-    """One affine-then-activation layer; weights are (in_dim, out_dim)."""
+    """One affine-then-activation layer; weights are (in_dim, out_dim), or row-major 1-D as a file holds them."""
 
     weights: np.ndarray
     biases: np.ndarray
@@ -35,9 +31,12 @@ class Layer:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.biases = np.asarray(self.biases, dtype=float)
+        self.alpha = float(self.alpha)  # a file may hold it as an integer
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[1],):
+        if self.weights.ndim == 1 and self.biases.size and self.weights.size % self.biases.size == 0:
+            self.weights = self.weights.reshape(-1, self.biases.size)
+        if self.weights.ndim != 2 or not self.weights.size or self.biases.shape != (self.weights.shape[1],):
             raise ShapeError(
                 f"layer shapes inconsistent: weights {self.weights.shape}, biases {self.biases.shape}"
             )
@@ -205,41 +204,41 @@ def adversarial_term(p_fake: np.ndarray) -> tuple[float, np.ndarray]:
     return -float(np.log(p_fake).sum()) / n, -1.0 / (n * p_fake)
 
 
-_ADAM_FIELDS = ("learning_rate", "beta1", "beta2", "epsilon")
+Beta = Annotated[float, Bound(ge=0, lt=1)]  # Adam's moment decay; 1 divides by zero in its bias correction
 
 
 @dataclass
-class AdamState:
-    """Adam accumulators for a fixed list of parameter arrays."""
+class AdamHyperparameters(Checked):
+    """Adam's hyperparameters, as a trainer's config names them and a model file keeps them."""
 
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    learning_rate: PositiveFloat
+    beta1: Beta
+    beta2: Beta
+    epsilon: PositiveFloat
+
+    @staticmethod
+    def of(config) -> AdamHyperparameters:
+        """The hyperparameters of a trainer's config, without AdamState's accumulators."""
+        return AdamHyperparameters(**{f.name: getattr(config, f.name) for f in fields(AdamHyperparameters)})
+
+
+@dataclass
+class AdamState(AdamHyperparameters):
+    """Adam's hyperparameters and its accumulators for a fixed list of parameter arrays."""
+
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params, learning_rate=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        return cls(
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-            step=0,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+        m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+        return cls(learning_rate, beta1, beta2, epsilon, m=m, v=v)
 
     @classmethod
     def for_config(cls, params, config):
-        """for_params with the four hyperparameters of a trainer's config, named as here."""
-        return cls.for_params(params, **{k: getattr(config, k) for k in _ADAM_FIELDS})
-
-    def to_dict(self) -> dict:
-        """The hyperparameters, without the accumulators."""
-        return {k: getattr(self, k) for k in _ADAM_FIELDS}
+        """for_params with the hyperparameters of a trainer's config."""
+        return cls.for_params(params, **vars(AdamHyperparameters.of(config)))
 
 
 def adam_step(
@@ -347,60 +346,6 @@ def encoder_decoder_specs(feature_dim: int, config, activation: str, alpha: floa
             "enable project_to_input or set feature_dim to match"
         )
     return enc_spec, dec_spec
-
-
-def network_to_dict(net: DenseNetwork) -> dict:
-    """JSON-ready encoding for a sealed file: layer specs with each array as its C-order float64 bytes."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "layers": [
-            {
-                "in_dim": l.in_dim,
-                "out_dim": l.out_dim,
-                "activation": l.activation,
-                "alpha": l.alpha,
-                "weights": encode_array(l.weights, "<f8"),
-                "biases": encode_array(l.biases, "<f8"),
-            }
-            for l in net.layers
-        ],
-    }
-
-
-def network_from_dict(data: dict) -> DenseNetwork:
-    """Inverse of network_to_dict; a malformed encoding is a ConfigError or ShapeError."""
-    version = data.get("format_version") if isinstance(data, dict) else None
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise ConfigError(f"unsupported network format version {version!r}")
-    layers = data.get("layers")
-    if not isinstance(layers, list) or not all(isinstance(l, dict) for l in layers):
-        raise ConfigError("network layers must be an array of objects")
-    refuse_unknown_keys(data, {"format_version", "layers"}, "a network")
-    for i, layer in enumerate(layers):
-        refuse_unknown_keys(layer, _LAYER_KEYS, f"layer {i}")
-    return DenseNetwork([Layer(*_layer_arrays(l), activation=l.get("activation"), alpha=_alpha(l)) for l in layers])
-
-
-def _layer_arrays(layer: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, biases) of a layer, checked against its in_dim and out_dim."""
-    in_dim, out_dim = layer.get("in_dim"), layer.get("out_dim")
-    if not all(type(d) is int and d > 0 for d in (in_dim, out_dim)):
-        raise ConfigError(f"layer dims must be positive integers, got ({in_dim!r}, {out_dim!r})")
-    weights = decode_array(layer.get("weights"), "layer weights array", "<f8")
-    biases = decode_array(layer.get("biases"), "layer biases array", "<f8")
-    if (weights.size, biases.size) != (in_dim * out_dim, out_dim):
-        raise ConfigError(
-            f"layer weights and biases hold {8 * weights.size} bytes and {8 * biases.size} bytes, "
-            f"not 8 per element of shapes ({in_dim}, {out_dim}) and ({out_dim},)"
-        )
-    return weights.reshape(in_dim, out_dim), biases
-
-
-def _alpha(layer: dict) -> float:
-    alpha = layer.get("alpha", 0.0)
-    if not finite_number(alpha):
-        raise ConfigError(f"layer alpha {alpha!r} is not a finite number")
-    return float(alpha)
 
 
 def require_dims(name: str, net: DenseNetwork, in_dim: int, out_dim: int) -> None:

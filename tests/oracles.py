@@ -357,13 +357,13 @@ def reference_add_plateau(signal, start: int, length: int, depth: float, ramp: i
         signal[i] -= depth * scale
 
 
-def _preprocess_section(model):
-    pre = model.preprocess  # a PreprocessConfig once loaded, or the dict a caller assigned
-    return dataclasses.asdict(pre) if dataclasses.is_dataclass(pre) else pre
+def _section(value):
+    """A model's preprocess or optimizer section: a dataclass once loaded, or the dict a caller assigned."""
+    return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
 
 
 # the format version each model type writes today
-CURRENT_FORMAT = {"iforest": 5, "ae": 4, "ganomaly": 4}
+CURRENT_FORMAT = {"iforest": 5, "ae": 5, "ganomaly": 5}
 
 
 def reference_model_to_dict(model, version: int | None = None) -> dict:
@@ -374,8 +374,10 @@ def reference_model_to_dict(model, version: int | None = None) -> dict:
     reference_seal), where the current format holds each array as the bytes of
     its values. An isolation forest has five: 5 (flat arrays as bytes), 4 and
     3 (flat arrays as base64), 2 (one nested object per tree) and 1 (as 2, with
-    the threshold under ``threshold``). The AE and GANomaly have 4 (network
-    arrays as bytes), 3 and 2 (as base64) and 1 (as nested JSON numbers).
+    the threshold under ``threshold``). The AE and GANomaly have 5 (each
+    layer its activation, alpha and arrays as bytes), 4 (as 5, with each
+    layer's in_dim and out_dim and each network's format_version), 3 and 2
+    (as 4, arrays as base64) and 1 (as nested JSON numbers).
     """
     version = CURRENT_FORMAT[model.model_type] if version is None else version
     return {
@@ -450,27 +452,31 @@ def _reference_base64(data: bytes) -> str:
 
 
 def _reference_network(net, version: int) -> dict:
-    """A network of a version-`version` model file; its own format_version is 2 since model version 2."""
+    """A network of a version-`version` model file.
+
+    From version 5 a layer holds only its activation, alpha and arrays, and
+    the network only its layers; before, each layer held its in_dim and
+    out_dim, and the network a format_version of its own, 2 since model
+    version 2.
+    """
 
     def encode_array(array):
         if version < 2:
             return array.tolist()
         return _reference_doubles(array) if version >= 4 else _reference_base64(_reference_doubles(array))
 
-    return {
-        "format_version": min(version, 2),
-        "layers": [
-            {
-                "in_dim": len(layer.weights),
-                "out_dim": len(layer.biases),
-                "activation": layer.activation,
-                "alpha": layer.alpha,
-                "weights": encode_array(layer.weights),
-                "biases": encode_array(layer.biases),
-            }
-            for layer in net.layers
-        ],
-    }
+    layers = []
+    for layer in net.layers:
+        fields = {
+            "activation": layer.activation,
+            "alpha": layer.alpha,
+            "weights": encode_array(layer.weights),
+            "biases": encode_array(layer.biases),
+        }
+        if version < 5:
+            fields.update(in_dim=len(layer.weights), out_dim=len(layer.biases))
+        layers.append(fields)
+    return {"layers": layers} if version >= 5 else {"format_version": min(version, 2), "layers": layers}
 
 
 def _reference_ae_to_dict(model, version: int) -> dict:
@@ -481,8 +487,8 @@ def _reference_ae_to_dict(model, version: int) -> dict:
         "latent_dim": model.latent_dim,
         "tau": model.tau,
         "k_sigma": model.k_sigma,
-        "preprocess": _preprocess_section(model),
-        "optimizer": model.optimizer,
+        "preprocess": _section(model.preprocess),
+        "optimizer": _section(model.optimizer),
         "encoder": _reference_network(model.encoder, version),
         "decoder": _reference_network(model.decoder, version),
     }
@@ -500,8 +506,8 @@ def _reference_ganomaly_to_dict(model, version: int) -> dict:
         "tau": model.tau,
         "k_sigma": model.k_sigma,
         "score_mode": model.score_mode,
-        "preprocess": _preprocess_section(model),
-        "optimizer": model.optimizer,
+        "preprocess": _section(model.preprocess),
+        "optimizer": _section(model.optimizer),
         "encoder1": _reference_network(model.encoder1, version),
         "decoder": _reference_network(model.decoder, version),
         "encoder2": _reference_network(model.encoder2, version),
@@ -524,7 +530,7 @@ def _reference_iforest_to_dict(model, version: int) -> dict:
         "feature_dim": model.feature_dim,
         "seed": model.seed,
         "threshold" if version == 1 else "tau": model.tau,
-        "preprocess": _preprocess_section(model),
+        "preprocess": _section(model.preprocess),
         "trees": trees,
     }
 

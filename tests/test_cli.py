@@ -306,6 +306,12 @@ def _first_layer(name, data):
     return data["encoder" if name == "ae" else "encoder1"]["layers"][0]
 
 
+def _one_row_short(name, data):
+    """The first layer's weight blob without its last row, so that it reads one input fewer."""
+    layer = _first_layer(name, data)
+    layer["weights"] = layer["weights"][: -len(layer["biases"])]
+
+
 def _edited_weights(edit):
     """A defect that rewrites the first layer's weight blob as edit(its float64 values)."""
 
@@ -378,11 +384,14 @@ ARTIFACT_DEFECTS = {
     "weight list where a blob belongs": lambda name, data: _first_layer(name, data).update(
         weights=np.full((16, 8), 0.5).tolist()  # the first layer's shape, as version 1 wrote it
     ),
-    "in_dim off its blob": lambda name, data: _first_layer(name, data).update(in_dim=17),
+    "in_dim off its blob": _one_row_short,
     "layer alpha not finite (NaN)": lambda name, data: _first_layer(name, data).update(alpha=float("nan")),
     "layer alpha not finite (Infinity)": lambda name, data: _first_layer(name, data).update(alpha=float("inf")),
     "unknown key in a network": lambda name, data: data["decoder"].update(dropout=0.5),
     "unknown key in a layer": lambda name, data: _first_layer(name, data).update(dropout=0.5),
+    "optimizer with an unknown key": lambda name, data: data.update(optimizer={"bogus": [1, {"x": 2}]}),
+    "optimizer value of the wrong type": lambda name, data: data.update(optimizer={"beta1": "abc", "learning_rate": -5}),
+    "optimizer value outside its bound": lambda name, data: data["optimizer"].update(learning_rate=-5),
     "forest without an array": lambda name, data: data["trees"].pop("size"),
     "forest with an unknown array": lambda name, data: data["trees"].update(depth=data["trees"]["size"]),
     "forest array of a partial value": lambda name, data: data["trees"].update(feature=data["trees"]["feature"][:-1]),
@@ -400,13 +409,20 @@ ARTIFACT_DEFECTS = {
     "forest split at the depth limit": _subsample_below_a_split,
     "forest subsample_size beyond the cap": lambda name, data: data.update(subsample_size=MAX_SUBSAMPLE + 1),
 }
-# what the error names, for the defects that only the forest has
+# what the error names; {model} is the model type and {layer} the key path of the first layer
 DEFECT_MESSAGES = {
     "preprocess with an even median_window": "median_window must be odd and positive, got 4",
-    "layer alpha not finite (NaN)": "layer alpha nan is not a finite number",
-    "layer alpha not finite (Infinity)": "layer alpha inf is not a finite number",
-    "unknown key in a network": "decoder: unknown key 'dropout' in a network",
-    "unknown key in a layer": "unknown key 'dropout' in layer 0",
+    "weight blob one float short": "{layer}: layer shapes inconsistent: weights (127,), biases (8,)",
+    "weight blob holding a NaN": "network parameters must be finite",
+    "weight list where a blob belongs": "{layer}.weights is not an array reference",
+    "in_dim off its blob": "maps 15 -> 4, expected 16 -> 4",
+    "layer alpha not finite (NaN)": "{layer}.alpha: expected a finite number, got NaN",
+    "layer alpha not finite (Infinity)": "{layer}.alpha: expected a finite number, got Infinity",
+    "unknown key in a network": "unknown key {model}.decoder.dropout; valid keys: layers",
+    "unknown key in a layer": "unknown key {layer}.dropout; valid keys: activation, alpha, biases, weights",
+    "optimizer with an unknown key": "unknown key {model}.optimizer.bogus; valid keys: beta1, beta2, epsilon, learning_rate",
+    "optimizer value of the wrong type": '{model}.optimizer.beta1: expected a finite number, got "abc"',
+    "optimizer value outside its bound": "{model}.optimizer.learning_rate must be positive, got -5",
     "forest without an array": "forest must be an object of the arrays",
     "forest with an unknown array": "forest must be an object of the arrays",
     "forest array of a partial value": "forest array feature holds",
@@ -437,6 +453,9 @@ DEFECT_MODELS = {
     "weight blob holding a NaN": ("ae", "ganomaly"),
     "weight list where a blob belongs": ("ae", "ganomaly"),
     "in_dim off its blob": ("ae", "ganomaly"),
+    "optimizer with an unknown key": ("ae", "ganomaly"),
+    "optimizer value of the wrong type": ("ae", "ganomaly"),
+    "optimizer value outside its bound": ("ae", "ganomaly"),
     **{defect: ("iforest",) for defect in ARTIFACT_DEFECTS if defect.startswith("forest ")},
 }
 
@@ -456,7 +475,8 @@ def test_bad_model_artifact_is_a_one_line_config_error(
     bad = _edited_copy(model_files[name], tmp_path, lambda data: ARTIFACT_DEFECTS[defect](name, data))
     assert main(["calibrate", "--model-file", str(bad), "--features", str(features_file)]) == 2
     err = _one_line_error(capsys)
-    assert str(bad) in err and DEFECT_MESSAGES.get(defect, "") in err
+    layer = f"{name}.{'encoder' if name == 'ae' else 'encoder1'}.layers[0]"
+    assert str(bad) in err and DEFECT_MESSAGES.get(defect, "").format(model=name, layer=layer) in err
 
 
 def _references(fields) -> list:
@@ -526,15 +546,32 @@ def test_train_reads_its_config_once(features_file, config_file, tmp_path, monke
         return load_config(*args, **kwargs)
 
     monkeypatch.setattr(cli, "load_config", counting_load_config)
+    config = tmp_path / "config.json"
+    sections = json.loads(config_file.read_text(encoding="utf-8"))
+    sections["preprocess"]["feature_dim"] = 16  # the columns of features_file, so that `score` takes the model
+    config.write_text(json.dumps(sections), encoding="utf-8")
     out = tmp_path / "trained"
     assert main(
         ["train", "--model", "iforest", "--features", str(features_file),
-         "--config", str(config_file), "--out", str(out)]
+         "--config", str(config), "--out", str(out)]
     ) == 0
     assert len(reads) == 1
     model_data = _model_fields(out / "model.json")
-    assert model_data["preprocess"] == encode(load_config(config_file, required=()).preprocess)
+    assert model_data["preprocess"] == encode(load_config(config, required=()).preprocess)
     assert len(model_data["trees"]["node_counts"]) == 4 * 25  # one int32 per tree, as the model section asks
+
+
+@pytest.mark.parametrize("model", list(DETECTORS))
+def test_train_refuses_a_config_whose_feature_dim_is_not_the_features_and_writes_nothing(
+    model, features_file, config_file, tmp_path, capsys
+):
+    out = tmp_path / "trained"
+    argv = ["train", "--model", model, "--features", str(features_file), "--config", str(config_file)]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert _one_line_error(capsys) == (
+        f"error: {config_file}: preprocess.feature_dim 32 differs from the 16 feature columns of {features_file}\n"
+    )
+    assert not out.exists()
 
 
 UNSEALED = [(name, version) for name, current in CURRENT_FORMAT.items() for version in range(1, current + 1)]
@@ -561,7 +598,9 @@ OLDER = [(name, version) for name, current in CURRENT_FORMAT.items() for version
 @pytest.mark.parametrize("name, version", OLDER, ids=[f"{name}-{version}" for name, version in OLDER])
 def test_an_older_sealed_artifact_is_refused_with_one_line(name, version, model_files, features_file, tmp_path, capsys):
     old = tmp_path / "model.json"
-    old.write_bytes(reference_seal(model_files[f"{name}_v{version}"].read_text(encoding="utf-8")))
+    raw = model_files[f"{name}_v{version}"].read_bytes()
+    end = raw.index(b"\n}\n") + 3  # the text, and the arrays that follow it from version 4 of a network
+    old.write_bytes(reference_seal(raw[:end].decode("utf-8"), raw[end:]))
     before = old.read_bytes()
     assert main(["calibrate", "--model-file", str(old), "--features", str(features_file)]) == 2
     assert _one_line_error(capsys) == (
@@ -680,7 +719,8 @@ def test_train_refuses_features_whose_threshold_overflows_and_writes_no_model(
     lines[4] = ",".join(cells[:2] + ["1e300"] * (len(cells) - 2))  # one normal row, every feature 1e300
     huge.write_text("\n".join(lines) + "\n", encoding="utf-8")
     config, out = tmp_path / "config.json", tmp_path / "trained"
-    config.write_text(json.dumps({"model": {model: TINY_MODELS[model]}}), encoding="utf-8")
+    sections = {"preprocess": {"feature_dim": 16}, "model": {model: TINY_MODELS[model]}}
+    config.write_text(json.dumps(sections), encoding="utf-8")
     argv = ["train", "--model", model, "--features", str(huge), "--config", str(config), "--out", str(out)]
     assert re.fullmatch(OVERFLOW_ERROR, _refused_without_a_warning(argv, capsys))
     assert not out.exists()

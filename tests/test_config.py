@@ -14,6 +14,7 @@ from fetalguard.datasets import SplitConfig
 from fetalguard.errors import ConfigError, field_bounds
 from fetalguard.ganomaly import GanomalyConfig
 from fetalguard.iforest import MAX_SUBSAMPLE, IforestConfig
+from fetalguard.nn import AdamHyperparameters
 from fetalguard.preprocess import PreprocessConfig
 
 MINIMAL = {
@@ -301,7 +302,7 @@ def test_every_number_and_choice_field_of_a_config_declares_its_bound(cls):
     assert [name for name in fields if name not in field_bounds(cls)] == []
 
 
-@pytest.mark.parametrize("cls", DETECTORS.values(), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [*DETECTORS.values(), AdamHyperparameters], ids=lambda cls: cls.__name__)
 def test_a_model_field_that_mirrors_a_config_field_declares_the_same_bound(cls):
     config_bounds = {name: bound for config in CONFIG_CLASSES for name, bound in field_bounds(config).items()}
     mirrored = [f.name for f in dataclasses.fields(cls) if f.name in config_bounds]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
 )
 
 from fetalguard import nn
+from fetalguard.config import decode, encode
 from fetalguard.errors import ConfigError, ShapeError
 from fetalguard.nn import (
     AdamState,
@@ -26,8 +28,6 @@ from fetalguard.nn import (
     bce_terms,
     forward,
     init_network,
-    network_from_dict,
-    network_to_dict,
 )
 
 EDGE_VALUES = np.array([1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e308, -1e308])
@@ -361,20 +361,26 @@ class TestInitNetwork:
             )
 
 
+def _decoded(data) -> DenseNetwork:
+    return decode(DenseNetwork, data, "net")
+
+
 def test_serialization_roundtrip_is_exact():
     net = init_network([(5, 4, "leaky_relu", 0.2), (4, 1, "sigmoid")], seed=13)
-    restored = network_from_dict(network_to_dict(net))
+    data = encode(net)
+    restored = _decoded(data)
     for a, b in zip(net.layers, restored.layers):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
         assert a.activation == b.activation and a.alpha == b.alpha
+    assert encode(restored) == data
 
 
 def test_serialization_rejects_unknown_version():
-    data = network_to_dict(init_network([(2, 1, "relu")], seed=0))
-    data["format_version"] = 99
-    with pytest.raises(ConfigError):
-        nn.network_from_dict(data)
+    data = encode(init_network([(2, 1, "relu")], seed=0))
+    data["format_version"] = 99  # the model file's format_version covers its networks
+    with pytest.raises(ConfigError, match="^unknown key net.format_version; valid keys: layers$"):
+        _decoded(data)
 
 
 def test_a_version_1_network_is_refused():
@@ -383,66 +389,65 @@ def test_a_version_1_network_is_refused():
         {"activation": l.activation, "alpha": l.alpha, "weights": l.weights.tolist(), "biases": l.biases.tolist()}
         for l in net.layers
     ]  # arrays as nested JSON numbers
-    with pytest.raises(ConfigError, match="^unsupported network format version 1$"):
-        network_from_dict({"format_version": 1, "layers": layers})
+    with pytest.raises(ConfigError, match="^unknown key net.format_version; valid keys: layers$"):
+        _decoded({"format_version": 1, "layers": layers})
+    with pytest.raises(ConfigError, match=r"^net.layers\[0\].weights is not an array reference$"):
+        _decoded({"layers": layers})
 
 
 @pytest.mark.parametrize("array", ["weights", "biases"])
 @pytest.mark.parametrize("value", [True, False])
 def test_a_boolean_in_place_of_a_layer_array_is_refused(array, value):
-    data = network_to_dict(init_network([(2, 3, "relu")], seed=0))
+    data = encode(init_network([(2, 3, "relu")], seed=0))
     data["layers"][0][array] = value
-    with pytest.raises(ConfigError, match=f"^layer {array} array is not an array reference$"):
-        network_from_dict(data)
+    with pytest.raises(ConfigError, match=rf"^net.layers\[0\].{array} is not an array reference$"):
+        _decoded(data)
 
 
 @pytest.mark.parametrize("alpha", ["NaN", "Infinity", "-Infinity", "1e400", "true", '"0.2"', "[0.2]"])
 def test_a_layer_alpha_that_is_not_a_finite_number_is_refused(alpha):
-    data = network_to_dict(init_network([(2, 3, "leaky_relu", 0.2)], seed=0))
+    data = encode(init_network([(2, 3, "leaky_relu", 0.2)], seed=0))
     data["layers"][0]["alpha"] = json.loads(alpha)
-    with pytest.raises(ConfigError, match="^layer alpha .* is not a finite number$"):
-        network_from_dict(data)
+    with pytest.raises(ConfigError, match=r"^net.layers\[0\].alpha: expected a finite number, got "):
+        _decoded(data)
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 0.2])
 def test_a_finite_layer_alpha_loads_as_a_float(alpha):
-    data = network_to_dict(init_network([(2, 3, "leaky_relu", alpha)], seed=0))
-    restored = network_from_dict(data)
+    data = encode(init_network([(2, 3, "leaky_relu", alpha)], seed=0))
+    restored = _decoded(data)
     assert type(restored.layers[0].alpha) is float and restored.layers[0].alpha == alpha
-
-
-def _set_in_dim(layer, value):
-    layer["in_dim"] = value
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda layer: _set_in_dim(layer, True), "positive integers"),
-        (lambda layer: _set_in_dim(layer, 0), "positive integers"),
-        (lambda layer: _set_in_dim(layer, 2.0), "positive integers"),
-        (lambda layer: layer.pop("out_dim"), "positive integers"),
-        (lambda layer: layer.update(weights=[[0.5, 0.5, 0.5]] * 2), "not an array reference"),
-        (lambda layer: layer.update(weights=layer["weights"].hex()), "not an array reference"),
-        (lambda layer: layer.update(weights=bytes(8 * 7)), "56 bytes"),
+        (lambda layer: layer.update(in_dim=True), "unknown key net.layers[0].in_dim"),  # as version 4 stored it
+        (lambda layer: layer.update(weights=b""), "weights (0, 3), biases (3,)"),
+        (lambda layer: layer.update(weights=bytes(8 * 4)), "weights (4,), biases (3,)"),
+        (lambda layer: layer.update(biases=b""), "weights (6,), biases (0,)"),
+        (lambda layer: layer.update(weights=[[0.5, 0.5, 0.5]] * 2), "weights is not an array reference"),
+        (lambda layer: layer.update(weights=layer["weights"].hex()), "weights is not an array reference"),
+        (lambda layer: layer.update(weights=bytes(8 * 7)), "weights (7,), biases (3,)"),
         (lambda layer: layer.update(weights=layer["weights"][:4] + b"\n" + layer["weights"][4:]), "49 bytes"),
-        (lambda layer: layer.update(biases=layer["weights"]), "bytes"),
-        (lambda layer: layer.update(weights=bytes(8 * 5)), "40 bytes"),
+        (lambda layer: layer.update(biases=layer["weights"]), "net: layer dims do not chain: 6 -> 3"),
+        (lambda layer: layer.update(weights=bytes(8 * 5)), "weights (5,), biases (3,)"),
         (lambda layer: layer.update(biases=struct.pack("<3d", 0, math.nan, 0)), "finite"),
     ],
+    # in_dim 0 and in_dim float: weights of no row and of a partial row; no out_dim: biases of zero bytes
     ids=["in_dim bool", "in_dim 0", "in_dim float", "no out_dim", "a list", "a string", "one float long",
          "a line break", "weights for biases", "one float short", "a NaN"],
 )
 def test_a_malformed_version_2_layer_is_a_config_error(edit, message):
-    data = network_to_dict(init_network([(2, 3, "relu")], seed=0))
+    data = encode(init_network([(2, 3, "relu"), (3, 1, "relu")], seed=0))
     edit(data["layers"][0])
-    with pytest.raises(ConfigError, match=message):
-        network_from_dict(data)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _decoded(data)
 
 
 def test_loaded_parameters_are_writable_and_train():
     net = init_network([(3, 2, "relu")], seed=0)
-    restored = network_from_dict(network_to_dict(net))
+    restored = _decoded(encode(net))
     params = restored.parameters()
     assert all(p.flags.writeable and p.flags.c_contiguous and p.dtype == np.float64 for p in params)
     adam_step(params, [np.ones_like(p) for p in params], AdamState.for_params(params))
