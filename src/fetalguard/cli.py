@@ -24,7 +24,7 @@ from .datasets import SplitConfig, class_counts, train_test_split, validation_sp
 from .errors import ConfigError, FetalGuardError
 from .experiment import fit_detector, read_scores_csv, run_experiment, write_scores_csv
 from .files import write_csv, write_json
-from .ingest import ClassLabel, load_each, read_record_csv
+from .ingest import ClassLabel, Rejected, load_each, read_record_csv
 from .preprocess import (
     PreprocessConfig,
     preprocess_files,
@@ -63,7 +63,9 @@ def _index_row(item) -> tuple:
 
 
 def cmd_ingest(args) -> int:
-    rows, skipped = load_each(args.signals, args.metadata, _index_row)
+    outcomes = load_each(args.signals, args.metadata, _index_row)
+    rows = [row for row in outcomes if not isinstance(row, Rejected)]
+    skipped = [row for row in outcomes if isinstance(row, Rejected)]
     n_abnormal = sum(1 for row in rows if row[1] == ClassLabel.ABNORMAL)
     print(
         f"loaded {len(rows)} records: "
@@ -85,11 +87,11 @@ def _preprocess_config(args) -> PreprocessConfig:
 
 
 def cmd_preprocess(args) -> int:
-    report, _ = preprocess_files(args.signals, args.metadata, _preprocess_config(args))
+    report = preprocess_files(args.signals, args.metadata, _preprocess_config(args))
     write_features_csv(report.features, args.out)
     print(f"wrote {len(report.features)} feature vectors to {args.out}")
-    for record_id, reason in report.rejected:
-        print(f"rejected {record_id}: {reason}", file=sys.stderr)
+    for rejected in report.rejected:
+        print(rejected, file=sys.stderr)
     return 0
 
 

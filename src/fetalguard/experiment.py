@@ -84,12 +84,12 @@ def load_features(config: ExperimentConfig) -> PreprocessReport:
 
     Each record is read or synthesized, and preprocessed, in one forked
     worker per available core (workers.fork_map), so only features and
-    rejection reasons come back to this process, never a raw signal (about
-    ten times their size). The report does not depend on the core count.
+    Rejecteds come back to this process, never a raw signal (about ten
+    times their size). The report does not depend on the core count.
     """
     data, prep = config.data, config.preprocess
     if data.synth is None:
-        return preprocess_files(data.signals_dir, data.metadata_file, prep)[0]
+        return preprocess_files(data.signals_dir, data.metadata_file, prep)
     records = SyntheticDataset(data.synth.n_normal, data.synth.n_abnormal, data.synth.seed)
     return collect_features(fork_map(lambda item: preprocess_item(item, prep), records, "record-synthesizing"))
 
@@ -330,8 +330,8 @@ def run_experiment(
                 f"{', '.join(sorted(config.models))}"
             )
     prep = load_features(config)
-    for record_id, reason in prep.rejected:
-        logger.warning("rejected %s: %s", record_id, reason)
+    for rejected in prep.rejected:
+        logger.warning("%s", rejected)
 
     seeds = range(config.split.seed, config.split.seed + config.eval.seeds)
     legs = [(seed, name, config.models[name], config.grids.get(name, {})) for seed in seeds for name in models]

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -93,10 +94,17 @@ class LabeledRecord:
     label: ClassLabel
 
 
-@dataclass
-class SkippedRecord:
+@dataclass(frozen=True)
+class Rejected:
+    """A recording that did not become features, and why; str() is the line `preprocess` prints and `run` logs."""
+
     record_id: str
+    stage: Literal["ingest", "preprocess"]
     reason: str
+
+    def __str__(self) -> str:
+        verb = "skipped" if self.stage == "ingest" else "rejected"
+        return f"{verb} {self.record_id}: {self.reason}"
 
 
 def parse_record_csv(text: str, record_id: str) -> SignalRecord:
@@ -275,8 +283,8 @@ def read_metadata_csv(path: str | Path) -> dict[str, ClinicalMetadata]:
     return out
 
 
-def load_each(signal_dir: str | Path, metadata_file: str | Path, function) -> tuple[list, list[SkippedRecord]]:
-    """function(LabeledRecord) of each recording under signal_dir that loads, and the skip report, in file order.
+def load_each(signal_dir: str | Path, metadata_file: str | Path, function) -> list:
+    """function(LabeledRecord) of each recording under signal_dir, or its ingest Rejected, in file order.
 
     A file is skipped for the first of: no metadata row, a parse failure, a
     labeling failure. Any other exception (an OSError such as a directory
@@ -284,9 +292,8 @@ def load_each(signal_dir: str | Path, metadata_file: str | Path, function) -> tu
     file is about 2.6 ms of string-to-double conversion that holds the
     interpreter lock, so each file is read, labeled and given to function in
     one forked worker per available core (workers.fork_map), and only
-    function's result comes back; the results, the skip reasons and their
-    order do not depend on how many. Raises EmptyInputError when no recording
-    loads.
+    function's result comes back; the list does not depend on how many.
+    Raises EmptyInputError when no recording loads.
     """
     signal_dir = Path(signal_dir)
     metadata = read_metadata_csv(metadata_file)
@@ -296,49 +303,38 @@ def load_each(signal_dir: str | Path, metadata_file: str | Path, function) -> tu
         raise EmptyInputError(f"no signal CSV files in {signal_dir}")
 
     jobs = [(path, metadata[path.stem]) for path in signal_files if path.stem in metadata]
-    results, labels = [], []
-    skipped: list[SkippedRecord] = []
-    with contextlib.closing(fork_map(lambda job: _load_one(*job, function), jobs, "signal-reading")) as outcomes:
-        for path in signal_files:
-            outcome = next(outcomes) if path.stem in metadata else "no metadata row"
-            if isinstance(outcome, str):
-                skipped.append(SkippedRecord(path.stem, outcome))
-                continue
-            labels.append(outcome[0])
-            results.append(outcome[1])
+    with contextlib.closing(fork_map(lambda job: _load_one(*job, function), jobs, "signal-reading")) as loaded:
+        outcomes = [
+            next(loaded) if path.stem in metadata else Rejected(path.stem, "ingest", "no metadata row")
+            for path in signal_files
+        ]
 
-    if not results:
-        raise EmptyInputError(
-            f"no records loaded from {signal_dir} ({len(skipped)} skipped)"
-        )
-
-    n_abnormal = labels.count(ClassLabel.ABNORMAL)
-    logger.info(
-        "loaded %d records: %d normal, %d abnormal (%d skipped)",
-        len(results), len(results) - n_abnormal, n_abnormal, len(skipped),
-    )
-    return results, skipped
+    skipped = sum(isinstance(outcome, Rejected) and outcome.stage == "ingest" for outcome in outcomes)
+    if skipped == len(outcomes):
+        raise EmptyInputError(f"no records loaded from {signal_dir} ({skipped} skipped)")
+    logger.info("loaded %d records (%d skipped)", len(outcomes) - skipped, skipped)
+    return outcomes
 
 
 def _load_one(path: Path, meta: ClinicalMetadata, function):
-    """(label, function(LabeledRecord)) of one signal file, or the reason load_each skips it."""
+    """function(LabeledRecord) of one signal file, or the Rejected that load_each skips it with."""
     record = _read_signal(path)
-    if isinstance(record, str):
+    if isinstance(record, Rejected):
         return record
     try:
         label = assign_label(meta)
     except LabelingError as exc:
-        return str(exc)
+        return Rejected(path.stem, "ingest", str(exc))
     record.metadata = meta
-    return label, function(LabeledRecord(record, label))
+    return function(LabeledRecord(record, label))
 
 
-def _read_signal(path: Path) -> SignalRecord | str:
-    """read_record_csv(path), or the reason load_each skips the file.
+def _read_signal(path: Path) -> SignalRecord | Rejected:
+    """read_record_csv(path), or the Rejected that load_each skips the file with.
 
     Any other exception (an OSError such as a directory named ``x.csv``) propagates.
     """
     try:
         return read_record_csv(path)
     except (FetalGuardError, ValueError) as exc:
-        return str(exc)
+        return Rejected(path.stem, "ingest", str(exc))

@@ -28,7 +28,7 @@ from .errors import (
     TrainingDataError,
 )
 from .files import read_csv_rows, write_csv
-from .ingest import ClassLabel, LabeledRecord, SignalRecord, SkippedRecord, load_each
+from .ingest import ClassLabel, LabeledRecord, Rejected, SignalRecord, load_each
 
 BPM_MIN = 50.0
 BPM_MAX = 200.0
@@ -206,8 +206,10 @@ def preprocess_pipeline(
 
 @dataclass
 class PreprocessReport:
+    """The features of the recordings that made it, and every Rejected, each in file order."""
+
     features: list[FeatureVector]
-    rejected: list[tuple[str, str]] = field(default_factory=list)
+    rejected: list[Rejected] = field(default_factory=list)
 
 
 def preprocess_collection(records, config: PreprocessConfig | None = None) -> PreprocessReport:
@@ -216,35 +218,32 @@ def preprocess_collection(records, config: PreprocessConfig | None = None) -> Pr
     return collect_features(preprocess_item(item, config) for item in records)
 
 
-def preprocess_files(
-    signal_dir: str | Path, metadata_file: str | Path, config: PreprocessConfig
-) -> tuple[PreprocessReport, list[SkippedRecord]]:
-    """preprocess_collection of the records load_each reads, and its skip report, in one pass.
+def preprocess_files(signal_dir: str | Path, metadata_file: str | Path, config: PreprocessConfig) -> PreprocessReport:
+    """The report of the records under signal_dir, with both ingest skips and preprocess rejections.
 
     Each file is read and preprocessed in the worker that reads it
-    (ingest.load_each), so only its features or its reason come back.
+    (ingest.load_each), so only its features or its Rejected come back.
     """
-    outcomes, skipped = load_each(signal_dir, metadata_file, lambda item: preprocess_item(item, config))
-    return collect_features(outcomes), skipped
+    return collect_features(load_each(signal_dir, metadata_file, lambda item: preprocess_item(item, config)))
 
 
-def preprocess_item(item: LabeledRecord, config: PreprocessConfig) -> FeatureVector | tuple[str, str]:
-    """preprocess_pipeline of one LabeledRecord, or its (record_id, reason) rejection."""
+def preprocess_item(item: LabeledRecord, config: PreprocessConfig) -> FeatureVector | Rejected:
+    """preprocess_pipeline of one LabeledRecord, or its preprocess Rejected."""
     try:
         return preprocess_pipeline(item.record, config, label=item.label)
     except FetalGuardError as exc:
-        return item.record.record_id, str(exc)
+        return Rejected(item.record.record_id, "preprocess", str(exc))
 
 
 def collect_features(outcomes) -> PreprocessReport:
-    """The report of preprocess_item outcomes, in their order; raises PreprocessError if all are rejections."""
-    features: list[FeatureVector] = []
-    rejected: list[tuple[str, str]] = []
+    """The report of FeatureVector or Rejected outcomes, in order; PreprocessError if none is a FeatureVector."""
+    report = PreprocessReport(features=[])
     for outcome in outcomes:
-        (features if isinstance(outcome, FeatureVector) else rejected).append(outcome)
-    if not features:
-        raise PreprocessError(f"all {len(rejected)} records were rejected by preprocessing")
-    return PreprocessReport(features=features, rejected=rejected)
+        (report.rejected if isinstance(outcome, Rejected) else report.features).append(outcome)
+    if not report.features:
+        n = sum(rejected.stage == "preprocess" for rejected in report.rejected)
+        raise PreprocessError(f"all {n} records were rejected by preprocessing")
+    return report
 
 
 def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:

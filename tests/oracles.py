@@ -31,8 +31,8 @@ from fetalguard.errors import ConfigError, EmptyInputError, FetalGuardError, Par
 from fetalguard.iforest import InternalNode, IsolationForestModel, IsolationTree, LeafNode, depth_limit
 from fetalguard.ingest import (
     LabeledRecord,
+    Rejected,
     SignalRecord,
-    SkippedRecord,
     assign_label,
     read_metadata_csv,
     read_record_csv,
@@ -170,31 +170,35 @@ def reference_backward(net, cache, output_gradient):
     return grads, input_grad
 
 
-def reference_load_collection(signal_dir, metadata_file) -> tuple[list, list]:
-    """(records, skipped) of ingest.load_each with an identity function, as one loop over the sorted files, in this process."""
+def reference_load_collection(signal_dir, metadata_file) -> list:
+    """ingest.load_each with an identity function, as one loop over the sorted files, in this process.
+
+    Each file gives its LabeledRecord or its ingest Rejected, in file order.
+    """
     signal_dir = Path(signal_dir)
     metadata = read_metadata_csv(metadata_file)
     signal_files = sorted(signal_dir.glob("*.csv"))
     if not signal_files:
         raise EmptyInputError(f"no signal CSV files in {signal_dir}")
-    records, skipped = [], []
+    outcomes = []
     for path in signal_files:
         record_id = path.stem
         meta = metadata.get(record_id)
         if meta is None:
-            skipped.append(SkippedRecord(record_id, "no metadata row"))
+            outcomes.append(Rejected(record_id, "ingest", "no metadata row"))
             continue
         try:
             record = read_record_csv(path)
             record.metadata = meta
             label = assign_label(meta)
         except (FetalGuardError, ValueError) as exc:
-            skipped.append(SkippedRecord(record_id, str(exc)))
+            outcomes.append(Rejected(record_id, "ingest", str(exc)))
             continue
-        records.append(LabeledRecord(record, label))
-    if not records:
-        raise EmptyInputError(f"no records loaded from {signal_dir} ({len(skipped)} skipped)")
-    return records, skipped
+        outcomes.append(LabeledRecord(record, label))
+    skipped = sum(isinstance(outcome, Rejected) for outcome in outcomes)
+    if skipped == len(outcomes):
+        raise EmptyInputError(f"no records loaded from {signal_dir} ({skipped} skipped)")
+    return outcomes
 
 
 def reference_write_dataset(records, out_dir) -> tuple[Path, Path]:

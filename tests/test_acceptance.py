@@ -43,6 +43,7 @@ from fetalguard.preprocess import (
     interpolate_missing,
     median_smooth,
     preprocess_collection,
+    preprocess_files,
 )
 from fetalguard.synth import generate_dataset
 
@@ -224,10 +225,7 @@ def test_criterion_07_synthetic_end_to_end_separability(network_runs):
     reason="clinical dataset not present (FETALGUARD_CTU_SIGNALS/METADATA unset)",
 )
 def test_criterion_08_model_ordering_on_real_data():
-    from fetalguard.ingest import load_each
-
-    records, _ = load_each(CTU_SIGNALS, CTU_METADATA, lambda item: item)
-    prep = preprocess_collection(records, PreprocessConfig())
+    prep = preprocess_files(CTU_SIGNALS, CTU_METADATA, PreprocessConfig())
     configs = {"iforest": IforestConfig(), "ae": AeConfig(), "ganomaly": GanomalyConfig()}
     legs = [(s, name, config, {}) for name, config in configs.items() for s in range(5)]
     f1s = {name: [] for name in configs}

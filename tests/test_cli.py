@@ -931,6 +931,47 @@ def test_run_names_a_record_too_short_to_featurize_and_completes(dataset, tmp_pa
     assert sizes["train"] + sizes["test"] == 59
 
 
+def test_preprocess_and_run_name_every_skipped_file_in_file_order(dataset, tmp_path, capsys, caplog):
+    signals = tmp_path / "signals"
+    shutil.copytree(dataset / "signals", signals)
+    (signals / "syn0001.csv").unlink()
+    clean = tmp_path / "clean.csv"  # the features of the files that load
+    assert main(["preprocess", "--signals", str(signals), "--metadata", str(dataset / "metadata.csv"),
+                 "--out", str(clean)]) == 0
+    (signals / "syn0001.csv").write_text("time_s,fhr_bpm\n0,abc\n", encoding="utf-8")
+    (signals / "orphan.csv").write_text("time_s,fhr_bpm\n0.0,140\n0.25,141\n", encoding="utf-8")
+    named = [
+        "skipped orphan: no metadata row",
+        "skipped syn0001: line 2: non-numeric cell in row ['0', 'abc']",
+    ]
+    capsys.readouterr()
+
+    features = tmp_path / "features.csv"
+    assert main(["preprocess", "--signals", str(signals), "--metadata", str(dataset / "metadata.csv"),
+                 "--out", str(features)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 59 feature vectors to {features}\n"
+    assert captured.err.splitlines() == named
+    assert features.read_bytes() == clean.read_bytes()
+
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(
+        json.dumps(
+            {
+                "data": {"signals_dir": str(signals), "metadata_file": str(dataset / "metadata.csv")},
+                "preprocess": {"feature_dim": 32},
+                "model": {"iforest": {"n_trees": 5}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.WARNING, logger="fetalguard.experiment"):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == named
+    sizes = json.loads((out / "seed_000" / "iforest" / "report.json").read_text())["sizes"]
+    assert sizes["train"] + sizes["test"] == 59
+
+
 def test_ingest_out_writes_an_index_and_the_skipped_records(dataset, tmp_path, capsys):
     signals = tmp_path / "signals"
     shutil.copytree(dataset / "signals", signals)

@@ -10,7 +10,7 @@ import pytest
 from oracles import reference_backward, reference_open
 
 from fetalguard import ganomaly
-from fetalguard.autoencoder import AeModel
+from fetalguard.autoencoder import AeModel, training_inputs
 from fetalguard.config import encode
 from fetalguard.errors import ShapeError, TrainingDataError, TrainingError
 from fetalguard.ganomaly import (
@@ -287,6 +287,16 @@ class TestTraining:
         normals = _structured_set(40, seed=1)
         _, trace = train_ganomaly(normals, TINY, seed=2)
         assert trace.generator_updates == 2 * trace.discriminator_updates
+
+    def test_a_fit_moves_every_parameter_array_of_all_four_networks(self):
+        normals = _structured_set(40, seed=1)
+        net_seed = training_inputs(normals, None, 2)[2]  # the seed train_ganomaly builds its networks from
+        initial = build_ganomaly_networks(24, TINY, net_seed)
+        model, _ = train_ganomaly(normals, TINY, seed=2)
+        trained = (model.encoder1, model.decoder, model.encoder2, model.discriminator)
+        for name, before, after in zip(("encoder1", "decoder", "encoder2", "discriminator"), initial, trained):
+            for i, (p0, p1) in enumerate(zip(before.parameters(), after.parameters(), strict=True)):
+                assert not np.array_equal(p0, p1), f"{name} parameter {i} did not move"
 
     def test_seeded_runs_produce_identical_traces(self):
         normals = _structured_set(40, seed=4)

@@ -17,6 +17,7 @@ from fetalguard.errors import (
     FetalGuardError,
     LabelingError,
     ParseError,
+    PreprocessError,
     StructureError,
 )
 from fetalguard import ingest
@@ -24,13 +25,14 @@ from fetalguard.cli import main
 from fetalguard.ingest import (
     ClassLabel,
     ClinicalMetadata,
+    Rejected,
     SignalRecord,
     assign_label,
     load_each,
     parse_record_csv,
     read_metadata_csv,
 )
-from fetalguard.preprocess import PreprocessConfig, preprocess_collection, preprocess_files
+from fetalguard.preprocess import PreprocessConfig, collect_features, preprocess_files, preprocess_item
 from oracles import reference_load_collection, reference_parse_record_csv
 
 
@@ -139,8 +141,9 @@ def _write_signal(path, n=10, value=140.0):
 
 
 def _load(signal_dir, metadata_file):
-    """(records, skipped) of every recording under signal_dir, each LabeledRecord as load_each reads it."""
-    return load_each(signal_dir, metadata_file, lambda item: item)
+    """(records, skipped) of every recording under signal_dir: each LabeledRecord as load_each reads it, and each Rejected."""
+    outcomes = load_each(signal_dir, metadata_file, lambda item: item)
+    return [o for o in outcomes if not isinstance(o, Rejected)], [o for o in outcomes if isinstance(o, Rejected)]
 
 
 def test_load_collection_reports_orphan_signal(tmp_path):
@@ -154,7 +157,8 @@ def test_load_collection_reports_orphan_signal(tmp_path):
     records, skipped = _load(signals, tmp_path / "meta.csv")
     assert [r.record.record_id for r in records] == ["a"]
     assert records[0].label is ClassLabel.ABNORMAL
-    assert [s.record_id for s in skipped] == ["orphan"]
+    assert skipped == [Rejected("orphan", "ingest", "no metadata row")]
+    assert str(skipped[0]) == "skipped orphan: no metadata row"
 
 
 def test_load_collection_skips_unlabelable_records(tmp_path):
@@ -167,7 +171,7 @@ def test_load_collection_skips_unlabelable_records(tmp_path):
     )
     records, skipped = _load(signals, tmp_path / "meta.csv")
     assert [r.record.record_id for r in records] == ["b"]
-    assert skipped[0].record_id == "a"
+    assert (skipped[0].record_id, skipped[0].stage) == ("a", "ingest")
     assert "apgar1" in skipped[0].reason
 
 
@@ -183,7 +187,7 @@ def test_load_collection_skips_a_signal_that_is_not_utf8_as_score_refuses_it(tmp
     )
     records, skipped = _load(signals, tmp_path / "meta.csv")
     assert [r.record.record_id for r in records] == ["a", "c"]
-    assert [s.record_id for s in skipped] == ["b"]
+    assert [(s.record_id, s.stage) for s in skipped] == [("b", "ingest")]
     assert skipped[0].reason.startswith(f"{bad}: not UTF-8 text")
 
 
@@ -255,7 +259,7 @@ def test_load_collection_returns_float64_signals_that_own_their_data(tmp_path, s
 
     for cores in CORE_COUNTS:
         set_cores(cores)
-        records, _ = load_each(signals, tmp_path / "meta.csv", seen)
+        records = load_each(signals, tmp_path / "meta.csv", seen)
         assert [size for size, *_ in records] == [40, 2, 4800]
         for _, float64_vector, owns_data, writeable in records:
             assert float64_vector
@@ -282,21 +286,23 @@ def _mixed_collection(tmp_path):
     return signals, tmp_path / "meta.csv"
 
 
-def _contents(records, skipped):
-    records = [
-        (r.record.record_id, r.label, r.record.fhr.tobytes(), r.record.sample_rate_hz, r.record.metadata)
-        for r in records
+def _contents(outcomes):
+    return [
+        o if isinstance(o, Rejected)
+        else (o.record.record_id, o.label, o.record.fhr.tobytes(), o.record.sample_rate_hz, o.record.metadata)
+        for o in outcomes
     ]
-    return records, skipped
 
 
 def test_load_collection_matches_the_serial_loop_on_every_core_count(tmp_path, set_cores):
     signals, meta = _mixed_collection(tmp_path)
-    expected = _contents(*reference_load_collection(signals, meta))
-    assert len(expected[0]) == 13 and len(expected[1]) == 4  # quoted and long load; 4 kinds are skipped
+    expected = _contents(reference_load_collection(signals, meta))
+    # quoted and long load; 4 kinds are skipped, each in its file's place
+    assert len(expected) == 17
+    assert [o.record_id for o in expected if isinstance(o, Rejected)] == ["backwards", "latin1", "orphan", "unlabelable"]
     for cores in CORE_COUNTS:
         set_cores(cores)
-        assert _contents(*_load(signals, meta)) == expected
+        assert _contents(load_each(signals, meta, lambda item: item)) == expected
 
 
 def test_load_collection_raises_the_first_error_in_file_order(tmp_path, set_cores):
@@ -313,9 +319,9 @@ def test_load_collection_raises_the_first_error_in_file_order(tmp_path, set_core
         assert not multiprocessing.active_children()
 
 
-def _preprocessed(report, skipped):
+def _preprocessed(report):
     features = [(fv.record_id, fv.label, fv.x.tobytes()) for fv in report.features]
-    return features, report.rejected, skipped
+    return features, report.rejected
 
 
 def test_preprocess_files_matches_loading_then_preprocessing_on_every_core_count(tmp_path, set_cores):
@@ -325,13 +331,36 @@ def test_preprocess_files_matches_loading_then_preprocessing_on_every_core_count
     with meta.open("a", encoding="utf-8") as fh:
         fh.write("dropout,7.30,9\nneither,,9\n")
     config = PreprocessConfig(median_window=3, feature_dim=16)
-    records, skipped = reference_load_collection(signals, meta)
-    expected = _preprocessed(preprocess_collection(records, config), skipped)
-    assert len(expected[0]) == 12 and [record_id for record_id, _ in expected[1]] == ["dropout", "quoted"]
-    assert len(expected[2]) == 5 and "non-numeric cell" in {s.record_id: s.reason for s in expected[2]}["neither"]
+    outcomes = reference_load_collection(signals, meta)
+    expected = _preprocessed(
+        collect_features(o if isinstance(o, Rejected) else preprocess_item(o, config) for o in outcomes)
+    )
+    assert len(expected[0]) == 12
+    assert [(r.record_id, r.stage) for r in expected[1]] == [  # both stages, in file order
+        ("backwards", "ingest"),
+        ("dropout", "preprocess"),
+        ("latin1", "ingest"),
+        ("neither", "ingest"),
+        ("orphan", "ingest"),
+        ("quoted", "preprocess"),
+        ("unlabelable", "ingest"),
+    ]
+    assert "non-numeric cell" in {r.record_id: r.reason for r in expected[1]}["neither"]
     for cores in CORE_COUNTS:
         set_cores(cores)
-        assert _preprocessed(*preprocess_files(signals, meta, config)) == expected
+        assert _preprocessed(preprocess_files(signals, meta, config)) == expected
+
+
+def test_preprocess_files_counts_only_its_own_rejections_when_it_rejects_every_record(tmp_path):
+    signals = tmp_path / "signals"
+    signals.mkdir()
+    for name in ("a", "b"):
+        _write_signal(signals / f"{name}.csv")  # 10 samples, fewer than the feature dimension
+    _write_signal(signals / "orphan.csv")
+    (tmp_path / "meta.csv").write_text("record_id,ph,apgar1\na,7.30,9\nb,7.10,5\n", encoding="utf-8")
+    with pytest.raises(PreprocessError) as exc:
+        preprocess_files(signals, tmp_path / "meta.csv", PreprocessConfig(median_window=3, feature_dim=16))
+    assert str(exc.value) == "all 2 records were rejected by preprocessing"
 
 
 def test_preprocess_files_raises_the_first_error_in_file_order(tmp_path, set_cores):

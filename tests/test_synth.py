@@ -8,7 +8,7 @@ import pytest
 
 from fetalguard import synth
 from fetalguard.errors import ConfigError
-from fetalguard.ingest import ClassLabel, ClinicalMetadata, LabeledRecord, SignalRecord, assign_label, load_each
+from fetalguard.ingest import ClassLabel, ClinicalMetadata, LabeledRecord, Rejected, SignalRecord, assign_label, load_each
 from fetalguard.preprocess import PreprocessConfig, preprocess_collection
 from fetalguard.synth import (
     SynthParams,
@@ -211,8 +211,8 @@ class TestRoundTripThroughIngest:
     def test_written_dataset_reloads_with_same_labels(self, tmp_path):
         records = generate_dataset(6, 4, seed=7)
         signals_dir, metadata_file = write_dataset(records, tmp_path)
-        loaded, skipped = load_each(signals_dir, metadata_file, lambda item: item)
-        assert not skipped
+        loaded = load_each(signals_dir, metadata_file, lambda item: item)
+        assert not [item for item in loaded if isinstance(item, Rejected)]
         expected = {item.record.record_id: item.label for item in records}
         for item in loaded:
             assert item.label is expected[item.record.record_id]
